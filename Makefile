@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke demo-persist test-wire smoke-multiproc fuzz-smoke
+.PHONY: ci fmt vet lint build test race bench bench-compare demo-persist test-wire smoke-multiproc fuzz-smoke
 
 ci: fmt vet lint build race
 
@@ -10,14 +10,18 @@ fmt:
 		echo "gofmt -s needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# bench/ is its own module (the benchmark, bench/README.md): vet, lint and
+# test cover it alongside the main module.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Project-invariant analyzers (stdlib-only, see docs/ANALYZERS.md):
 # deadlock, determinism, metricnames (the former scripts/check_metrics.sh)
 # and wireerr. Non-zero exit on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/fabriccrdt-lint ./...
+	cd bench && $(GO) run fabriccrdt/cmd/fabriccrdt-lint .
 
 build:
 	$(GO) build ./...
@@ -26,9 +30,11 @@ build:
 # on code that does not pass both.
 test: vet lint
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 race: vet lint
 	$(GO) test -race ./...
+	$(GO) -C bench test -race ./...
 
 # Wire-transport gate: the transport conformance suite against BOTH
 # implementations (in-process Node and TCP wire client/server) under
@@ -49,21 +55,16 @@ test-wire: vet
 smoke-multiproc:
 	$(GO) test -run TestMultiProcessSmoke -v ./cmd/fabricnet
 
-BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChannels|BenchmarkCommitAsync|BenchmarkCommitFinalize|BenchmarkCommitLSMCache'
-
-# Commit-pipeline benchmark; refreshes BENCH_commit.json.
+# The benchmark (BENCHMARK.json, bench/README.md): real orderer/peer
+# processes over loopback TCP on all four workloads, end-to-end metrics
+# plus the per-layer rows. OUT names the result file.
+OUT ?= .bench_build/result.json
 bench:
-	$(GO) test -run xxx -bench $(BENCHES) -benchtime=20x .
+	bash bench/run.sh -out $(OUT)
 
-# One quick pass of the commit benchmark per state backend (memory,
-# sharded, disk with and without the block store, lsm), the worker sweep,
-# the channel-scaling sweep (1/2/4/8 channels), the async-pipeline depth
-# sweep (0/1/2/4), the finalize-scheduler sweep (conflict rate 0/25/100%
-# at 1/2/4/8 finalize workers) and the LSM block-cache pair (dataset
-# larger than the cache vs inside it) — enough for CI to refresh and
-# archive BENCH_commit.json without a long benchmark run.
-bench-smoke:
-	$(GO) test -run xxx -bench $(BENCHES) -benchtime=3x .
+# Diff two result files: make bench-compare A=before.json B=after.json
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 # Short-budget coverage-guided fuzzing of the binary decoders — the
 # wire-frame decoder and the LSM sorted-run block decoder — enough for CI

@@ -11,8 +11,8 @@
 //	fabricnet -txs 2000 -rate 400 -block 50 -clients 8 -conflict 40
 //	fabricnet -channels channel1,channel2,channel3,channel4   # 4-way sharding
 //	fabricnet -backend disk -datadir ./net-state    # persistent peers
-//	fabricnet -pipeline 4 -backend disk -datadir ./net-state -fsync
-//	                             # durable peers, commits pipelined 4 deep
+//	fabricnet -backend disk -datadir ./net-state -fsync
+//	                             # durable peers, fsync per committed block
 //	fabricnet -backend disk -datadir ./net-state -persist-blocks=false
 //	                             # state checkpoint only, no block bodies
 //	fabricnet -backend lsm -datadir ./net-state -state-cache 64
@@ -58,11 +58,7 @@ func main() {
 		clients     = flag.Int("clients", 4, "number of concurrent multi-channel clients")
 		channelList = flag.String("channels", "channel1,channel2", "comma-separated channel list; each channel gets its own orderer and per-peer commit pipeline")
 		conflict    = flag.Int("conflict", 100, "percentage of transactions targeting each channel's shared hot key (paper Table 5)")
-		workers     = flag.Int("workers", 0, "commit-pipeline workers per peer per channel (0 = adaptive: NumCPU spread across channels)")
-		finalizeW   = flag.Int("finalize-workers", 0, "intra-block finalize workers per peer per channel: >1 validates non-conflicting transactions of a block concurrently along a dependency-graph schedule, 1 = serial finalize, 0 = inherit -workers (outcomes are identical at every setting)")
-		pipeline    = flag.Int("pipeline", 1, "async commit pipeline depth per (peer, channel): how many delivered blocks are decoded and endorsement-validated ahead of the serialized commit stage (0 = synchronous; outcomes are identical at every depth)")
-		shards      = flag.Int("shards", 1, "state database shards per peer (1 = single-lock map)")
-		backend     = flag.String("backend", "", "state backend per peer: memory|sharded|disk|lsm (default: memory, or sharded when -shards > 1)")
+		backend     = flag.String("backend", fabriccrdt.BackendMemory, "state backend per peer: memory|sharded|disk|lsm")
 		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel)")
 		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only): closes the power-loss window; the async pipeline hides the added latency")
 		persist     = flag.Bool("persist-blocks", true, "persist committed block bodies in each peer's durable block store (-backend disk/lsm only): restarted peers then serve their full history to lagging peers and can rebuild their world state from block 0")
@@ -100,7 +96,7 @@ func main() {
 
 	persistBlocks := fabriccrdt.PersistBlocksAuto
 	switch *backend {
-	case "", fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
+	case fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
 		if *datadir != "" {
 			fatal(fmt.Errorf("-datadir is only used with -backend disk or lsm; nothing would be persisted"))
 		}
@@ -134,8 +130,12 @@ func main() {
 	if *stateCache > 0 && *backend != fabriccrdt.BackendLSM {
 		fatal(fmt.Errorf("-state-cache is only used with -backend lsm; the other backends have no block cache"))
 	}
-	if *pipeline < 0 {
-		fatal(fmt.Errorf("-pipeline must be >= 0 (got %d)", *pipeline))
+	committer := fabriccrdt.CommitterConfig{
+		Backend:         *backend,
+		DataDir:         *datadir,
+		PersistBlocks:   persistBlocks,
+		SyncEveryApply:  *fsync,
+		StateCacheBytes: int64(*stateCache) << 20,
 	}
 
 	// The paper's IoT workload generator is the transaction source: it
@@ -166,17 +166,7 @@ func main() {
 			metricsAddr:  *metricsAddr,
 			traceOut:     *traceOut,
 			queueWarn:    *queueWarn,
-			committer: fabriccrdt.CommitterConfig{
-				Workers:         *workers,
-				FinalizeWorkers: *finalizeW,
-				Pipeline:        *pipeline,
-				StateShards:     *shards,
-				Backend:         *backend,
-				DataDir:         *datadir,
-				PersistBlocks:   persistBlocks,
-				SyncEveryApply:  *fsync,
-				StateCacheBytes: int64(*stateCache) << 20,
-			},
+			committer:    committer,
 		})
 		if err != nil {
 			fatal(err)
@@ -187,17 +177,7 @@ func main() {
 	cfg := fabriccrdt.PaperTopology(*blockSize, *enableCRDT)
 	cfg.Channels = channels
 	cfg.Orderer.BatchTimeout = *batchTimeout
-	cfg.Committer = fabriccrdt.CommitterConfig{
-		Workers:         *workers,
-		FinalizeWorkers: *finalizeW,
-		Pipeline:        *pipeline,
-		StateShards:     *shards,
-		Backend:         *backend,
-		DataDir:         *datadir,
-		PersistBlocks:   persistBlocks,
-		SyncEveryApply:  *fsync,
-		StateCacheBytes: int64(*stateCache) << 20,
-	}
+	cfg.Committer = committer
 	net, err := fabriccrdt.NewNetwork(cfg)
 	if err != nil {
 		fatal(err)
@@ -218,8 +198,8 @@ func main() {
 	if !*enableCRDT {
 		mode = "Fabric"
 	}
-	fmt.Printf("%s network: 3 orgs x 2 peers, %d channel(s) %v, block size %d, pipeline depth %d, %d clients, %d txs at %.0f tx/s, %d%% conflicting\n",
-		mode, len(channels), channels, *blockSize, *pipeline, *clients, *totalTx, *rate, *conflict)
+	fmt.Printf("%s network: 3 orgs x 2 peers, %d channel(s) %v, block size %d, %d clients, %d txs at %.0f tx/s, %d%% conflicting\n",
+		mode, len(channels), channels, *blockSize, *clients, *totalTx, *rate, *conflict)
 	for _, ch := range channels {
 		if h, err := net.Peers()[0].HeightOn(ch); err == nil && h > 0 {
 			fmt.Printf("resumed %s from %s: persisted state at block height %d, new blocks continue from %d\n",

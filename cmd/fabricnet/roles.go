@@ -318,7 +318,6 @@ func runPeer(o roleOpts) error {
 			defer loops.Done()
 			err := transport.DeliverToPeer(oc, p, transport.DeliverConfig{
 				ChannelID: id,
-				Depth:     o.committer.Pipeline,
 				OnRetry: func(err error) {
 					fmt.Printf("fabricnet: %s deliver retry on %s: %v\n", name, id, err)
 				},

@@ -30,7 +30,6 @@ import (
 	"fabriccrdt/internal/fabricnet"
 	"fabriccrdt/internal/jsoncrdt"
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/orderer"
 	"fabriccrdt/internal/peer"
 	"fabriccrdt/internal/statedb"
@@ -48,26 +47,18 @@ type (
 	OrdererConfig = orderer.Config
 	// EngineOptions tunes the CRDT merge engine.
 	EngineOptions = core.Options
-	// CommitterConfig tunes every peer's staged commit pipeline: the
-	// endorsement-validation worker pool, the async cross-block pipeline
-	// depth (Pipeline: how many delivered blocks are decoded and
-	// endorsement-validated ahead of the serialized commit stage; 0 =
-	// synchronous), the world-state backend (Backend/StateShards/
-	// DataDir/SyncEveryApply/StateCacheBytes — see the Backend* constants)
-	// and the durable block store (PersistBlocks — see the PersistBlocks*
-	// constants; on by default with the durable backends BackendDisk and
-	// BackendLSM) and the intra-block finalize scheduler
-	// (FinalizeWorkers: >1 validates non-conflicting transactions of one
-	// block concurrently along a dependency-graph wavefront schedule, with
-	// the CRDT merge running beside MVCC validation; 1 = serial; 0 inherits
-	// Workers). One configuration applies per channel: a zero Workers is
-	// resolved adaptively (the host's CPUs divided across the network's
-	// channels); any Workers, Pipeline or FinalizeWorkers setting produces
-	// identical commit results.
+	// CommitterConfig selects every peer's world-state backend
+	// (Backend/DataDir/SyncEveryApply/StateCacheBytes — see the Backend*
+	// constants) and the durable block store (PersistBlocks — see the
+	// PersistBlocks* constants; on by default with the durable backends
+	// BackendDisk and BackendLSM). One configuration applies per channel.
+	// Commit parallelism is not configured: each peer derives it from
+	// GOMAXPROCS divided across its channels, and commit results are
+	// identical at every value.
 	CommitterConfig = peer.CommitterConfig
 	// CommitStageSummary aggregates one commit-pipeline stage's latencies,
 	// as returned by Peer.CommitTimings.
-	CommitStageSummary = metrics.StageSummary
+	CommitStageSummary = peer.StageSummary
 	// CommitAggregate is a peer's skew-free commit-latency rollup
 	// (Peer.CommitAggregate): Wall is elapsed pipeline time, CPU sums the
 	// work done inside it — concurrent stages make CPU exceed Wall.
@@ -75,15 +66,15 @@ type (
 	// SchedulerCounter is one finalize-scheduler statistic, as returned by
 	// Peer.SchedulerCounters (scheduled blocks/transactions, conflict
 	// groups, dependency edges, wavefront counts).
-	SchedulerCounter = metrics.Counter
+	SchedulerCounter = peer.SchedulerCounter
 )
 
 // World-state backend names for CommitterConfig.Backend.
 const (
 	// BackendMemory is the single-lock in-memory map (the default).
 	BackendMemory = peer.BackendMemory
-	// BackendSharded spreads keys over CommitterConfig.StateShards
-	// independently locked in-memory shards.
+	// BackendSharded spreads keys over independently locked in-memory
+	// shards.
 	BackendSharded = peer.BackendSharded
 	// BackendDisk persists the world state under CommitterConfig.DataDir
 	// (append-only log + snapshot): peers restarted over the same

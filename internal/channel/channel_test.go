@@ -3,7 +3,6 @@ package channel
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -113,8 +112,7 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendSharded, StateShards: 4},
-		{StateShards: 8},
+		{Backend: BackendSharded},
 		{Backend: BackendDisk, DataDir: t.TempDir()},
 		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
 		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},
@@ -259,26 +257,5 @@ func TestRuntimeDedupIsChannelLocal(t *testing.T) {
 	rt2.Unlock()
 	if !d1 || d2 {
 		t.Fatalf("durable dedup leaked across channels: ch1=%v ch2=%v", d1, d2)
-	}
-}
-
-func TestAdaptiveWorkers(t *testing.T) {
-	cpus := runtime.NumCPU()
-	if got := AdaptiveWorkers(1); got != cpus {
-		t.Fatalf("AdaptiveWorkers(1) = %d, want NumCPU = %d", got, cpus)
-	}
-	want := cpus / 2
-	if want < 1 {
-		want = 1
-	}
-	if got := AdaptiveWorkers(2); got != want {
-		t.Fatalf("AdaptiveWorkers(2) = %d, want %d", got, want)
-	}
-	// More channels than CPUs still leaves every channel one worker.
-	if got := AdaptiveWorkers(16 * cpus); got != 1 {
-		t.Fatalf("AdaptiveWorkers(%d) = %d, want 1", 16*cpus, got)
-	}
-	if got := AdaptiveWorkers(0); got < 1 {
-		t.Fatalf("AdaptiveWorkers(0) = %d, want >= 1", got)
 	}
 }

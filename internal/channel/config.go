@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"fabriccrdt/internal/statedb"
 )
@@ -14,8 +13,7 @@ import (
 const (
 	// BackendMemory is the trivial single-lock in-memory map.
 	BackendMemory = "memory"
-	// BackendSharded is the in-memory backend with per-shard locks
-	// (StateShards many).
+	// BackendSharded is the in-memory backend with per-shard locks.
 	BackendSharded = "sharded"
 	// BackendDisk is the persistent append-only-log backend; requires
 	// DataDir. A peer reopening the same DataDir resumes every channel
@@ -28,6 +26,10 @@ const (
 	// the keyspace, so world state can outgrow RAM.
 	BackendLSM = "lsm"
 )
+
+// stateShards is BackendSharded's shard count — the count bench/'s
+// statedb.sharded.* layer rows measure.
+const stateShards = 8
 
 // Block-body persistence modes for CommitterConfig.PersistBlocks.
 const (
@@ -49,46 +51,15 @@ const (
 	PersistBlocksOff = "off"
 )
 
-// CommitterConfig tunes the staged commit pipeline and the world-state
-// backend behind it (DESIGN.md §4, §5). One configuration applies to every
-// channel a peer joins; each channel gets its own backend instance (and,
-// for the disk backend, its own subdirectory under DataDir).
+// CommitterConfig selects the world-state backend behind the commit
+// pipeline and its durability (DESIGN.md §4, §5). One configuration applies
+// to every channel a peer joins; each channel gets its own backend instance
+// (and, for the durable backends, its own subdirectory under DataDir). How
+// parallel the committer runs is not configured here: the peer derives it
+// from GOMAXPROCS and its channel count (DESIGN.md §6).
 type CommitterConfig struct {
-	// Workers bounds the endorsement-validation worker pool and, unless
-	// EngineOptions.Workers overrides it, the merge engine's key-group
-	// parallelism — per channel. 1 = serial. 0 = adaptive: the peer derives
-	// the count from runtime.NumCPU() divided across its active channels
-	// (AdaptiveWorkers). Validation codes, world state and persisted CRDT
-	// documents are identical at every setting.
-	Workers int
-	// FinalizeWorkers bounds the parallelism INSIDE the serialized finalize
-	// stage: with a value > 1 the committer builds each block's transaction
-	// dependency schedule (internal/txgraph) and validates non-conflicting
-	// transactions concurrently — MVCC wavefronts and the CRDT merge run
-	// side by side over up to this many goroutines — while dedup and the
-	// final batch/append stay ordered (DESIGN.md §9). 1 = the legacy fully
-	// serial finalize. 0 = inherit the resolved Workers. Validation codes,
-	// world state, persisted CRDT documents and block hashes are identical
-	// at every setting.
-	FinalizeWorkers int
-	// Pipeline is the async commit pipeline depth per (peer, channel)
-	// deliver loop: how many delivered blocks may sit decoded and
-	// endorsement-validated ahead of the serialized finalize stage
-	// (dedup/merge/mvcc/apply/append). 0 = synchronous (each block fully
-	// commits before the next is touched); N >= 1 overlaps the stateless
-	// prepare work of blocks N+1..N+depth with the current block's commit
-	// (DESIGN.md §7). Commit outcomes are byte-identical at every depth;
-	// only wall-clock behavior changes. Ignored by direct CommitBlockOn
-	// calls — it configures deliver-loop drivers (fabricnet, and any
-	// embedder of Peer.CommitPipeline).
-	Pipeline int
-	// StateShards selects the sharded statedb backend with that many
-	// independently locked shards; 0 or 1 keeps the trivial single-lock
-	// map backend. Ignored unless Backend is "" or BackendSharded.
-	StateShards int
-	// Backend names the statedb backend: BackendMemory, BackendSharded,
-	// BackendDisk or BackendLSM. Empty keeps the historical behavior
-	// (sharded when StateShards > 1, memory otherwise). Unknown names fail
+	// Backend names the statedb backend: BackendMemory (also the zero
+	// value), BackendSharded, BackendDisk or BackendLSM. Unknown names fail
 	// construction.
 	Backend string
 	// DataDir is the durable backends' data directory (required for
@@ -109,10 +80,10 @@ type CommitterConfig struct {
 	// snapshot, the recovery root. A restarted peer can then serve its
 	// full history to lagging peers (Peer.SyncFrom) and rebuild its world
 	// state from block 0 (Peer.RebuildState). Values: PersistBlocksAuto
-	// (the default: on with BackendDisk, off otherwise), PersistBlocksOn
-	// (BackendDisk required) and PersistBlocksOff (state checkpoint only —
-	// the pre-block-store behaviour). See DESIGN.md §8 and
-	// docs/PERSISTENCE.md.
+	// (the default: on with BackendDisk or BackendLSM, off otherwise),
+	// PersistBlocksOn (a durable backend required) and PersistBlocksOff
+	// (state checkpoint only — the pre-block-store behaviour). See
+	// DESIGN.md §8 and docs/PERSISTENCE.md.
 	PersistBlocks string
 	// SyncEveryApply makes the durable backends fsync their state log
 	// (BackendDisk) or write-ahead log (BackendLSM) — and the block store,
@@ -149,22 +120,6 @@ func (c CommitterConfig) blockPersistence() (bool, error) {
 	}
 }
 
-// AdaptiveWorkers is the commit-pipeline worker count used when
-// CommitterConfig.Workers is 0: the host's CPUs divided evenly across the
-// peer's active channels, never below 1. N channels committing in parallel
-// then share the machine instead of each assuming it owns every core
-// (DESIGN.md §6).
-func AdaptiveWorkers(activeChannels int) int {
-	if activeChannels < 1 {
-		activeChannels = 1
-	}
-	w := runtime.NumCPU() / activeChannels
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // rejectLegacyStore refuses a data directory holding a store in the
 // pre-multi-channel layout (state files directly under DataDir, not under
 // a per-channel subdirectory). Opening past it would silently start every
@@ -190,15 +145,10 @@ func rejectLegacyStore(dataDir string) error {
 // fsync the channel's block store before making a state snapshot durable.
 func newStateDB(channelID string, c CommitterConfig, beforeCompact func() error) (*statedb.DB, error) {
 	switch c.Backend {
-	case "":
-		if c.StateShards > 1 {
-			return statedb.NewSharded(c.StateShards), nil
-		}
-		return statedb.New(), nil
-	case BackendMemory:
+	case "", BackendMemory:
 		return statedb.New(), nil
 	case BackendSharded:
-		return statedb.NewSharded(c.StateShards), nil
+		return statedb.NewSharded(stateShards), nil
 	case BackendDisk:
 		if c.DataDir == "" {
 			return nil, errors.New("disk state backend requires CommitterConfig.DataDir")

@@ -16,9 +16,9 @@
 //
 // The merge is organized as independent per-key groups: all CRDT writes to
 // one key, in block order, form one group, and distinct groups share no
-// state. Options.Workers merges groups concurrently; because the per-key
-// write order never changes, results are byte-identical at every worker
-// count (DESIGN.md §5).
+// state. MergeCandidates merges groups concurrently over the worker count
+// its caller passes; because the per-key write order never changes, results
+// are byte-identical at every worker count (DESIGN.md §5).
 package core
 
 import (
@@ -63,10 +63,6 @@ type Options struct {
 	// (DESIGN.md §3). The paper's evaluation is reproduced with this ON,
 	// which is what yields Figure 3's block-size-dependent merge cost.
 	FreshDocPerBlock bool
-	// Workers bounds how many independent key-groups merge concurrently
-	// (0 or 1 = serial). Per-key write order is block order regardless,
-	// so merge results are byte-identical at every setting.
-	Workers int
 }
 
 // Engine merges the CRDT transactions of blocks for one peer.
@@ -146,8 +142,11 @@ type keyGroup struct {
 //
 // The caller runs stock MVCC validation afterwards for the remaining
 // transactions (Algorithm 1 line 15) and commits both groups in one batch.
+//
+// MergeBlock merges the key-groups serially: it is the reference the
+// parallel MergeCandidates must match byte for byte.
 func (e *Engine) MergeBlock(block *ledger.Block, codes []ledger.ValidationCode) (Result, error) {
-	return e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 0)
+	return e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 1)
 }
 
 // CRDTCandidates lists (ascending) the transactions eligible for the merge
@@ -171,17 +170,15 @@ func CRDTCandidates(block *ledger.Block, codes []ledger.ValidationCode) []int {
 // engine reads and writes codes ONLY at candidate indices, so the parallel
 // finalize stage can run the merge concurrently with MVCC validation of the
 // remaining transactions over the same codes slice without a data race.
-// workers overrides Options.Workers for this call when > 0 (the finalize
-// stage's own worker knob); per-key write order is block order regardless,
-// so results are byte-identical at every setting.
+// workers bounds how many independent key-groups merge concurrently (<= 1 =
+// serial); per-key write order is block order regardless, so results are
+// byte-identical at every count.
 func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationCode, candidates []int, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = e.opts.Workers
-	}
 	groups, flat := classify(block, candidates)
 
 	// Merge pass: each group replays its key's writes in block order.
-	e.forEachGroup(workers, groups, e.runGroup)
+	// Groups are independent, so the schedule cannot affect results.
+	parallel.ForEach(workers, groups, e.runGroup)
 	if err := firstMergeError(flat); err != nil {
 		return Result{}, err
 	}
@@ -224,7 +221,7 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 	// metadata stripped, and serialize the states to persist. The paper's
 	// literal algorithm converts the document anew for every transaction;
 	// SerializeOncePerKey caches it.
-	e.forEachGroup(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
+	parallel.ForEach(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
 	for _, g := range groups {
 		if g.finishErr != nil {
 			return Result{}, g.finishErr
@@ -278,13 +275,6 @@ func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
 		}
 	}
 	return groups, flat
-}
-
-// forEachGroup runs fn over every group, spreading groups over workers
-// goroutines when > 1. Groups are independent, so the schedule cannot
-// affect results.
-func (e *Engine) forEachGroup(workers int, groups []*keyGroup, fn func(*keyGroup)) {
-	parallel.ForEach(workers, groups, fn)
 }
 
 // runGroup merges one key's writes in block order. Bad deltas mark the op

@@ -54,9 +54,10 @@ func mixedBlock(keys, txs int) *ledger.Block {
 	return &ledger.Block{Header: ledger.BlockHeader{Number: 1}, Transactions: list}
 }
 
-// TestMergeWorkersEquivalence: the merge must be byte-identical at every
-// worker count, across two consecutive blocks (exercising cross-block
-// seeding through the persisted states).
+// TestMergeWorkersEquivalence: the merge must be byte-identical to the
+// serial merge (one worker, which is MergeBlock) at every worker count,
+// across two consecutive blocks (exercising cross-block seeding through the
+// persisted states).
 func TestMergeWorkersEquivalence(t *testing.T) {
 	type outcome struct {
 		codes  []ledger.ValidationCode
@@ -65,13 +66,13 @@ func TestMergeWorkersEquivalence(t *testing.T) {
 	}
 	run := func(workers int) []outcome {
 		db := statedb.New()
-		e := NewEngine(db, Options{Workers: workers})
+		e := NewEngine(db, Options{})
 		var out []outcome
 		for blk := uint64(1); blk <= 2; blk++ {
 			block := mixedBlock(5, 40)
 			block.Header.Number = blk
 			codes := make([]ledger.ValidationCode, len(block.Transactions))
-			res, err := e.MergeBlock(block, codes)
+			res, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestMergeWorkersEquivalence(t *testing.T) {
 		return out
 	}
 	baseline := run(1)
-	for _, workers := range []int{0, 2, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		got := run(workers)
 		for blk := range baseline {
 			if !reflect.DeepEqual(baseline[blk].codes, got[blk].codes) {
@@ -126,19 +127,20 @@ func TestMergeWorkersHardErrorDeterministic(t *testing.T) {
 		batch.PutMeta(MetaPrefix+"k1", []byte("corrupt-1"))
 		batch.PutMeta(MetaPrefix+"k2", []byte("corrupt-2"))
 		db.Apply(batch, rwset.Version{BlockNum: 1})
-		e := NewEngine(db, Options{Workers: workers})
+		e := NewEngine(db, Options{})
 		block := blockOf(
 			crdtTx("t1", "k2", `{"a":["x"]}`),
 			crdtTx("t2", "k1", `{"a":["y"]}`),
 		)
-		_, err := e.MergeBlock(block, make([]ledger.ValidationCode, 2))
+		codes := make([]ledger.ValidationCode, 2)
+		_, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), workers)
 		if err == nil {
 			t.Fatalf("workers=%d: corrupt state must error", workers)
 		}
 		return err.Error()
 	}
 	want := errOf(1)
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		if got := errOf(workers); got != want {
 			t.Errorf("workers=%d error = %q, want %q", workers, got, want)
 		}

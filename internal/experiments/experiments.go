@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"fabriccrdt/internal/core"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/simnet"
 	"fabriccrdt/internal/workload"
 )
@@ -55,8 +54,8 @@ func (o Options) withDefaults() Options {
 // Row is one x-axis point of a figure: both systems' summaries.
 type Row struct {
 	Label  string
-	CRDT   metrics.Summary
-	Fabric metrics.Summary
+	CRDT   simnet.Summary
+	Fabric simnet.Summary
 }
 
 // Figure is a complete reproduced figure.

@@ -3,8 +3,8 @@
 // topology (§7.2: three organizations, two peers each, one orderer, one
 // channel) and wires the live delivery pipeline: each channel's orderer
 // deliver channels feed one committer pipeline per (peer, channel) pair
-// (peer.CommitPipeline — optionally preparing blocks ahead of the
-// serialized commit stage, Config.Committer.Pipeline).
+// (peer.CommitPipeline — preparing each block while its predecessor is in
+// the serialized commit stage).
 //
 // Channels are the unit of sharding (Config.Channels): every channel has
 // its own ordering service, block numbering, and per-peer commit runtime,
@@ -72,14 +72,13 @@ type Config struct {
 	EnableCRDT bool
 	// EngineOptions tunes the merge engine on every peer.
 	EngineOptions core.Options
-	// Committer tunes every peer's staged commit pipeline (validation
-	// worker pool, statedb backend selection and sharding). With a durable
-	// Backend (peer.BackendDisk or peer.BackendLSM), Committer.DataDir is
-	// the shared root directory; each peer persists under
-	// DataDir/<peer-name> (and each
-	// channel under DataDir/<peer-name>/<channel-ID>), so rebuilding a
-	// network over the same root restores every peer's world state and
-	// per-channel resume heights.
+	// Committer selects every peer's statedb backend and its durability.
+	// With a durable Backend (peer.BackendDisk or peer.BackendLSM),
+	// Committer.DataDir is the shared root directory; each peer persists
+	// under DataDir/<peer-name> (and each channel under
+	// DataDir/<peer-name>/<channel-ID>), so rebuilding a network over the
+	// same root restores every peer's world state and per-channel resume
+	// heights.
 	Committer peer.CommitterConfig
 	// TransportWrap, when set, interposes middleware between each
 	// (peer, channel) deliver loop and the network's transport — the
@@ -363,10 +362,9 @@ func (n *Network) InstallChaincodeOn(channelID, name string, cc chaincode.Chainc
 // orderer never sees a slow peer) and one transport.DeliverToPeer loop per
 // (peer, channel) pair running against the network's Node, each with its
 // own commit pipeline — channels deliver and commit independently, so a
-// slow channel never stalls the others. Committer.Pipeline sets each
-// pipeline's depth: 0 commits each block synchronously; N >= 1 decodes and
-// endorsement-validates up to N delivered blocks ahead of the serialized
-// commit stage (DESIGN.md §7).
+// slow channel never stalls the others; each pipeline decodes and
+// endorsement-validates the next delivered block while the current one is
+// in the serialized commit stage (DESIGN.md §7).
 //
 // Failure discipline (the Err/TransportRetries split): a transport failure
 // — severed stream, sequence gap, lost frame — is healed by the loop
@@ -409,7 +407,6 @@ func (n *Network) Start() {
 			}
 			dcfg := transport.DeliverConfig{
 				ChannelID:  id,
-				Depth:      n.cfg.Committer.Pipeline,
 				MaxRetries: n.cfg.DeliverMaxRetries,
 			}
 			n.wg.Add(1)

@@ -2,6 +2,7 @@ package fabricnet
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func TestCommitterFailureDoesNotWedgeNetwork(t *testing.T) {
 // one peer must not disturb the other channel anywhere — per-channel fault
 // isolation of the delivery pipelines. Run with -race in CI.
 func TestChannelFaultIsolationOnFailure(t *testing.T) {
-	n := newMultiNet(t, 1, peer.CommitterConfig{Pipeline: 2}, "ch1", "ch2")
+	n := newMultiNet(t, 1, peer.CommitterConfig{}, "ch1", "ch2")
 	victim, err := n.Peer("Org3.peer1")
 	if err != nil {
 		t.Fatal(err)
@@ -189,13 +190,15 @@ func TestChannelFaultIsolationOnFailure(t *testing.T) {
 }
 
 // TestPipelinedNetworkConverges runs the standard conflicting workload
-// through a network with a depth-2 commit pipeline on every (peer,
-// channel) pair: everything commits, all peers converge, no errors — the
-// end-to-end check that pipelining changes scheduling, not outcomes.
+// through a network whose every (peer, channel) pair commits through the
+// async pipeline with two commit workers (the scheduled finalize):
+// everything commits, all peers converge, no errors — the end-to-end check
+// that pipelining changes scheduling, not outcomes.
 func TestPipelinedNetworkConverges(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	cfg := PaperConfig(10, true)
 	cfg.Orderer.BatchTimeout = 100 * time.Millisecond
-	cfg.Committer = peer.CommitterConfig{Workers: 2, Pipeline: 2}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ const (
 	MetricPeerEventQueueDepth = "fabriccrdt_peer_event_queue_depth" // gauge{peer}
 	MetricPeerEventListeners  = "fabriccrdt_peer_event_listeners"   // gauge{peer}
 
-	// Finalize scheduler (mirrors of peer metrics.Counters; label peer).
+	// Finalize scheduler (Peer.SchedulerCounters; label peer).
 	MetricSchedBlocks     = "fabriccrdt_sched_blocks_total"         // counter{peer}
 	MetricSchedTxs        = "fabriccrdt_sched_txs_total"            // counter{peer}
 	MetricSchedGroups     = "fabriccrdt_sched_groups_total"         // counter{peer}

@@ -14,18 +14,16 @@ import (
 // runs per (peer, channel) pair; tests and embedders can feed it any
 // ordered block channel.
 //
-// With depth <= 0 the pipeline is synchronous: each block is prepared and
-// finalized back to back (exactly CommitBlockOn). With depth >= 1 the two
-// stages run in separate goroutines connected by a bounded queue of
-// `depth` prepared blocks: while block N is in the serialized finalize
-// stage (dedup/merge/mvcc/apply/append), blocks N+1..N+depth are decoded
-// and endorsement-validated ahead of it. The prepare stage reads no world
+// The two stages run in separate goroutines connected by a one-block
+// queue: while block N is in the serialized finalize stage
+// (dedup/merge/mvcc/apply/append), block N+1 is decoded and
+// endorsement-validated ahead of it. The prepare stage reads no world
 // state and finalize consumes prepared blocks strictly in delivery order,
 // so commit outcomes — validation codes, world state, hash chain — are
-// byte-identical at every depth (proven by TestCommitPipelineDepthDeterminism
-// under -race). Each successfully overlapped block records a StageOverlap
-// observation: the share of its prepare time hidden behind earlier
-// finalize work.
+// byte-identical to a plain CommitBlockOn loop (proven by
+// TestCommitPipelineMatchesCommitBlockOn under -race). Each successfully
+// overlapped block records a StageOverlap observation: the share of its
+// prepare time hidden behind earlier finalize work.
 //
 // Error handling: the first failure (prepare or finalize) poisons the
 // pipeline — every subsequent block is received and DISCARDED until the
@@ -34,22 +32,9 @@ import (
 // block source (the regression behind DESIGN.md §7's deadlock
 // post-mortem). Blocks after a failure are undeliverable anyway: the hash
 // chain rejects a block whose predecessor never committed.
-func (p *Peer) CommitPipeline(channelID string, deliver <-chan *ledger.Block, depth int) error {
-	if depth <= 0 {
-		var firstErr error
-		for block := range deliver {
-			if firstErr != nil {
-				continue // drain: see above
-			}
-			if _, err := p.CommitBlockOn(channelID, block); err != nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-
+func (p *Peer) CommitPipeline(channelID string, deliver <-chan *ledger.Block) error {
 	cm := p.channelMetricsFor(channelID)
-	prepared := make(chan *PreparedBlock, depth)
+	prepared := make(chan *PreparedBlock, 1)
 	var failed atomic.Bool
 	var finalizeErr error
 	done := make(chan struct{})

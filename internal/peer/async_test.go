@@ -64,25 +64,21 @@ func feed(blocks []*ledger.Block) <-chan *ledger.Block {
 	return ch
 }
 
-// TestCommitPipelineDepthDeterminism is the async pipeline's acceptance
+// TestCommitPipelineMatchesCommitBlockOn is the async pipeline's acceptance
 // guarantee: the same delivered stream commits to byte-identical validation
-// codes, world state, versions, CRDT documents and hash chain at every
-// pipeline depth. Run with -race in CI (the depth >= 1 variants exercise
-// the prepare/finalize handoff concurrently).
-func TestCommitPipelineDepthDeterminism(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{
-		{Workers: 2, Pipeline: 0},
-		{Workers: 2, Pipeline: 1},
-		{Workers: 2, Pipeline: 2},
-		{Workers: 2, Pipeline: 4},
-	})
+// codes, world state, versions, CRDT documents and hash chain through
+// CommitPipeline as through a plain CommitBlockOn loop — the synchronous
+// reference — at every derived worker count. Run with -race in CI (the
+// prepare/finalize handoff runs concurrently).
+func TestCommitPipelineMatchesCommitBlockOn(t *testing.T) {
+	env := newPipelineEnv(t, []variant{{procs: 1}, {procs: 2}, {procs: 4}, {procs: 8}})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
 	blocks := buildStream(t, env, 5)
 
 	// Baseline: the synchronous per-block API.
 	for _, b := range blocks {
-		if _, err := env.baseline.CommitBlock(b); err != nil {
+		if _, err := env.baseline.CommitBlockOn("ch1", b); err != nil {
 			t.Fatalf("baseline block %d: %v", b.Header.Number, err)
 		}
 	}
@@ -97,24 +93,23 @@ func TestCommitPipelineDepthDeterminism(t *testing.T) {
 	}
 
 	for _, p := range env.variants {
-		depth := p.cfg.Committer.Pipeline
-		if err := p.CommitPipeline("ch1", feed(blocks), depth); err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
+		if err := p.CommitPipeline("ch1", feed(blocks)); err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
 		}
 		// Chain: same height, same header hashes, same recorded codes.
 		if got, want := p.Chain().Height(), env.baseline.Chain().Height(); got != want {
-			t.Fatalf("depth %d: chain height %d, want %d", depth, got, want)
+			t.Fatalf("%s: chain height %d, want %d", p.Name(), got, want)
 		}
 		for _, want := range env.baseline.Chain().Blocks() {
 			got, err := p.Chain().Get(want.Header.Number)
 			if err != nil {
-				t.Fatalf("depth %d: block %d: %v", depth, want.Header.Number, err)
+				t.Fatalf("%s: block %d: %v", p.Name(), want.Header.Number, err)
 			}
 			if !bytes.Equal(got.HeaderHash(), want.HeaderHash()) {
-				t.Errorf("depth %d: block %d header hash diverged", depth, want.Header.Number)
+				t.Errorf("%s: block %d header hash diverged", p.Name(), want.Header.Number)
 			}
 			if !reflect.DeepEqual(got.Metadata.ValidationCodes, want.Metadata.ValidationCodes) {
-				t.Errorf("depth %d: block %d codes = %v, want %v", depth, want.Header.Number, got.Metadata.ValidationCodes, want.Metadata.ValidationCodes)
+				t.Errorf("%s: block %d codes = %v, want %v", p.Name(), want.Header.Number, got.Metadata.ValidationCodes, want.Metadata.ValidationCodes)
 			}
 		}
 		assertSameWorldState(t, env.baseline, p)
@@ -126,23 +121,21 @@ func TestCommitPipelineDepthDeterminism(t *testing.T) {
 // must surface as the returned error and still drain the stream to its
 // end, with nothing committed.
 func TestCommitPipelineDrainsAfterPrepareFailure(t *testing.T) {
-	for _, depth := range []int{0, 2} {
-		env := newPipelineEnv(t, []CommitterConfig{{Workers: 1}})
-		env.install(t, "iot", multiKeyCRDTChaincode())
-		env.install(t, "plain", plainChaincode())
-		blocks := buildStream(t, env, 4)
-		p := env.variants[0]
-		deliver := feed(blocks)
-		err := p.CommitPipeline("not-joined", deliver, depth)
-		if !errors.Is(err, ErrUnknownChannel) {
-			t.Fatalf("depth %d: err = %v, want ErrUnknownChannel", depth, err)
-		}
-		if _, open := <-deliver; open {
-			t.Errorf("depth %d: deliver channel not fully drained after prepare failure", depth)
-		}
-		if got := p.Height(); got != 0 {
-			t.Errorf("depth %d: height = %d, want 0", depth, got)
-		}
+	env := newPipelineEnv(t, []variant{{procs: 1}})
+	env.install(t, "iot", multiKeyCRDTChaincode())
+	env.install(t, "plain", plainChaincode())
+	blocks := buildStream(t, env, 4)
+	p := env.variants[0]
+	deliver := feed(blocks)
+	err := p.CommitPipeline("not-joined", deliver)
+	if !errors.Is(err, ErrUnknownChannel) {
+		t.Fatalf("err = %v, want ErrUnknownChannel", err)
+	}
+	if _, open := <-deliver; open {
+		t.Error("deliver channel not fully drained after prepare failure")
+	}
+	if got := p.Height(); got != 0 {
+		t.Errorf("height = %d, want 0", got)
 	}
 }
 
@@ -150,41 +143,38 @@ func TestCommitPipelineDrainsAfterPrepareFailure(t *testing.T) {
 // surface as the pipeline's return error AND the pipeline must keep
 // consuming the stream to its end — an abandoned subscription that stops
 // reading is exactly the backpressure bug the async pipeline exists to
-// prevent. Verified at every depth.
+// prevent.
 func TestCommitPipelineDrainsAfterFailure(t *testing.T) {
-	for _, depth := range []int{0, 1, 3} {
-		env := newPipelineEnv(t, []CommitterConfig{{Workers: 1, Pipeline: depth}})
-		env.install(t, "iot", multiKeyCRDTChaincode())
-		env.install(t, "plain", plainChaincode())
-		blocks := buildStream(t, env, 6)
-		// Corrupt the chain link of block 3: its finalize fails at append.
-		bad := *blocks[2]
-		bad.Header.PrevHash = []byte("severed")
-		blocks[2] = &bad
+	env := newPipelineEnv(t, []variant{{procs: 1}})
+	env.install(t, "iot", multiKeyCRDTChaincode())
+	env.install(t, "plain", plainChaincode())
+	blocks := buildStream(t, env, 6)
+	// Corrupt the chain link of block 3: its finalize fails at append.
+	bad := *blocks[2]
+	bad.Header.PrevHash = []byte("severed")
+	blocks[2] = &bad
 
-		p := env.variants[0]
-		deliver := feed(blocks)
-		err := p.CommitPipeline("ch1", deliver, depth)
-		if err == nil {
-			t.Fatalf("depth %d: pipeline returned nil for a severed chain", depth)
-		}
-		if !strings.Contains(err.Error(), "block 3") {
-			t.Errorf("depth %d: err = %v, want the block-3 failure", depth, err)
-		}
-		if _, open := <-deliver; open {
-			t.Errorf("depth %d: deliver channel not fully drained after failure", depth)
-		}
-		// The chain holds exactly the blocks before the failure (genesis
-		// plus blocks 1-2) and nothing after it was committed at any
-		// depth. The state too: the severed block is rejected by the
-		// pre-apply chain check, so its writes never reach the (durable)
-		// world state — a restarted peer would resume from block 2's
-		// checkpoint, not a poisoned one.
-		if got := p.Chain().Height(); got != 3 {
-			t.Errorf("depth %d: chain height = %d, want 3 (genesis + 2 blocks)", depth, got)
-		}
-		if got := p.Height(); got != 2 {
-			t.Errorf("depth %d: state height = %d, want 2 (severed block must not apply)", depth, got)
-		}
+	p := env.variants[0]
+	deliver := feed(blocks)
+	err := p.CommitPipeline("ch1", deliver)
+	if err == nil {
+		t.Fatal("pipeline returned nil for a severed chain")
+	}
+	if !strings.Contains(err.Error(), "block 3") {
+		t.Errorf("err = %v, want the block-3 failure", err)
+	}
+	if _, open := <-deliver; open {
+		t.Error("deliver channel not fully drained after failure")
+	}
+	// The chain holds exactly the blocks before the failure (genesis plus
+	// blocks 1-2) and nothing after it was committed. The state too: the
+	// severed block is rejected by the pre-apply chain check, so its writes
+	// never reach the (durable) world state — a restarted peer would resume
+	// from block 2's checkpoint, not a poisoned one.
+	if got := p.Chain().Height(); got != 3 {
+		t.Errorf("chain height = %d, want 3 (genesis + 2 blocks)", got)
+	}
+	if got := p.Height(); got != 2 {
+		t.Errorf("state height = %d, want 2 (severed block must not apply)", got)
 	}
 }

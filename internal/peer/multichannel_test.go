@@ -332,7 +332,8 @@ func snapshotStateOn(t *testing.T, p *Peer, channelID string, keys ...string) ma
 // concurrent goroutines (run under -race in CI): per-channel serialization
 // must suffice — no cross-channel lock is needed for correctness.
 func TestChannelsCommitConcurrently(t *testing.T) {
-	env := newTwoChannelEnv(t, true, CommitterConfig{Workers: 2})
+	setGOMAXPROCS(t, 4) // two commit workers per channel
+	env := newTwoChannelEnv(t, true, CommitterConfig{})
 	env.install(t, "iot", iotChaincode())
 	// Endorse every transaction up front (endorsement reads committed
 	// state, which is empty either way), then pre-build each channel's
@@ -389,19 +390,60 @@ func TestChannelsCommitConcurrently(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWorkerSizing: a zero Workers knob resolves to NumCPU spread
-// across the peer's channels (ROADMAP adaptive-worker item, DESIGN.md §6).
+// TestAdaptiveWorkerSizing: a peer's commit parallelism is GOMAXPROCS —
+// not the host's core count — spread across its channels, never below one
+// worker (DESIGN.md §6).
 func TestAdaptiveWorkerSizing(t *testing.T) {
-	one := newEnv(t, true)
-	if got, want := one.peer.Workers(), channel.AdaptiveWorkers(1); got != want {
-		t.Fatalf("1-channel adaptive workers = %d, want %d", got, want)
+	for _, tc := range []struct{ procs, channels, want int }{
+		{1, 1, 1},
+		{1, 2, 1}, // floor: more channels than processors
+		{2, 1, 2},
+		{2, 2, 1},
+		{3, 2, 1},
+		{8, 1, 8},
+		{8, 2, 4},
+		{8, 3, 2},
+		{8, 16, 1},
+	} {
+		setGOMAXPROCS(t, tc.procs)
+		ids := make([]string, tc.channels)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("ch%d", i+1)
+		}
+		env := newEnvChannels(t, true, CommitterConfig{}, ids...)
+		if got := env.peer.workers; got != tc.want {
+			t.Errorf("GOMAXPROCS %d over %d channel(s): %d commit workers, want %d", tc.procs, tc.channels, got, tc.want)
+		}
 	}
-	two := newTwoChannelEnv(t, true, CommitterConfig{})
-	if got, want := two.peer.Workers(), channel.AdaptiveWorkers(2); got != want {
-		t.Fatalf("2-channel adaptive workers = %d, want %d", got, want)
+}
+
+// TestSingleProcessorCommitsSerially: a process limited to one processor
+// (GOMAXPROCS=1 on a many-core host, a CPU-limited container) must not size
+// its pools from the host's core count — one commit worker, hence the
+// serial finalize: no schedule stage, scheduler counters untouched.
+func TestSingleProcessorCommitsSerially(t *testing.T) {
+	setGOMAXPROCS(t, 1)
+	env := newEnv(t, false)
+	env.install(t, "plain", plainChaincode())
+	txs := []*ledger.Transaction{
+		env.endorseTx(t, "a", "plain", "put", "k1", "1"),
+		env.endorseTx(t, "b", "plain", "put", "k2", "2"),
 	}
-	explicit := newEnvWithCommitter(t, true, CommitterConfig{Workers: 3})
-	if got := explicit.peer.Workers(); got != 3 {
-		t.Fatalf("explicit workers = %d, want 3 (adaptive must not override)", got)
+	res, err := env.peer.CommitBlock(makeBlock(t, env.peer, txs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CommittedTx != 2 {
+		t.Fatalf("committed %d, want 2", res.CommittedTx)
+	}
+	for _, s := range env.peer.CommitTimings() {
+		if s.Stage == StageSchedule || s.Stage == StageMVCCWave {
+			t.Errorf("stage %q observed %d times on a one-processor peer", s.Stage, s.Count)
+		}
+	}
+	for _, c := range env.peer.SchedulerCounters() {
+		if c.Value != 0 {
+			t.Errorf("scheduler counter %s = %d on a one-processor peer, want 0", c.Name, c.Value)
+		}
 	}
 }

@@ -14,12 +14,17 @@
 // Genesis) operates on the peer's default channel, the first configured.
 //
 // Each channel's world state lives behind a configurable statedb backend
-// (CommitterConfig.Backend): in-memory (single-lock or sharded) or the
-// persistent disk backend, stored under DataDir/<channel-ID>. A peer
-// reopening a disk backend's data directory restarts every channel at its
-// own recorded block height — HeightOn reports it, and CommitBlockOn
-// fast-forwards re-delivered blocks at or below it instead of
-// re-validating them (DESIGN.md §4, §6).
+// (CommitterConfig.Backend): in-memory (single-lock or sharded) or one of
+// the persistent backends (disk, lsm), stored under DataDir/<channel-ID>.
+// A peer reopening a persistent backend's data directory restarts every
+// channel at its own recorded block height — HeightOn reports it, and
+// CommitBlockOn fast-forwards re-delivered blocks at or below it instead
+// of re-validating them (DESIGN.md §4, §6).
+//
+// How parallel the committer runs is derived, never configured: every
+// channel gets max(1, GOMAXPROCS / channels) commit workers
+// (commitWorkers), and deliver loops always run the async
+// prepare/finalize pipeline (CommitPipeline).
 //
 // Alongside the state store, the disk backend keeps a durable block store
 // by default (CommitterConfig.PersistBlocks, internal/blockstore): every
@@ -33,6 +38,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,7 +48,6 @@ import (
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
@@ -119,12 +124,10 @@ type Config struct {
 	// behaves exactly like stock Fabric (CRDT-flagged writes validate and
 	// commit as ordinary writes).
 	EnableCRDT bool
-	// EngineOptions tunes the merge engine (ablation switches). A zero
-	// EngineOptions.Workers inherits the resolved Committer.Workers.
+	// EngineOptions tunes the merge engine (ablation switches).
 	EngineOptions core.Options
-	// Committer tunes the staged commit pipeline of every channel (see
-	// pipeline.go). A zero Committer.Workers is resolved adaptively:
-	// runtime.NumCPU() divided across the peer's channels.
+	// Committer selects every channel's world-state backend and its
+	// durability.
 	Committer CommitterConfig
 }
 
@@ -161,10 +164,14 @@ type Peer struct {
 	// cm holds each channel's registered instruments; read-only after New,
 	// so the commit hot path observes without locks.
 	cm map[string]*channelMetrics
-	// sched aggregates the dependency scheduler's conflict-structure
-	// counters across all channels (pipeline.go); mirrored into reg as
-	// scrape-time counter callbacks.
-	sched *metrics.Counters
+	// sched holds the dependency scheduler's conflict-structure counters,
+	// aggregated across all channels, by SchedulerCounters name
+	// (pipeline.go); read-only after New.
+	sched map[string]*obs.Counter
+
+	// workers is every channel's commit parallelism — the endorse pool, the
+	// merge key-groups and the finalize scheduler alike (commitWorkers).
+	workers int
 
 	eventMu   sync.RWMutex
 	listeners []*eventSub
@@ -226,24 +233,6 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 	if err := channel.ValidateIDs(ids); err != nil {
 		return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
 	}
-	// Adaptive worker sizing (DESIGN.md §6): an unset worker knob shares
-	// the host's CPUs evenly across the peer's channels instead of
-	// defaulting to serial — channels commit in parallel, so each one
-	// sizing its pools for the whole machine would oversubscribe it.
-	if cfg.Committer.Workers == 0 {
-		cfg.Committer.Workers = channel.AdaptiveWorkers(len(ids))
-	}
-	if cfg.EngineOptions.Workers == 0 {
-		cfg.EngineOptions.Workers = cfg.Committer.Workers
-	}
-	// The finalize stage's internal parallelism follows the per-channel
-	// worker pool unless pinned; 1 keeps the legacy fully serial finalize.
-	if cfg.Committer.FinalizeWorkers == 0 {
-		cfg.Committer.FinalizeWorkers = cfg.Committer.Workers
-	}
-	if cfg.Committer.FinalizeWorkers < 1 {
-		cfg.Committer.FinalizeWorkers = 1
-	}
 	p := &Peer{
 		cfg:        cfg,
 		signer:     signer,
@@ -252,7 +241,8 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 		channels:   make(map[string]*channel.Runtime, len(ids)),
 		reg:        obs.NewRegistry(),
 		cm:         make(map[string]*channelMetrics, len(ids)),
-		sched:      metrics.NewCounters(),
+		sched:      make(map[string]*obs.Counter, len(schedCounters)),
+		workers:    commitWorkers(len(ids)),
 	}
 	for _, id := range ids {
 		rt, err := channel.NewRuntime(id, cfg.Committer, cfg.EngineOptions)
@@ -266,10 +256,20 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 	return p, nil
 }
 
+// commitWorkers derives one channel's commit parallelism: the processors
+// the Go scheduler will actually run on — GOMAXPROCS, not the host's core
+// count, so a CPU-limited process does not spin up a core's worth of
+// goroutines per stage on its one P — shared evenly across the peer's
+// channels, which commit in parallel (DESIGN.md §6); never below 1, where
+// every stage runs serially.
+func commitWorkers(channels int) int {
+	return max(1, runtime.GOMAXPROCS(0)/channels)
+}
+
 // registerMetrics builds the peer's registry: stage histograms and commit
 // counters per channel, scrape-time gauges over live state (heights, key
-// counts, store sizes, event-queue depth), and counter mirrors of the
-// scheduler tallies. Registration happens once here; afterwards the
+// counts, store sizes, event-queue depth), and the scheduler tallies.
+// Registration happens once here; afterwards the
 // registry is only read (scrapes) or updated through atomics.
 func (p *Peer) registerMetrics() {
 	name := p.cfg.Name
@@ -344,18 +344,8 @@ func (p *Peer) registerMetrics() {
 		defer p.eventMu.RUnlock()
 		return float64(len(p.listeners))
 	}, "peer", name)
-	//lint:sorted metric registration only; exposition sorts names, nothing feeds committed state
-	for counter, metric := range map[string]string{
-		CounterSchedBlocks:     obs.MetricSchedBlocks,
-		CounterSchedTxs:        obs.MetricSchedTxs,
-		CounterSchedGroups:     obs.MetricSchedGroups,
-		CounterSchedConflicted: obs.MetricSchedConflicted,
-		CounterSchedEdges:      obs.MetricSchedEdges,
-		CounterSchedWaves:      obs.MetricSchedWaves,
-	} {
-		counter := counter
-		p.reg.CounterFunc(metric,
-			func() float64 { return float64(p.sched.Get(counter)) }, "peer", name)
+	for _, c := range schedCounters {
+		p.sched[c.name] = p.reg.Counter(c.metric, "peer", name)
 	}
 }
 
@@ -434,18 +424,6 @@ func (p *Peer) Channels() []string { return append([]string(nil), p.channelIDs..
 // DefaultChannel returns the channel the single-channel convenience API
 // (DB, Chain, Height, CommitBlock, Genesis) binds to.
 func (p *Peer) DefaultChannel() string { return p.channelIDs[0] }
-
-// Workers returns the resolved commit-pipeline worker count per channel —
-// the configured CommitterConfig.Workers, or the adaptive derivation
-// (NumCPU spread across channels) when it was left zero.
-func (p *Peer) Workers() int { return p.cfg.Committer.Workers }
-
-// FinalizeWorkers returns the resolved parallelism of the serialized
-// finalize stage: the configured CommitterConfig.FinalizeWorkers, or the
-// resolved Workers when it was left zero. 1 means the legacy serial
-// finalize; above 1 the committer dependency-schedules each block
-// (DESIGN.md §9).
-func (p *Peer) FinalizeWorkers() int { return p.cfg.Committer.FinalizeWorkers }
 
 // DB exposes the default channel's world state (read-side: examples,
 // experiments).

@@ -9,7 +9,6 @@ import (
 	"fabriccrdt/internal/channel"
 	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
@@ -23,8 +22,7 @@ import (
 const (
 	// BackendMemory is the trivial single-lock in-memory map.
 	BackendMemory = channel.BackendMemory
-	// BackendSharded is the in-memory backend with per-shard locks
-	// (StateShards many).
+	// BackendSharded is the in-memory backend with per-shard locks.
 	BackendSharded = channel.BackendSharded
 	// BackendDisk is the persistent append-only-log backend; requires
 	// DataDir. A peer reopening the same DataDir resumes every channel
@@ -52,10 +50,10 @@ const (
 	PersistBlocksOff = channel.PersistBlocksOff
 )
 
-// CommitterConfig tunes the staged commit pipeline and the world-state
-// backend behind it (DESIGN.md §4, §5). It is the channel subsystem's
-// configuration type: one CommitterConfig applies to each channel the
-// peer joins, and each channel gets its own backend instance.
+// CommitterConfig selects the world-state backend behind the commit
+// pipeline and its durability (DESIGN.md §4, §5). It is the channel
+// subsystem's configuration type: one CommitterConfig applies to each
+// channel the peer joins, and each channel gets its own backend instance.
 type CommitterConfig = channel.CommitterConfig
 
 // Commit pipeline stage names, as reported by CommitTimings. Decode and
@@ -65,9 +63,10 @@ type CommitterConfig = channel.CommitterConfig
 // (CommitPipeline): it measures how much of a block's prepare work ran
 // hidden behind the previous block's finalize.
 //
-// Each work stage reports its own wall clock. Under pipelining (depth > 1)
-// and parallel finalize (FinalizeWorkers > 1) the stages overlap — prepare
-// of block N+1 runs behind finalize of N, and merge runs beside mvcc — so
+// Each work stage reports its own wall clock. Under the async pipeline and
+// the scheduled finalize (more than one commit worker) the stages overlap —
+// prepare of block N+1 runs behind finalize of N, and merge runs beside
+// mvcc — so
 // summing stage totals OVERSTATES elapsed time (it approximates CPU time
 // instead). The prepare and finalize wrapper stages measure the two
 // pipeline halves' true wall clock, and CommitAggregate reports both views
@@ -76,7 +75,7 @@ const (
 	StageDecode   = "decode"    // serialize + re-parse the delivered block
 	StageDedup    = "dedup"     // duplicate transaction-ID screening
 	StageEndorse  = "endorse"   // signature + endorsement-policy checks (parallel)
-	StageSchedule = "schedule"  // dependency-graph + wavefront construction (FinalizeWorkers > 1)
+	StageSchedule = "schedule"  // dependency-graph + wavefront construction (scheduled finalize only)
 	StageMerge    = "merge"     // CRDT merge engine (parallel per key-group)
 	StageMVCC     = "mvcc"      // MVCC validation (wavefront-parallel when scheduled)
 	StageMVCCWave = "mvcc_wave" // one MVCC wavefront (contained in mvcc; per-wave latencies)
@@ -95,14 +94,23 @@ var commitStages = []string{
 	StageApply, StageAppend, StageFinalize, StageOverlap,
 }
 
+// StageSummary is the aggregate of one pipeline stage's latency
+// observations, as reported by CommitTimings.
+type StageSummary struct {
+	Stage string
+	Count int
+	Total time.Duration
+	Avg   time.Duration
+	Max   time.Duration
+}
+
 // CommitTimings returns per-stage latency aggregates over every block this
 // peer has committed — on all channels — in pipeline order, read from the
-// same registry histograms the -metrics-addr endpoint serves (one source
-// of truth; the old side-band stage accumulator is gone). Every entry is
-// wall clock of that stage alone; see CommitAggregate for totals that are
-// safe to add up. Stages with no observations are omitted.
-func (p *Peer) CommitTimings() []metrics.StageSummary {
-	out := make([]metrics.StageSummary, 0, len(commitStages))
+// same registry histograms the -metrics-addr endpoint serves. Every entry
+// is wall clock of that stage alone; see CommitAggregate for totals that
+// are safe to add up. Stages with no observations are omitted.
+func (p *Peer) CommitTimings() []StageSummary {
+	out := make([]StageSummary, 0, len(commitStages))
 	for _, stage := range commitStages {
 		var count int64
 		var total, max time.Duration
@@ -117,7 +125,7 @@ func (p *Peer) CommitTimings() []metrics.StageSummary {
 		if count == 0 {
 			continue
 		}
-		out = append(out, metrics.StageSummary{
+		out = append(out, StageSummary{
 			Stage: stage,
 			Count: int(count),
 			Total: total,
@@ -175,8 +183,8 @@ func (p *Peer) CommitAggregate() CommitAggregate {
 }
 
 // Scheduler counter names, as reported by SchedulerCounters. One sample of
-// each per block that went through the dependency scheduler
-// (FinalizeWorkers > 1).
+// each per block that went through the dependency scheduler (more than one
+// commit worker).
 const (
 	// CounterSchedBlocks counts dependency-scheduled blocks.
 	CounterSchedBlocks = "sched_blocks"
@@ -196,11 +204,34 @@ const (
 	CounterSchedWaves = "sched_mvcc_waves"
 )
 
+// schedCounters pairs every scheduler counter with the registry metric that
+// holds it, in SchedulerCounters report order.
+var schedCounters = []struct{ name, metric string }{
+	{CounterSchedBlocks, obs.MetricSchedBlocks},
+	{CounterSchedTxs, obs.MetricSchedTxs},
+	{CounterSchedGroups, obs.MetricSchedGroups},
+	{CounterSchedConflicted, obs.MetricSchedConflicted},
+	{CounterSchedEdges, obs.MetricSchedEdges},
+	{CounterSchedWaves, obs.MetricSchedWaves},
+}
+
+// SchedulerCounter is one named scheduler counter's value.
+type SchedulerCounter struct {
+	Name  string
+	Value int64
+}
+
 // SchedulerCounters returns the dependency scheduler's cumulative conflict
 // structure counters — group counts, conflict tallies, wavefront counts —
-// across every scheduled block on all channels, in first-observed order.
-func (p *Peer) SchedulerCounters() []metrics.Counter {
-	return p.sched.Snapshot()
+// across every scheduled block on all channels, read from the registry
+// counters the -metrics-addr endpoint serves. All stay zero on a peer whose
+// finalize runs serially.
+func (p *Peer) SchedulerCounters() []SchedulerCounter {
+	out := make([]SchedulerCounter, len(schedCounters))
+	for i, c := range schedCounters {
+		out[i] = SchedulerCounter{Name: c.name, Value: p.sched[c.name].Value()}
+	}
+	return out
 }
 
 // CommitBlock runs the commit pipeline on the peer's default channel — the
@@ -223,8 +254,8 @@ func (p *Peer) CommitBlock(block *ledger.Block) (CommitResult, error) {
 // still committing), and FinalizeBlockOn is the serialized half (dedup,
 // merge, MVCC, apply, append) under the channel's commit mutex.
 // CommitBlockOn composes the two back to back — the synchronous path, and
-// the definition of correctness the async pipeline must match
-// byte-for-byte at every depth.
+// the definition of correctness the async pipeline (CommitPipeline) must
+// match byte-for-byte.
 //
 // Commits are serialized per channel (the channel runtime's commit mutex);
 // distinct channels commit fully in parallel — they share no state, no
@@ -371,11 +402,12 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 	})
 
 	// Validation: the CRDT merge path (Algorithm 1) and MVCC decide the
-	// block's remaining transactions — serially in delivery order, or
-	// dependency-scheduled over the finalize worker pool (DESIGN.md §9).
-	// Both orderings produce byte-identical codes, write sets and documents.
+	// block's remaining transactions — serially in delivery order, or, with
+	// more than one commit worker, dependency-scheduled over them
+	// (DESIGN.md §9). Both orderings produce byte-identical codes, write
+	// sets and documents.
 	var mergeRes core.Result
-	if p.cfg.Committer.FinalizeWorkers > 1 {
+	if p.workers > 1 {
 		mergeRes, err = p.validateScheduled(rt, view, codes)
 	} else {
 		mergeRes, err = p.validateSerial(rt, view, codes)
@@ -448,10 +480,10 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 	}, nil
 }
 
-// validateSerial is the legacy finalize validation (FinalizeWorkers == 1):
-// the CRDT merge decides every candidate first, then MVCC walks the rest in
-// delivery order — the committer's definition of correctness, which the
-// scheduled path must match byte for byte.
+// validateSerial is the finalize validation of a peer with one commit
+// worker: the CRDT merge decides every candidate first, then MVCC walks the
+// rest in delivery order — the committer's definition of correctness, which
+// the scheduled path must match byte for byte.
 func (p *Peer) validateSerial(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
 	cm := p.cm[rt.ID()]
 	var mergeRes core.Result
@@ -470,8 +502,8 @@ func (p *Peer) validateSerial(rt *channel.Runtime, view *ledger.Block, codes []l
 	return mergeRes, nil
 }
 
-// validateScheduled is the dependency-scheduled finalize validation
-// (FinalizeWorkers > 1). The txgraph plan splits the undecided transactions
+// validateScheduled is the dependency-scheduled finalize validation (more
+// than one commit worker). The txgraph plan splits the undecided transactions
 // into the merge-path candidates and the MVCC wavefronts; the two families
 // are independent by construction — in the serial path the merge decides
 // every candidate BEFORE ValidateBlock runs, so no candidate's write ever
@@ -483,18 +515,17 @@ func (p *Peer) validateSerial(rt *channel.Runtime, view *ledger.Block, codes []l
 // byte-identical to validateSerial at any worker count (DESIGN.md §9).
 func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
 	cm := p.cm[rt.ID()]
-	workers := p.cfg.Committer.FinalizeWorkers
 	var plan *txgraph.Plan
 	cm.time(StageSchedule, func() {
 		plan = txgraph.Build(view.Transactions, codes, p.cfg.EnableCRDT)
 	})
 	st := plan.Stats
-	p.sched.Add(CounterSchedBlocks, 1)
-	p.sched.Add(CounterSchedTxs, int64(st.Scheduled))
-	p.sched.Add(CounterSchedGroups, int64(st.Groups))
-	p.sched.Add(CounterSchedConflicted, int64(st.Conflicted))
-	p.sched.Add(CounterSchedEdges, int64(st.Edges))
-	p.sched.Add(CounterSchedWaves, int64(st.Waves))
+	p.sched[CounterSchedBlocks].Inc()
+	p.sched[CounterSchedTxs].Add(int64(st.Scheduled))
+	p.sched[CounterSchedGroups].Add(int64(st.Groups))
+	p.sched[CounterSchedConflicted].Add(int64(st.Conflicted))
+	p.sched[CounterSchedEdges].Add(int64(st.Edges))
+	p.sched[CounterSchedWaves].Add(int64(st.Waves))
 
 	// The merge branch runs beside the MVCC branch: MergeCandidates touches
 	// codes only at candidate indices, the wavefront validator only at
@@ -506,14 +537,14 @@ func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes 
 		go func() {
 			defer close(mergeDone)
 			cm.time(StageMerge, func() {
-				mergeRes, mergeErr = rt.Engine().MergeCandidates(view, codes, plan.CRDTTxs, workers)
+				mergeRes, mergeErr = rt.Engine().MergeCandidates(view, codes, plan.CRDTTxs, p.workers)
 			})
 		}()
 	} else {
 		close(mergeDone)
 	}
 	cm.time(StageMVCC, func() {
-		rt.Validator().ValidateScheduled(view.Header.Number, view.Transactions, codes, plan.MVCCWaves, workers,
+		rt.Validator().ValidateScheduled(view.Header.Number, view.Transactions, codes, plan.MVCCWaves, p.workers,
 			func(_ int, d time.Duration) { cm.observe(StageMVCCWave, d) })
 	})
 	<-mergeDone
@@ -659,9 +690,9 @@ func markInBlockDuplicates(view *ledger.Block, codes []ledger.ValidationCode) {
 
 // validateEndorsementsStage checks signatures and endorsement policies of
 // every still-undecided transaction. Transactions are independent here
-// (each check touches only codes[i]), so the stage fans out over a bounded
-// worker pool when CommitterConfig.Workers > 1 — the parallelization Fabric
-// itself applies to this, the most CPU-bound, stage.
+// (each check touches only codes[i]), so the stage fans out over the
+// channel's commit workers — the parallelization Fabric itself applies to
+// this, the most CPU-bound, stage.
 func (p *Peer) validateEndorsementsStage(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) {
 	var pending []int
 	for i := range view.Transactions {
@@ -669,7 +700,7 @@ func (p *Peer) validateEndorsementsStage(rt *channel.Runtime, view *ledger.Block
 			pending = append(pending, i)
 		}
 	}
-	parallel.ForEach(p.cfg.Committer.Workers, pending, func(i int) {
+	parallel.ForEach(p.workers, pending, func(i int) {
 		// Distinct items write distinct codes[i]: race-free.
 		codes[i] = p.validateEndorsements(rt, view.Transactions[i])
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fabriccrdt/internal/chaincode"
@@ -13,18 +14,35 @@ import (
 	"fabriccrdt/internal/ledger"
 )
 
+// setGOMAXPROCS sets GOMAXPROCS — what a peer derives its commit
+// parallelism from at New — until the test ends. Tests using it must not
+// run in parallel.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// variant is one committer peer of a pipelineEnv: the GOMAXPROCS its commit
+// parallelism is derived from, and its state backend.
+type variant struct {
+	procs   int
+	backend string
+}
+
 // pipelineEnv wires one CA/MSP and a set of committer peers with different
-// pipeline configurations, all trusting the same roots so one endorsed
+// commit parallelism, all trusting the same roots so one endorsed
 // transaction set commits everywhere.
 type pipelineEnv struct {
 	msp    *cryptoid.MSP
 	client *cryptoid.Signer
-	// baseline endorses and commits serially; variants replay its blocks.
+	// baseline endorses and commits serially (GOMAXPROCS 1); variants
+	// replay its blocks.
 	baseline *Peer
 	variants []*Peer
 }
 
-func newPipelineEnv(t *testing.T, variants []CommitterConfig) *pipelineEnv {
+func newPipelineEnv(t *testing.T, variants []variant) *pipelineEnv {
 	t.Helper()
 	ca, err := cryptoid.NewCA("Org1")
 	if err != nil {
@@ -37,23 +55,27 @@ func newPipelineEnv(t *testing.T, variants []CommitterConfig) *pipelineEnv {
 		t.Fatal(err)
 	}
 	env := &pipelineEnv{msp: msp, client: clientSigner}
-	mkPeer := func(name string, committer CommitterConfig) *Peer {
+	mkPeer := func(name string, v variant) *Peer {
 		signer, err := ca.Issue(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		setGOMAXPROCS(t, v.procs)
 		p, err := New(Config{
 			Name: name, MSPID: "Org1", ChannelID: "ch1",
-			EnableCRDT: true, Committer: committer,
+			EnableCRDT: true, Committer: CommitterConfig{Backend: v.backend},
 		}, signer, msp)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p.workers != v.procs {
+			t.Fatalf("%s: %d commit workers at GOMAXPROCS %d", name, p.workers, v.procs)
+		}
 		return p
 	}
-	env.baseline = mkPeer("Org1.baseline", CommitterConfig{})
-	for i, cc := range variants {
-		env.variants = append(env.variants, mkPeer(fmt.Sprintf("Org1.variant%d", i), cc))
+	env.baseline = mkPeer("Org1.baseline", variant{procs: 1})
+	for i, v := range variants {
+		env.variants = append(env.variants, mkPeer(fmt.Sprintf("Org1.variant%d", i), v))
 	}
 	return env
 }
@@ -137,12 +159,14 @@ func badCRDTChaincode() chaincode.Chaincode {
 
 // TestCommitPipelineDeterminism is the refactor's core guarantee: identical
 // block sequences commit to byte-identical world state, versions and
-// validation codes at every Workers / StateShards setting.
+// validation codes at every derived worker count, on the single-lock and
+// the sharded backend.
 func TestCommitPipelineDeterminism(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{
-		{Workers: 1, StateShards: 1},
-		{Workers: 4, StateShards: 2},
-		{Workers: 8, StateShards: 16},
+	env := newPipelineEnv(t, []variant{
+		{procs: 1},
+		{procs: 2, backend: BackendSharded},
+		{procs: 4, backend: BackendSharded},
+		{procs: 8, backend: BackendSharded},
 	})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
@@ -267,7 +291,7 @@ func TestCommitTimingsRecorded(t *testing.T) {
 // TestParallelCommitMatchesKnownResults re-runs the seed's serial commit
 // scenarios through a fully parallel pipeline.
 func TestParallelCommitMatchesKnownResults(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 8, StateShards: 8}})
+	env := newPipelineEnv(t, []variant{{procs: 8, backend: BackendSharded}})
 	env.install(t, "plain", plainChaincode())
 	p := env.variants[0]
 	txs := []*ledger.Transaction{

@@ -403,8 +403,7 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendSharded, StateShards: 4},
-		{StateShards: 8},
+		{Backend: BackendSharded},
 		{Backend: BackendDisk, DataDir: t.TempDir()},
 	} {
 		p, err := newPeer(committer)

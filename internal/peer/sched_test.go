@@ -62,17 +62,12 @@ func assertSameChain(t *testing.T, a, b *Peer) {
 // dependency-scheduled finalize produces byte-identical state, validation
 // codes and block hashes at every worker count, across randomized conflict
 // mixes — CRDT chains, MVCC winners and losers, read-only transactions,
-// invalid deltas, duplicates and forged signatures. The serial variant
-// (FinalizeWorkers 1) pins the legacy path as the reference next to the
-// baseline. Runs under -race via `make race` / CI, which is what makes the
-// merge-beside-MVCC concurrency claim trustworthy.
+// invalid deltas, duplicates and forged signatures. The baseline and the
+// GOMAXPROCS 1 variant run the serial finalize — the reference. Runs under
+// -race via `make race` / CI, which is what makes the merge-beside-MVCC
+// concurrency claim trustworthy.
 func TestScheduledFinalizeDeterminism(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{
-		{Workers: 4, FinalizeWorkers: 1}, // legacy serial finalize
-		{Workers: 4, FinalizeWorkers: 2},
-		{Workers: 4, FinalizeWorkers: 4},
-		{Workers: 8, FinalizeWorkers: 8},
-	})
+	env := newPipelineEnv(t, []variant{{procs: 1}, {procs: 2}, {procs: 4}, {procs: 8}})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
 	env.install(t, "bad", badCRDTChaincode())
@@ -164,7 +159,7 @@ func commitEverywhere(t *testing.T, env *pipelineEnv, txs []*ledger.Transaction)
 // plain key — the schedule degenerates to one transaction per wave (fully
 // serial) and must neither deadlock nor change the single-winner outcome.
 func TestScheduledFinalizeAllConflicting(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []variant{{procs: 4}})
 	env.install(t, "plain", plainChaincode())
 	var txs []*ledger.Transaction
 	for i := 0; i < 20; i++ {
@@ -185,7 +180,7 @@ func TestScheduledFinalizeAllConflicting(t *testing.T) {
 // TestScheduledFinalizeAllIndependent: disjoint keys — one wave, every
 // transaction commits.
 func TestScheduledFinalizeAllIndependent(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []variant{{procs: 4}})
 	env.install(t, "plain", plainChaincode())
 	var txs []*ledger.Transaction
 	for i := 0; i < 20; i++ {
@@ -200,7 +195,7 @@ func TestScheduledFinalizeAllIndependent(t *testing.T) {
 // TestScheduledFinalizeReadOnly: read-only transactions commit as valid and
 // order correctly around a writer of the same key.
 func TestScheduledFinalizeReadOnly(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []variant{{procs: 4}})
 	env.install(t, "plain", plainChaincode())
 	env.install(t, "reader", readOnlyChaincode())
 	// Seed the key, then a block of readers around a writer: the readers
@@ -224,7 +219,7 @@ func TestScheduledFinalizeReadOnly(t *testing.T) {
 // middle of a document chain fails, but its intact delta still extends the
 // document (the PR 5 replay semantics) — under the scheduled finalize too.
 func TestScheduledInvalidCRDTInChain(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []variant{{procs: 4}})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "bad", badCRDTChaincode())
 	txs := []*ledger.Transaction{
@@ -360,7 +355,8 @@ func TestSlowEventSubscriberNeverBlocksCommit(t *testing.T) {
 // TestCommitAggregateAndSchedulerCounters: the skew-free timing rollup and
 // the scheduler's conflict counters are populated by a scheduled commit.
 func TestCommitAggregateAndSchedulerCounters(t *testing.T) {
-	env := newEnvWithCommitter(t, true, CommitterConfig{Workers: 2, FinalizeWorkers: 2})
+	setGOMAXPROCS(t, 2)
+	env := newEnv(t, true)
 	env.install(t, "plain", plainChaincode())
 	txs := []*ledger.Transaction{
 		env.endorseTx(t, "a", "plain", "put", "k1", "1"),

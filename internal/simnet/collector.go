@@ -1,8 +1,4 @@
-// Package metrics collects and summarizes the three quantities the paper
-// reports for every experiment (Figures 3–7): throughput of successful
-// transactions, average latency of successful transactions, and the number
-// of successful transactions — the same metrics Hyperledger Caliper emits.
-package metrics
+package simnet
 
 import (
 	"fmt"
@@ -12,9 +8,12 @@ import (
 	"fabriccrdt/internal/ledger"
 )
 
-// Collector accumulates per-transaction outcomes. The zero value is ready
-// to use. Not safe for concurrent use (the DES is single-threaded; live-mode
-// callers wrap it).
+// Collector accumulates per-transaction outcomes and summarizes the three
+// quantities the paper reports for every experiment (Figures 3–7):
+// throughput of successful transactions, average latency of successful
+// transactions, and the number of successful transactions — the same
+// metrics Hyperledger Caliper emits. The zero value is ready to use. Not
+// safe for concurrent use (the DES is single-threaded).
 type Collector struct {
 	submitted int
 	latencies []time.Duration

@@ -18,7 +18,6 @@ import (
 	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/des"
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/mvcc"
 	"fabriccrdt/internal/orderer"
 	"fabriccrdt/internal/rwset"
@@ -135,7 +134,7 @@ func (c Config) normalized() (Config, error) {
 
 // Result is a run's metrics summary plus the real CPU it took to produce.
 type Result struct {
-	metrics.Summary
+	Summary
 	// Wall is the real time the simulation took.
 	Wall time.Duration
 	// MergedKeys is the number of distinct keys ever merged (CRDT mode).
@@ -155,7 +154,7 @@ type runner struct {
 	eng   *core.Engine
 	cut   *orderer.Cutter
 	asm   *orderer.Assembler
-	stats *metrics.Collector
+	stats *Collector
 
 	// submitTimes maps tx ID to virtual submission time.
 	submitTimes map[string]time.Duration
@@ -194,7 +193,7 @@ func Run(cfg Config) (Result, error) {
 		val:         mvcc.New(db),
 		eng:         core.NewEngine(db, cfg.Engine),
 		cut:         orderer.NewCutter(orderer.Config{MaxMessageCount: cfg.BlockSize, BatchTimeout: cfg.BatchTimeout}),
-		stats:       &metrics.Collector{},
+		stats:       &Collector{},
 		submitTimes: make(map[string]time.Duration, cfg.TotalTx),
 		mergedKeys:  make(map[string]struct{}),
 	}

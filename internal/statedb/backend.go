@@ -16,9 +16,10 @@ import (
 // commit, so per-key atomicity suffices there.
 //
 // The built-in implementations are the single-lock mapBackend (New), the
-// per-shard-locked shardedBackend (NewSharded) and the persistent
-// diskBackend (NewDisk / OpenDisk). Durable backends additionally satisfy
-// the Durable interface.
+// per-shard-locked shardedBackend (NewSharded) and the two persistent
+// ones: diskBackend (NewDisk / OpenDisk) and the log-structured lsmBackend
+// (NewLSM, docs/STATEDB.md). Durable backends additionally satisfy the
+// Durable interface.
 type Backend interface {
 	// Get returns the value stored at key.
 	Get(key string) (VersionedValue, bool)

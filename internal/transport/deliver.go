@@ -14,9 +14,6 @@ import (
 type DeliverConfig struct {
 	// ChannelID is the channel to follow.
 	ChannelID string
-	// Depth is the commit pipeline depth (peer.CommitPipeline): 0 commits
-	// synchronously, >=1 prepares ahead.
-	Depth int
 	// Backoff is the first reconnect delay; it doubles per consecutive
 	// failure up to MaxBackoff. Defaults: 10ms up to 640ms.
 	Backoff    time.Duration
@@ -125,7 +122,7 @@ func deliverSession(stream BlockStream, p *peer.Peer, cfg DeliverConfig, stop <-
 	feed := make(chan *ledger.Block)
 	pipeDone := make(chan error, 1)
 	go func() {
-		pipeDone <- p.CommitPipeline(cfg.ChannelID, feed, cfg.Depth)
+		pipeDone <- p.CommitPipeline(cfg.ChannelID, feed)
 	}()
 
 	height, err := p.HeightOn(cfg.ChannelID)
