@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-compare demo-persist test-wire smoke-multiproc fuzz-smoke
+.PHONY: ci fmt vet lint build test race bench bench-compare bench-gate demo-persist test-wire smoke-multiproc fuzz-smoke
 
 ci: fmt vet lint build race
 
@@ -66,16 +66,37 @@ bench:
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
+# The regression gate CI runs on pull requests (ROADMAP 1(d)): check BASE
+# out into a worktree, run iot_cold three times per side — alternating
+# which side goes first, end-to-end pass only since that is all -compare
+# reads — and compare the two result sets with each metric's own bound.
+# Fails on a REGRESSION verdict; an unresolved row (run-to-run spread
+# wider than the bound) is printed, not failed.
+BASE ?= origin/main
+GATE := $(CURDIR)/.bench_build/gate
+bench-gate:
+	@set -e; rm -rf $(GATE); mkdir -p $(GATE); git worktree prune; \
+	git worktree add --detach --force $(GATE)/base $(BASE); \
+	trap 'git worktree remove --force $(GATE)/base' EXIT; \
+	run() { bash $$1/bench/run.sh -workload iot_cold -seconds 12 -trace 0 -out $(GATE)/$$2.json; }; \
+	run $(GATE)/base base; run . head; \
+	run . head; run $(GATE)/base base; \
+	run $(GATE)/base base; run . head; \
+	bash bench/run.sh -compare $(GATE)/base.json $(GATE)/head.json | tee $(GATE)/table.txt; \
+	! grep -q REGRESSION $(GATE)/table.txt
+
 # Short-budget coverage-guided fuzzing of the binary decoders — the
-# wire-frame decoder and the LSM sorted-run block decoder — enough for CI
-# to catch a decoder regression without a long fuzz run.
+# record framing every store and the wire share, the wire-frame header
+# decoder and the LSM sorted-run block decoder — enough for CI to catch a
+# decoder regression without a long fuzz run.
 fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime 10s ./internal/framing
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 
-# One short live-network run with durable peers and the block store on,
-# against a throwaway datadir — proves the -backend disk -persist-blocks
-# path end to end (CI runs this).
+# One short live-network run with durable peers — state store and block
+# store — against a throwaway datadir: proves the -backend disk path end
+# to end (CI runs this).
 demo-persist:
 	$(GO) run ./cmd/fabricnet -txs 60 -rate 600 -block 10 -clients 2 \
-		-backend disk -datadir $$(mktemp -d) -persist-blocks
+		-backend disk -datadir $$(mktemp -d)

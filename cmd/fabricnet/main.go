@@ -13,8 +13,6 @@
 //	fabricnet -backend disk -datadir ./net-state    # persistent peers
 //	fabricnet -backend disk -datadir ./net-state -fsync
 //	                             # durable peers, fsync per committed block
-//	fabricnet -backend disk -datadir ./net-state -persist-blocks=false
-//	                             # state checkpoint only, no block bodies
 //	fabricnet -backend lsm -datadir ./net-state -state-cache 64
 //	                             # log-structured state store, 64 MiB block
 //	                             # cache per channel (docs/STATEDB.md)
@@ -25,7 +23,7 @@
 // independently, and the run reports per-channel block heights. With
 // -backend disk or -backend lsm, rerunning with the same -datadir restores
 // every peer's world state and resumes each channel from its own recorded
-// block height; block bodies persist too by default (-persist-blocks), so
+// block height; block bodies persist in each peer's block store too, so
 // restarted peers keep serving their full history and can rebuild their
 // world state from block 0 (docs/PERSISTENCE.md). The lsm backend
 // additionally keeps its resident memory independent of the keyspace —
@@ -59,9 +57,8 @@ func main() {
 		channelList = flag.String("channels", "channel1,channel2", "comma-separated channel list; each channel gets its own orderer and per-peer commit pipeline")
 		conflict    = flag.Int("conflict", 100, "percentage of transactions targeting each channel's shared hot key (paper Table 5)")
 		backend     = flag.String("backend", fabriccrdt.BackendMemory, "state backend per peer: memory|sharded|disk|lsm")
-		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel)")
+		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel, holding the state store and the block store)")
 		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only): closes the power-loss window; the async pipeline hides the added latency")
-		persist     = flag.Bool("persist-blocks", true, "persist committed block bodies in each peer's durable block store (-backend disk/lsm only): restarted peers then serve their full history to lagging peers and can rebuild their world state from block 0")
 		stateCache  = flag.Int("state-cache", 0, "LSM block cache size in MiB per peer per channel (-backend lsm only; 0 = the 32 MiB default): bounds the memory spent caching sorted-run blocks for reads")
 		timings     = flag.Bool("timings", false, "print per-stage commit latencies per peer")
 
@@ -82,19 +79,12 @@ func main() {
 		batchTimeout = flag.Duration("batch-timeout", 2*time.Second, "orderer batch timeout (paper: 2s)")
 	)
 	flag.Parse()
-	persistSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "persist-blocks" {
-			persistSet = true
-		}
-	})
 
 	channels, err := parseChannels(*channelList)
 	if err != nil {
 		fatal(err)
 	}
 
-	persistBlocks := fabriccrdt.PersistBlocksAuto
 	switch *backend {
 	case fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
 		if *datadir != "" {
@@ -103,23 +93,9 @@ func main() {
 		if *fsync {
 			fatal(fmt.Errorf("-fsync is only used with -backend disk or lsm; there is no log to sync"))
 		}
-		if persistSet {
-			fatal(fmt.Errorf("-persist-blocks is only used with -backend disk or lsm; there is no durable store to hold block bodies"))
-		}
 	case fabriccrdt.BackendDisk, fabriccrdt.BackendLSM:
 		if *datadir == "" {
 			fatal(fmt.Errorf("-backend %s requires -datadir", *backend))
-		}
-		// Defaulted flag = Auto: block persistence on, but a datadir from
-		// before the block store is adopted checkpoint-only instead of
-		// refused. Spelling the flag out insists on the chosen mode.
-		switch {
-		case !persistSet:
-			persistBlocks = fabriccrdt.PersistBlocksAuto
-		case *persist:
-			persistBlocks = fabriccrdt.PersistBlocksOn
-		default:
-			persistBlocks = fabriccrdt.PersistBlocksOff
 		}
 	default:
 		fatal(fmt.Errorf("unknown -backend %q (want memory, sharded, disk or lsm)", *backend))
@@ -133,7 +109,6 @@ func main() {
 	committer := fabriccrdt.CommitterConfig{
 		Backend:         *backend,
 		DataDir:         *datadir,
-		PersistBlocks:   persistBlocks,
 		SyncEveryApply:  *fsync,
 		StateCacheBytes: int64(*stateCache) << 20,
 	}

@@ -49,9 +49,10 @@ type (
 	EngineOptions = core.Options
 	// CommitterConfig selects every peer's world-state backend
 	// (Backend/DataDir/SyncEveryApply/StateCacheBytes — see the Backend*
-	// constants) and the durable block store (PersistBlocks — see the
-	// PersistBlocks* constants; on by default with the durable backends
-	// BackendDisk and BackendLSM). One configuration applies per channel.
+	// constants). A peer on a durable backend (BackendDisk, BackendLSM)
+	// always keeps its block bodies in a durable block store beside the
+	// state: the ledger is its recovery root (docs/PERSISTENCE.md). One
+	// configuration applies per channel.
 	// Commit parallelism is not configured: each peer derives it from
 	// GOMAXPROCS divided across its channels, and commit results are
 	// identical at every value.
@@ -87,25 +88,6 @@ const (
 	// never rebuilds a full in-memory index, so world state can outgrow
 	// RAM. CommitterConfig.StateCacheBytes bounds its block cache.
 	BackendLSM = peer.BackendLSM
-)
-
-// Block-body persistence modes for CommitterConfig.PersistBlocks (durable
-// backends only; see docs/PERSISTENCE.md). With the block store on — the
-// durable backends' default — the ledger is the recovery root: a restarted
-// peer serves its full history to syncing peers and Peer.RebuildState
-// replays the persisted chain into a byte-identical world state.
-const (
-	// PersistBlocksAuto (the zero value) enables the block store whenever
-	// the backend is durable (BackendDisk or BackendLSM); a data directory
-	// from before block persistence is adopted as-is (checkpoint-only
-	// resume) instead of refused.
-	PersistBlocksAuto = peer.PersistBlocksAuto
-	// PersistBlocksOn requires the block store (durable backends only).
-	PersistBlocksOn = peer.PersistBlocksOn
-	// PersistBlocksOff keeps the state-checkpoint-only durability: a
-	// restarted peer resumes committing but cannot serve pre-restart
-	// blocks or rebuild its state from the chain.
-	PersistBlocksOff = peer.PersistBlocksOff
 )
 
 // NewNetwork builds a network: per-org CAs, peers, and one ordering

@@ -13,31 +13,30 @@
 //	blocks.log   framed block records, appended one per committed block
 //	blocks.idx   offset sidecar: where each block's frame starts
 //
-// The log uses the same framing discipline as the statedb disk backend:
+// Both files hold internal/framing records (docs/PERSISTENCE.md, "Record
+// format and recovery"); each log payload is one block (format version
+// byte, block number, JSON block body carrying the commit-time validation
+// codes). One Append writes exactly one frame, so a crash can only produce
+// a torn *tail*, which Open truncates back to the last intact,
+// in-sequence block.
 //
-//	[4B little-endian payload length][4B CRC32-Castagnoli of payload][payload]
-//
-// with each payload holding one block (format version byte, block number,
-// JSON block body carrying the commit-time validation codes). One Append
-// writes exactly one frame, so a crash can only produce a torn *tail*;
-// Open truncates a torn or CRC-corrupt tail back to the last intact frame.
-//
-// The index sidecar is an optimization, never an authority: it is written
-// atomically (temp file + rename) on Close and every few hundred appends,
-// and Open verifies the last indexed frame before trusting it, then scans
-// the log forward for any frames the index has not caught up with. A
-// missing, stale or corrupt index just means a full log scan.
+// The index sidecar is an optimization, never an authority: it is replaced
+// atomically on Close and every few hundred appends, and Open verifies the
+// last indexed frame before trusting it, then scans the log forward for
+// any frames the index has not caught up with. A missing, stale or corrupt
+// index just means a full log scan.
 package blockstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/ledger"
 )
 
@@ -45,8 +44,7 @@ const (
 	logFileName = "blocks.log"
 	idxFileName = "blocks.idx"
 
-	frameHeaderLen = 8
-	recordVersion  = 1
+	recordVersion = 1
 
 	// maxRecordBytes bounds a single record so a corrupt length prefix
 	// cannot trigger a multi-gigabyte allocation on open.
@@ -60,8 +58,6 @@ const (
 	// crashed store reopens with at most idxEvery frames to re-scan.
 	idxEvery = 256
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed reports use of a closed block store.
 var ErrClosed = errors.New("blockstore: store is closed")
@@ -134,16 +130,28 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blockstore: creating store dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logFileName), os.O_CREATE|os.O_RDWR, 0o644)
+	s := &Store{dir: dir, opts: opts}
+	path := filepath.Join(dir, logFileName)
+	// Frames the sidecar index vouches for are not re-read; everything
+	// after them is scanned, and the scan stops — truncating the rest — at
+	// the first frame that is damaged or not the next block in sequence.
+	off := s.loadIndex(path)
+	f, size, err := framing.OpenLog(path, off, maxRecordBytes, func(payload []byte) error {
+		b, err := decodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		if next := uint64(len(s.offsets)); b.Header.Number != next {
+			return fmt.Errorf("block %d where block %d belongs", b.Header.Number, next)
+		}
+		s.offsets = append(s.offsets, off)
+		off += int64(framing.HeaderLen + len(payload))
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: opening log: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, log: f}
-	start := s.loadIndex()
-	if err := s.scanFrom(start); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.log, s.size = f, size
 	return s, nil
 }
 
@@ -182,17 +190,13 @@ func (s *Store) Append(b *ledger.Block) error {
 	if err != nil {
 		return fmt.Errorf("blockstore: encoding block %d: %w", b.Header.Number, err)
 	}
-	payload := make([]byte, payloadHeaderLen, payloadHeaderLen+len(body))
-	payload[0] = recordVersion
-	binary.LittleEndian.PutUint64(payload[1:9], b.Header.Number)
-	payload = append(payload, body...)
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("blockstore: block record of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordBytes)
+	frame := make([]byte, framing.HeaderLen+payloadHeaderLen, framing.HeaderLen+payloadHeaderLen+len(body))
+	frame[framing.HeaderLen] = recordVersion
+	binary.LittleEndian.PutUint64(frame[framing.HeaderLen+1:], b.Header.Number)
+	frame = append(frame, body...)
+	if err := framing.Seal(frame, maxRecordBytes); err != nil {
+		return fmt.Errorf("blockstore: block %d: %w", b.Header.Number, err)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderLen:], payload)
 	if _, err := s.log.Write(frame); err != nil {
 		s.broken = true
 		return fmt.Errorf("blockstore: appending block %d: %w", b.Header.Number, err)
@@ -229,7 +233,11 @@ func (s *Store) Get(n uint64) (*ledger.Block, error) {
 	if n >= uint64(len(s.offsets)) {
 		return nil, fmt.Errorf("%w: %d (block store holds [0, %d))", ledger.ErrBlockNotFound, n, len(s.offsets))
 	}
-	b, _, err := s.readBlockAt(s.offsets[n])
+	end := s.size
+	if n+1 < uint64(len(s.offsets)) {
+		end = s.offsets[n+1]
+	}
+	b, err := readRecord(s.log, s.offsets[n], end)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: reading block %d: %w", n, err)
 	}
@@ -296,90 +304,56 @@ func (s *Store) Close() error {
 	return first
 }
 
-// readBlockAt reads and verifies one frame, returning the decoded block
-// and the offset just past the frame. Callers hold at least the read lock.
-func (s *Store) readBlockAt(off int64) (*ledger.Block, int64, error) {
-	var header [frameHeaderLen]byte
-	if _, err := s.log.ReadAt(header[:], off); err != nil {
-		return nil, 0, fmt.Errorf("torn frame header at offset %d", off)
+// readRecord reads and decodes the block whose frame spans [off, end) of
+// the log — the index knows both, so one read fetches the frame.
+func readRecord(log *os.File, off, end int64) (*ledger.Block, error) {
+	payload, err := framing.ReadAt(log, off, int(end-off), maxRecordBytes)
+	if err != nil {
+		return nil, err
 	}
-	length := binary.LittleEndian.Uint32(header[0:4])
-	sum := binary.LittleEndian.Uint32(header[4:8])
-	if length > maxRecordBytes || length < payloadHeaderLen {
-		return nil, 0, fmt.Errorf("implausible record length %d at offset %d", length, off)
-	}
-	payload := make([]byte, length)
-	if _, err := s.log.ReadAt(payload, off+frameHeaderLen); err != nil {
-		return nil, 0, fmt.Errorf("torn record payload at offset %d", off)
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, 0, fmt.Errorf("record CRC mismatch at offset %d", off)
+	return decodeRecord(payload)
+}
+
+// decodeRecord decodes one log payload: format version byte, block number,
+// JSON block body.
+func decodeRecord(payload []byte) (*ledger.Block, error) {
+	if len(payload) < payloadHeaderLen {
+		return nil, fmt.Errorf("record of %d bytes is shorter than its header", len(payload))
 	}
 	if payload[0] != recordVersion {
-		return nil, 0, fmt.Errorf("unsupported record version %d at offset %d", payload[0], off)
+		return nil, fmt.Errorf("unsupported record version %d", payload[0])
 	}
 	num := binary.LittleEndian.Uint64(payload[1:9])
 	b, err := ledger.UnmarshalBlock(payload[payloadHeaderLen:])
 	if err != nil {
-		return nil, 0, fmt.Errorf("record decode at offset %d: %w", off, err)
+		return nil, fmt.Errorf("record decode: %w", err)
 	}
 	if b.Header.Number != num {
-		return nil, 0, fmt.Errorf("record at offset %d claims block %d but holds block %d", off, num, b.Header.Number)
+		return nil, fmt.Errorf("record claims block %d but holds block %d", num, b.Header.Number)
 	}
-	return b, off + frameHeaderLen + int64(length), nil
+	return b, nil
 }
 
-// scanFrom walks the log from offset start, recording every intact frame's
-// offset and truncating anything after the last intact, in-sequence frame
-// (the torn or corrupt tail a crash mid-Append leaves behind).
-func (s *Store) scanFrom(start int64) error {
-	info, err := s.log.Stat()
-	if err != nil {
-		return fmt.Errorf("blockstore: statting log: %w", err)
-	}
-	fileSize := info.Size()
-	off := start
-	for off < fileSize {
-		b, end, err := s.readBlockAt(off)
-		if err != nil || b.Header.Number != uint64(len(s.offsets)) {
-			break
-		}
-		s.offsets = append(s.offsets, off)
-		off = end
-	}
-	if off < fileSize {
-		if err := s.log.Truncate(off); err != nil {
-			return fmt.Errorf("blockstore: truncating corrupt log tail: %w", err)
-		}
-	}
-	if _, err := s.log.Seek(off, 0); err != nil {
-		return fmt.Errorf("blockstore: seeking log: %w", err)
-	}
-	s.size = off
-	return nil
-}
-
-// Index sidecar payload (one CRC frame around it, like the log):
+// Index sidecar payload (one frame around it, like the log):
 //
 //	u8  format version (1)
 //	u64 block count
 //	u64 end offset of the last indexed frame
 //	count × u64 frame offsets
 //
-// writeIndexLocked writes it via a temp file + rename, so the sidecar is
-// either the previous intact one or the new intact one.
+// writeIndexLocked replaces it atomically, so the sidecar is either the
+// previous intact one or the new intact one.
 func (s *Store) writeIndexLocked() error {
-	payload := make([]byte, 0, 1+16+8*len(s.offsets))
-	payload = append(payload, recordVersion)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(s.offsets)))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.size))
+	frame := make([]byte, framing.HeaderLen, framing.HeaderLen+1+16+8*len(s.offsets))
+	frame = append(frame, recordVersion)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(s.offsets)))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(s.size))
 	for _, off := range s.offsets {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(off))
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(off))
 	}
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
+	if err := framing.Seal(frame, maxRecordBytes); err != nil {
+		return fmt.Errorf("blockstore: index: %w", err)
+	}
 
 	// The log must be durable up to everything the index claims before the
 	// index is installed: an index pointing past the persisted log would
@@ -388,46 +362,29 @@ func (s *Store) writeIndexLocked() error {
 		return fmt.Errorf("blockstore: syncing log before index: %w", err)
 	}
 	s.fsyncs++
-	tmp := filepath.Join(s.dir, idxFileName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := framing.ReplaceFile(filepath.Join(s.dir, idxFileName), func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("blockstore: creating index temp: %w", err)
-	}
-	_, err = f.Write(frame)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("blockstore: writing index: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, idxFileName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blockstore: installing index: %w", err)
-	}
+	s.fsyncs += framing.ReplaceFileSyncs
 	return nil
 }
 
 // loadIndex seeds s.offsets from the sidecar when it is intact and
-// consistent with the log, returning the offset scanning should resume
-// from. Any inconsistency — missing file, bad CRC, offsets past the log's
-// end, a last frame that no longer verifies — discards the index and
+// consistent with the log at logPath, returning the offset scanning should
+// resume from. Any inconsistency — missing file, bad CRC, offsets past the
+// log's end, a last frame that no longer verifies — discards the index and
 // returns 0 (full scan): the log is always the authority.
-func (s *Store) loadIndex() int64 {
+func (s *Store) loadIndex(logPath string) int64 {
 	data, err := os.ReadFile(filepath.Join(s.dir, idxFileName))
-	if err != nil || len(data) < frameHeaderLen {
+	if err != nil {
 		return 0
 	}
-	length := binary.LittleEndian.Uint32(data[0:4])
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if int64(length) != int64(len(data)-frameHeaderLen) {
-		return 0
-	}
-	payload := data[frameHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != sum || len(payload) < 1+16 || payload[0] != recordVersion {
+	payload, err := framing.Verify(data)
+	if err != nil || len(payload) < 1+16 || payload[0] != recordVersion {
 		return 0
 	}
 	count := binary.LittleEndian.Uint64(payload[1:9])
@@ -435,7 +392,12 @@ func (s *Store) loadIndex() int64 {
 	if uint64(len(payload)-17) != count*8 {
 		return 0
 	}
-	info, err := s.log.Stat()
+	log, err := os.Open(logPath)
+	if err != nil {
+		return 0
+	}
+	defer log.Close()
+	info, err := log.Stat()
 	if err != nil || end > info.Size() {
 		return 0
 	}
@@ -452,8 +414,8 @@ func (s *Store) loadIndex() int64 {
 	if count > 0 {
 		// Trust, but verify the newest indexed frame end to end; earlier
 		// frames are CRC-checked on every read anyway.
-		b, frameEnd, err := s.readBlockAt(offsets[count-1])
-		if err != nil || b.Header.Number != count-1 || frameEnd != end {
+		b, err := readRecord(log, offsets[count-1], end)
+		if err != nil || b.Header.Number != count-1 {
 			return 0
 		}
 	}

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/ledger"
 )
 
@@ -147,7 +149,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 	appendAll(t, probe, blocks)
 	frameSize := probe.size - probe.offsets[len(probe.offsets)-1]
 	probe.Close()
-	for _, cut := range []int64{1, frameSize - 3, frameSize - frameHeaderLen - 1} {
+	for _, cut := range []int64{1, frameSize - 3, frameSize - framing.HeaderLen - 1} {
 		dir := t.TempDir()
 		s := mustOpen(t, dir)
 		appendAll(t, s, blocks)
@@ -192,7 +194,7 @@ func TestCorruptTailBytesTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[lastOff+frameHeaderLen+4] ^= 0xFF
+	data[lastOff+framing.HeaderLen+4] ^= 0xFF
 	if err := os.WriteFile(logPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +307,43 @@ func TestClosedStoreRefusesUse(t *testing.T) {
 	}
 	if _, err := s.Get(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("get after close: %v", err)
+	}
+}
+
+// TestGoldenBytes pins the on-disk format: the fixtures are the blocks.log
+// and blocks.idx written, by the encoder that predates internal/framing,
+// for the "golden" channel's genesis block. They must open, and storing
+// the same block must reproduce them byte for byte.
+func TestGoldenBytes(t *testing.T) {
+	golden := map[string]string{
+		logFileName: "f9000000824bb4fd0100000000000000007b22686561646572223a7b226e756d626572223a302c227072657648617368223a6e756c6c2c226461746148617368223a225a526f58765342416b396e41444d30446f7033527338464c36754d49357950785164546a527737775268383d227d2c227472616e73616374696f6e73223a5b7b226964223a2267656e657369732d676f6c64656e222c226368616e6e656c223a22676f6c64656e222c22636861696e636f6465223a225f636f6e666967222c2263726561746f72223a6e756c6c2c227277736574223a7b7d7d5d2c226d65746164617461223a7b2276616c69646174696f6e436f646573223a5b315d7d7d",
+		idxFileName: "190000006c46481c01010000000000000001010000000000000000000000000000",
+	}
+	genesis, err := ledger.NewChain("golden").Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, fresh := t.TempDir(), t.TempDir()
+	for name, h := range golden {
+		raw, _ := hex.DecodeString(h)
+		if err := os.WriteFile(filepath.Join(old, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := mustOpen(t, old)
+	requireBlocks(t, s, []*ledger.Block{genesis})
+	s.Close()
+	s = mustOpen(t, fresh)
+	appendAll(t, s, []*ledger.Block{genesis})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{old, fresh} {
+		for name, h := range golden {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if got := hex.EncodeToString(raw); err != nil || got != h {
+				t.Errorf("%s in %s = %s (%v), want the golden %s", name, dir, got, err, h)
+			}
+		}
 	}
 }

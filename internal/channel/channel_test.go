@@ -95,15 +95,11 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 	for name, committer := range map[string]CommitterConfig{
-		"unknown-backend":       {Backend: "couchdb"},
-		"disk-no-datadir":       {Backend: BackendDisk},
-		"lsm-no-datadir":        {Backend: BackendLSM},
-		"misspelled-entry":      {Backend: "Memory"},
-		"misspelled-lsm":        {Backend: "LSM"},
-		"blocks-on-memory":      {Backend: BackendMemory, PersistBlocks: PersistBlocksOn},
-		"blocks-on-no-backend":  {PersistBlocks: PersistBlocksOn},
-		"blocks-unknown-mode":   {Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: "bogus"},
-		"blocks-misspelled-off": {Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: "Off"},
+		"unknown-backend":  {Backend: "couchdb"},
+		"disk-no-datadir":  {Backend: BackendDisk},
+		"lsm-no-datadir":   {Backend: BackendLSM},
+		"misspelled-entry": {Backend: "Memory"},
+		"misspelled-lsm":   {Backend: "LSM"},
 	} {
 		if _, err := NewRuntime("ch1", committer, core.Options{}); err == nil {
 			t.Errorf("%s: NewRuntime accepted %+v", name, committer)
@@ -114,18 +110,18 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 		{Backend: BackendMemory},
 		{Backend: BackendSharded},
 		{Backend: BackendDisk, DataDir: t.TempDir()},
-		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
-		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},
 		{Backend: BackendLSM, DataDir: t.TempDir()},
-		{Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
-		{Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},
 		{Backend: BackendLSM, DataDir: t.TempDir(), StateCacheBytes: 1 << 20},
-		{Backend: BackendMemory, PersistBlocks: PersistBlocksOff},
 	} {
 		rt, err := NewRuntime("ch1", committer, core.Options{})
 		if err != nil {
 			t.Errorf("NewRuntime(%+v): %v", committer, err)
 			continue
+		}
+		// Block persistence follows the backend: a durable peer always has
+		// its ledger on disk, an in-memory one has nowhere to put it.
+		if got, want := rt.Blocks() != nil, committer.durableBackend(); got != want {
+			t.Errorf("NewRuntime(%+v): block store open = %v, want %v", committer, got, want)
 		}
 		rt.Close()
 	}
@@ -133,9 +129,8 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 
 // TestDiskRuntimePerChannelLayout pins the on-disk contract: each channel
 // persists under its own DataDir/<channel-ID> subdirectory — the state
-// store directly inside, the block store (on by default with the disk
-// backend) under its blocks/ subdirectory — so channels on one peer never
-// share a log.
+// store directly inside, the block store under its blocks/ subdirectory —
+// so channels on one peer never share a log.
 func TestDiskRuntimePerChannelLayout(t *testing.T) {
 	dir := t.TempDir()
 	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
@@ -143,9 +138,6 @@ func TestDiskRuntimePerChannelLayout(t *testing.T) {
 		rt, err := NewRuntime(id, committer, core.Options{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if rt.Blocks() == nil {
-			t.Fatalf("channel %s: block persistence is not on by default with the disk backend", id)
 		}
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -156,21 +148,6 @@ func TestDiskRuntimePerChannelLayout(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, id, "blocks", "blocks.log")); err != nil {
 			t.Fatalf("channel %s has no block log: %v", id, err)
 		}
-	}
-	// PersistBlocksOff keeps the block store out of the layout.
-	committer.PersistBlocks = PersistBlocksOff
-	rt, err := NewRuntime("ch3", committer, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Blocks() != nil {
-		t.Fatal("PersistBlocksOff still opened a block store")
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ch3", "blocks")); !os.IsNotExist(err) {
-		t.Fatalf("PersistBlocksOff still created a blocks/ directory: %v", err)
 	}
 }
 
@@ -198,6 +175,16 @@ func TestNewRuntimeRejectsLegacyStore(t *testing.T) {
 // fast-forward silently swallow every new block up to that height.
 func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	dir := t.TempDir()
+	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	// A fresh runtime leaves the channel's block log (genesis only) in
+	// place; the state is then advanced behind its back, checkpoint-less.
+	rt, err := NewRuntime("ch1", committer, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
 	db, err := statedb.NewDisk(filepath.Join(dir, "ch1"))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +195,7 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRuntime("ch1", CommitterConfig{Backend: BackendDisk, DataDir: dir}, core.Options{})
+	_, err = NewRuntime("ch1", committer, core.Options{})
 	if err == nil {
 		t.Fatal("NewRuntime accepted a durable store with height but no checkpoint")
 	}

@@ -31,30 +31,11 @@ const (
 // statedb.sharded.* layer rows measure.
 const stateShards = 8
 
-// Block-body persistence modes for CommitterConfig.PersistBlocks.
-const (
-	// PersistBlocksAuto (the zero value) persists block bodies whenever
-	// the backend is durable (BackendDisk or BackendLSM) — the ledger is
-	// the recovery root — and skips them on in-memory backends, which have
-	// nowhere durable to put them. A durable store that already holds
-	// committed state but no block log (created before block persistence,
-	// or with it off) is adopted as-is: it keeps resuming checkpoint-only
-	// rather than being refused.
-	PersistBlocksAuto = ""
-	// PersistBlocksOn requires the durable block store; it is only valid
-	// with BackendDisk or BackendLSM, and a store whose committed bodies
-	// are missing is refused rather than adopted.
-	PersistBlocksOn = "on"
-	// PersistBlocksOff keeps the state-checkpoint-only durability of the
-	// disk backend: a restarted peer resumes committing but cannot serve
-	// pre-restart blocks or rebuild its world state from the chain.
-	PersistBlocksOff = "off"
-)
-
 // CommitterConfig selects the world-state backend behind the commit
 // pipeline and its durability (DESIGN.md §4, §5). One configuration applies
 // to every channel a peer joins; each channel gets its own backend instance
-// (and, for the durable backends, its own subdirectory under DataDir). How
+// (and, for the durable backends, its own subdirectory under DataDir,
+// holding the state store and the durable block store). How
 // parallel the committer runs is not configured here: the peer derives it
 // from GOMAXPROCS and its channel count (DESIGN.md §6).
 type CommitterConfig struct {
@@ -73,21 +54,9 @@ type CommitterConfig struct {
 	// the hot set trades read latency for resident memory
 	// (docs/STATEDB.md).
 	StateCacheBytes int64
-	// PersistBlocks controls the durable block store
-	// (internal/blockstore): committed block bodies, validation codes
-	// included, appended under DataDir/<channel-ID>/blocks in the finalize
-	// stage just before the state apply — making the ledger, not the state
-	// snapshot, the recovery root. A restarted peer can then serve its
-	// full history to lagging peers (Peer.SyncFrom) and rebuild its world
-	// state from block 0 (Peer.RebuildState). Values: PersistBlocksAuto
-	// (the default: on with BackendDisk or BackendLSM, off otherwise),
-	// PersistBlocksOn (a durable backend required) and PersistBlocksOff
-	// (state checkpoint only — the pre-block-store behaviour). See
-	// DESIGN.md §8 and docs/PERSISTENCE.md.
-	PersistBlocks string
 	// SyncEveryApply makes the durable backends fsync their state log
-	// (BackendDisk) or write-ahead log (BackendLSM) — and the block store,
-	// when PersistBlocks is on — after every committed block, closing the
+	// (BackendDisk) or write-ahead log (BackendLSM) — and the block store
+	// beside it — after every committed block, closing the
 	// power-loss durability window at the cost of fsyncs per block
 	// (DESIGN.md §4). Durable backends only. This is the configuration
 	// where the async commit pipeline pays off even on a single core:
@@ -97,27 +66,11 @@ type CommitterConfig struct {
 }
 
 // durableBackend reports whether the configured state backend persists to
-// DataDir (and so has somewhere for the block store to live beside it).
+// DataDir. A durable peer always keeps its block store beside the state
+// store (DataDir/<channel-ID>/blocks): the ledger, not the state
+// checkpoint, is its recovery root (DESIGN.md §8, docs/PERSISTENCE.md).
 func (c CommitterConfig) durableBackend() bool {
 	return c.Backend == BackendDisk || c.Backend == BackendLSM
-}
-
-// blockPersistence resolves the PersistBlocks knob against the selected
-// backend.
-func (c CommitterConfig) blockPersistence() (bool, error) {
-	switch c.PersistBlocks {
-	case PersistBlocksAuto:
-		return c.durableBackend(), nil
-	case PersistBlocksOn:
-		if !c.durableBackend() {
-			return false, fmt.Errorf("PersistBlocks %q requires the %s or %s backend (got %q): block bodies persist beside the state store", PersistBlocksOn, BackendDisk, BackendLSM, c.Backend)
-		}
-		return true, nil
-	case PersistBlocksOff:
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown PersistBlocks %q (want %q, %q or %q)", c.PersistBlocks, PersistBlocksAuto, PersistBlocksOn, PersistBlocksOff)
-	}
 }
 
 // rejectLegacyStore refuses a data directory holding a store in the

@@ -13,19 +13,18 @@
 //     ordered channel ID set and one ordering service per channel
 //     (registry.go).
 //
-// Disk-backed runtimes persist under DataDir/<channel-ID> — the state
-// store directly in it, the block store (CommitterConfig.PersistBlocks,
-// on by default with the disk backend) under its blocks/ subdirectory —
-// so one DataDir knob captures a whole peer and every channel resumes
-// independently at its own height after a restart (DESIGN.md §6, §8;
-// docs/PERSISTENCE.md has the full layout and recovery matrix).
+// Runtimes on a durable backend (disk, lsm) persist under
+// DataDir/<channel-ID> — the state store directly in it, the block store
+// always beside it under its blocks/ subdirectory — so one DataDir knob
+// captures a whole peer and every channel resumes independently at its own
+// height after a restart (DESIGN.md §6, §8; docs/PERSISTENCE.md has the
+// full layout and recovery matrix).
 package channel
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -77,9 +76,9 @@ type Runtime struct {
 	id    string
 	db    *statedb.DB
 	chain *ledger.Chain
-	// blocks is the durable block store (nil when block persistence is
-	// off): every committed block's body, appended in finalize just before
-	// the state apply.
+	// blocks is the durable block store (nil on the in-memory backends):
+	// every committed block's body, appended in finalize just before the
+	// state apply.
 	blocks    *blockstore.Store
 	validator *mvcc.Validator
 	engine    *core.Engine
@@ -93,78 +92,52 @@ type Runtime struct {
 }
 
 // NewRuntime opens one channel's world state, block store and chain. It
-// fails when the configured state backend or block persistence setting is
-// invalid, or a store cannot be opened (the durable backends need a usable
-// DataDir; the channel's stores live under DataDir/<id>).
+// fails when the configured state backend is invalid or a store cannot be
+// opened (the durable backends need a usable DataDir; the channel's stores
+// live under DataDir/<id>).
 //
 // With a durable backend (disk or lsm), a runtime constructed over a
-// previously used directory resumes from the persisted state: Height reports the last
-// durably committed block, and the chain restarts from the recorded
-// checkpoint instead of genesis — backed by the block store when block
-// persistence is on, so the pre-restart history stays servable. Opening
-// cross-checks the block log against the state checkpoint and replays any
-// blocks the log durably holds beyond it (a crash window the append-first
-// commit order makes possible; DESIGN.md §8).
+// previously used directory resumes from the persisted state: Height
+// reports the last durably committed block, and the chain restarts from
+// the recorded checkpoint instead of genesis, backed by the block store so
+// the pre-restart history stays servable. Opening cross-checks the block
+// log against the state checkpoint and replays any blocks the log durably
+// holds beyond it (a crash window the append-first commit order makes
+// possible; DESIGN.md §8).
 func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (*Runtime, error) {
-	persist, err := committer.blockPersistence()
-	if err != nil {
-		return nil, fmt.Errorf("channel %s: %w", id, err)
-	}
-	// persist implies a durable backend (disk or lsm): enforce its
-	// preconditions (the ones newStateDB would catch) BEFORE any store is
-	// opened, so a refused configuration creates nothing on disk — notably
-	// no empty blocks/ directory inside a legacy-layout datadir, which
-	// would dead-end the legacy migration hint on the rerun.
-	if persist {
-		if committer.DataDir == "" {
-			return nil, fmt.Errorf("channel %s: %s state backend requires CommitterConfig.DataDir", id, committer.Backend)
-		}
-		if err := rejectLegacyStore(committer.DataDir); err != nil {
-			return nil, fmt.Errorf("channel %s: %w", id, err)
-		}
-	}
-	// A channel directory holding committed state but no block log
-	// predates block persistence (the upgrade path) or was deliberately
-	// created without it. Decide what to do from filesystem probes BEFORE
-	// opening anything, so a refused attempt leaves no empty store
-	// behind: Auto adopts the store's existing checkpoint-only shape —
-	// the documented "rerun with the same -datadir resumes" workflow
-	// keeps working across the upgrade — while an explicit PersistBlocksOn
-	// is refused, because the already-committed bodies cannot be
-	// re-derived.
-	if persist && !blockstore.Exists(filepath.Join(committer.DataDir, id, "blocks")) &&
-		stateHasCommits(filepath.Join(committer.DataDir, id)) {
-		if committer.PersistBlocks == PersistBlocksAuto {
-			persist = false
-		} else {
-			return nil, fmt.Errorf("channel %s: the store under %s has committed state but no block log: it predates block persistence, so the committed bodies cannot be re-derived; reopen with PersistBlocksOff (or the default Auto mode, which adopts the store as-is), or re-sync from a peer holding the history", id, filepath.Join(committer.DataDir, id))
-		}
-	}
 	rt := &Runtime{
 		id:           id,
 		committedIDs: make(map[string]struct{}),
 	}
-	// The block store opens first so the state backend can be handed a
-	// pre-compaction hook over it: the state must never become durable
-	// beyond the block log (DESIGN.md §8).
+	// The state must never become durable beyond the block log (DESIGN.md
+	// §8), so a durable state backend syncs the block store before every
+	// flush or compaction. The hook only fires after a commit, by which
+	// time rt.blocks is open.
 	var beforeCompact func() error
-	if persist {
-		bs, err := blockstore.Open(filepath.Join(committer.DataDir, id, "blocks"),
-			blockstore.Options{SyncEveryAppend: committer.SyncEveryApply})
-		if err != nil {
-			return nil, fmt.Errorf("channel %s: %w", id, err)
-		}
-		rt.blocks = bs
-		beforeCompact = bs.Sync
+	if committer.durableBackend() {
+		beforeCompact = func() error { return rt.blocks.Sync() }
 	}
 	db, err := newStateDB(id, committer, beforeCompact)
 	if err != nil {
-		if rt.blocks != nil {
-			rt.blocks.Close()
-		}
 		return nil, fmt.Errorf("channel %s: %w", id, err)
 	}
 	rt.db = db
+	if committer.durableBackend() {
+		chDir := filepath.Join(committer.DataDir, id)
+		// Committed state without a block log has lost its recovery root.
+		// Refuse before the block store is opened, so the attempt creates
+		// nothing on disk.
+		if h := rt.Height(); h > 0 && !blockstore.Exists(filepath.Join(chDir, "blocks")) {
+			rt.Close()
+			return nil, fmt.Errorf("channel %s: the store under %s has committed state (block %d) but no block log: the ledger is a durable peer's recovery root and committed block bodies cannot be re-derived from the state; move the store aside and re-sync this peer from one holding the history", id, chDir, h)
+		}
+		rt.blocks, err = blockstore.Open(filepath.Join(chDir, "blocks"),
+			blockstore.Options{SyncEveryAppend: committer.SyncEveryApply})
+		if err != nil {
+			rt.Close()
+			return nil, fmt.Errorf("channel %s: %w", id, err)
+		}
+	}
 	rt.validator = mvcc.New(db)
 	rt.engine = core.NewEngine(db, engineOpts)
 	chain, err := rt.recoverChain()
@@ -176,33 +149,13 @@ func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (
 	return rt, nil
 }
 
-// stateHasCommits reports whether a durable channel directory holds a
-// state store with at least one committed batch, without opening it. For
-// the disk backend: a non-empty state.log (one frame per committed block)
-// or a compacted snapshot (only ever written after commits). For the LSM
-// backend: a non-empty wal.log or a MANIFEST (only ever written by a
-// flush, which only follows commits).
-func stateHasCommits(chDir string) bool {
-	for _, name := range []string{"state.log", "wal.log"} {
-		if info, err := os.Stat(filepath.Join(chDir, name)); err == nil && info.Size() > 0 {
-			return true
-		}
-	}
-	for _, name := range []string{"state.snap", "MANIFEST"} {
-		if _, err := os.Stat(filepath.Join(chDir, name)); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// recoverChain derives the channel's chain from the durable state and,
-// when block persistence is on, reconciles the block log with the state
-// checkpoint: a log durably ahead of the checkpoint (the crash window the
-// append-block-then-apply-state commit order leaves open) is replayed into
-// the state; a log behind it means committed bodies are missing and is
-// refused. The recovery root is the ledger — the world state is a
-// rebuildable cache of it (DESIGN.md §8, docs/PERSISTENCE.md).
+// recoverChain derives the channel's chain from the durable state,
+// reconciling the block log with the state checkpoint: a log durably ahead
+// of the checkpoint (the crash window the append-block-then-apply-state
+// commit order leaves open) is replayed into the state; a log behind it
+// means committed bodies are missing and is refused. The recovery root is
+// the ledger — the world state is a rebuildable cache of it (DESIGN.md §8,
+// docs/PERSISTENCE.md).
 func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 	// A durable state that already committed blocks carries a chain
 	// checkpoint (last block number + header hash): resume the chain from
@@ -222,17 +175,14 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 	}
 	genesisChain := ledger.NewChain(rt.id)
 	if rt.blocks == nil {
-		if h > 0 {
-			return ledger.NewChainCheckpointed(h, cpHash), nil
-		}
 		return genesisChain, nil
 	}
 
 	bh := rt.blocks.Height()
+	if h > 0 && bh <= h {
+		return nil, fmt.Errorf("block log holds blocks [0, %d) but the state checkpoint is at block %d: durably committed block bodies are missing (emptied, truncated or foreign block log); restore the log, or move the store aside and re-sync from a peer holding the history", bh, h)
+	}
 	if bh == 0 {
-		if h > 0 {
-			return nil, fmt.Errorf("durable state at height %d has an empty block log: the store predates block persistence or lost its blocks/ directory; reopen with PersistBlocksOff to keep the checkpoint-only behaviour, or re-sync from a peer holding the history", h)
-		}
 		// Fresh store: persist the (deterministic) genesis block so the
 		// durable history starts at block 0 like the in-memory chain.
 		genesis, err := genesisChain.Get(0)
@@ -243,9 +193,6 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 			return nil, err
 		}
 		return genesisChain, nil
-	}
-	if bh <= h {
-		return nil, fmt.Errorf("block log holds blocks [0, %d) but the state checkpoint is at block %d: durably committed block bodies are missing (truncated or foreign block log); restore the log, re-sync from a peer, or reopen with PersistBlocksOff", bh, h)
 	}
 
 	// The stored genesis must be this channel's — a cheap guard against a
@@ -295,7 +242,7 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 			return nil, fmt.Errorf("replaying block %d from the block log: %w", n, err)
 		}
 	}
-	return ledger.NewChainCheckpointedWithSource(bh-1, prevHash, rt.blocks), nil
+	return ledger.NewChainCheckpointed(bh-1, prevHash, rt.blocks), nil
 }
 
 // ReplayBlock re-applies one committed block — carrying its commit-time
@@ -398,8 +345,8 @@ func (rt *Runtime) DB() *statedb.DB { return rt.db }
 // Chain returns the channel's blockchain.
 func (rt *Runtime) Chain() *ledger.Chain { return rt.chain }
 
-// Blocks returns the channel's durable block store, or nil when block
-// persistence is off. When non-nil it covers the contiguous range
+// Blocks returns the channel's durable block store, or nil on an in-memory
+// backend. When non-nil it covers the contiguous range
 // [0, Chain().Height()) — the full history, across restarts.
 func (rt *Runtime) Blocks() *blockstore.Store { return rt.blocks }
 

@@ -10,11 +10,13 @@ import (
 )
 
 // smokeOptions shrinks runs so the whole suite stays fast; shape assertions
-// hold at this scale too.
+// hold at this scale too. Cells run one at a time: simnet multiplies
+// measured wall time by CPUScale, so cells contending for the CPU would
+// scale scheduler noise into the throughputs the shape assertions compare.
 func smokeOptions() Options {
 	return Options{
 		TotalTx:  600,
-		Parallel: 8,
+		Parallel: 1,
 		Latency: &simnet.LatencyModel{
 			Endorse:          5 * time.Millisecond,
 			Ordering:         10 * time.Millisecond,
@@ -96,7 +98,11 @@ func TestConflictPctShape(t *testing.T) {
 }
 
 func TestArrivalRateShape(t *testing.T) {
+	// The unsaturated-region assertion needs the rate-100 cell to keep up
+	// with its arrivals: at scale 1 a descheduled goroutine cannot push its
+	// commit cost past the arrival rate.
 	opts := smokeOptions()
+	opts.Latency.CPUScale = 1
 	fig, err := ArrivalRate(opts)
 	if err != nil {
 		t.Fatal(err)

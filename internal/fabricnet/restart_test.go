@@ -87,8 +87,7 @@ func TestNetworkRestartFromDisk(t *testing.T) {
 			t.Fatalf("peer %s state diverged across restart", p.Name())
 		}
 	}
-	// The rebuilt peers kept their block bodies (block persistence is on
-	// by default with the disk backend): the pre-restart history is
+	// The rebuilt peers kept their block bodies: the pre-restart history is
 	// servable from block 0 and the world state is re-derivable from it.
 	p0 := n2.Peers()[0]
 	for num := uint64(0); num <= heightBefore; num++ {

@@ -6,11 +6,11 @@
 // A Chain normally grows from the channel genesis block. A peer restored
 // from a durable state checkpoint instead resumes an empty chain after a
 // recorded (block number, header hash) pair (NewChainCheckpointed), with
-// every later append still hash-verified against it; when the peer also
-// kept a durable block store (internal/blockstore), the checkpointed chain
-// is backed by it (NewChainCheckpointedWithSource) and keeps answering
-// Get(n) for the pre-checkpoint history — so a restarted peer serves old
-// blocks to syncing peers and can replay its ledger from block 0.
+// every later append still hash-verified against it; the chain is backed
+// by the peer's durable block store (internal/blockstore) and keeps
+// answering Get(n) for the pre-checkpoint history — so a restarted peer
+// serves old blocks to syncing peers and can replay its ledger from block
+// 0.
 package ledger
 
 import (
@@ -249,10 +249,9 @@ type BlockSource interface {
 // checkpoint (NewChainCheckpointed) starts empty after a known (number,
 // header hash) pair instead: block bodies before the checkpoint are not
 // held in memory — the durable world state already reflects them — but
-// every later append is still hash-verified against the checkpoint. A
-// checkpointed chain constructed with a BlockSource
-// (NewChainCheckpointedWithSource) additionally serves the pre-checkpoint
-// bodies from that source, so Get works over the full history.
+// every later append is still hash-verified against the checkpoint, and
+// the chain's BlockSource serves the pre-checkpoint bodies, so Get works
+// over the full history.
 type Chain struct {
 	mu     sync.RWMutex
 	blocks []*Block
@@ -262,11 +261,10 @@ type Chain struct {
 	nextNumber   uint64
 	nextPrevHash []byte
 	// checkpointHash is the header hash of block base-1 when the chain was
-	// restored from a checkpoint (checkpointed true).
+	// restored from a checkpoint (base > 0).
 	checkpointHash []byte
-	checkpointed   bool
-	// source serves pre-checkpoint block bodies (numbers below base) when
-	// the peer kept a durable block store; nil otherwise.
+	// source serves pre-checkpoint block bodies (numbers below base); nil
+	// for a genesis chain, which has none.
 	source BlockSource
 	// verifiedNext is the block pointer that passed the most recent
 	// CheckNext, letting a subsequent Append of the same (unmodified)
@@ -297,36 +295,17 @@ func NewChain(channelID string) *Chain {
 
 // NewChainCheckpointed returns a chain resuming after block lastNumber,
 // whose header hash the next block's PrevHash must match. It holds no
-// block bodies for the pre-checkpoint history.
-func NewChainCheckpointed(lastNumber uint64, lastHash []byte) *Chain {
+// pre-checkpoint bodies in memory: src, the peer's durable block store,
+// must cover [0, lastNumber], and the chain serves Get for the whole
+// history — pre-checkpoint numbers from src, later ones from memory.
+func NewChainCheckpointed(lastNumber uint64, lastHash []byte, src BlockSource) *Chain {
 	return &Chain{
 		base:           lastNumber + 1,
 		nextNumber:     lastNumber + 1,
 		nextPrevHash:   lastHash,
 		checkpointHash: lastHash,
-		checkpointed:   true,
+		source:         src,
 	}
-}
-
-// NewChainCheckpointedWithSource is NewChainCheckpointed over a peer that
-// kept its block bodies: src must cover [0, lastNumber], and the chain
-// serves Get for the whole history — pre-checkpoint numbers from src,
-// later ones from memory. FirstNumber reports 0.
-func NewChainCheckpointedWithSource(lastNumber uint64, lastHash []byte, src BlockSource) *Chain {
-	c := NewChainCheckpointed(lastNumber, lastHash)
-	c.source = src
-	return c
-}
-
-// Checkpoint returns the (number, header hash) the chain was restored
-// from, if it was created by NewChainCheckpointed.
-func (c *Chain) Checkpoint() (number uint64, headerHash []byte, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if !c.checkpointed {
-		return 0, nil, false
-	}
-	return c.base - 1, c.checkpointHash, true
 }
 
 // Height returns the number of blocks committed to the chain, genesis and
@@ -336,18 +315,6 @@ func (c *Chain) Height() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.nextNumber
-}
-
-// FirstNumber returns the number of the earliest locally retrievable
-// block: 0 for a genesis chain or a checkpointed chain backed by a block
-// source, the checkpoint successor for a bare checkpointed chain.
-func (c *Chain) FirstNumber() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.source != nil {
-		return 0
-	}
-	return c.base
 }
 
 // Last returns the most recent block, or nil for a checkpointed chain that
@@ -371,8 +338,7 @@ func (c *Chain) LastRef() (number uint64, headerHash []byte) {
 }
 
 // Get returns block number n. On a checkpointed chain, numbers before the
-// checkpoint are served from the backing block source when one exists;
-// without a source they report ErrBlockNotFound.
+// checkpoint are served from the backing block source.
 func (c *Chain) Get(n uint64) (*Block, error) {
 	c.mu.RLock()
 	base, next, src := c.base, c.nextNumber, c.source
@@ -384,7 +350,7 @@ func (c *Chain) Get(n uint64) (*Block, error) {
 	if b != nil {
 		return b, nil
 	}
-	if n < base && src != nil {
+	if n < base {
 		// Outside the chain lock: the source does its own disk I/O and
 		// synchronization, and a history read must not stall appenders
 		// (base and source never change after construction).
@@ -461,7 +427,7 @@ func (c *Chain) Verify() error {
 		if first.Header.Number != c.base {
 			return fmt.Errorf("%w: first stored block is %d, want %d", ErrBadNumber, first.Header.Number, c.base)
 		}
-		if c.checkpointed && !hashEqual(first.Header.PrevHash, c.checkpointHash) {
+		if c.base > 0 && !hashEqual(first.Header.PrevHash, c.checkpointHash) {
 			return fmt.Errorf("%w: block %d does not chain onto the checkpoint", ErrBadPrevHash, first.Header.Number)
 		}
 		dataHash, err := ComputeDataHash(first.Transactions)

@@ -26,9 +26,9 @@
 // (commitWorkers), and deliver loops always run the async
 // prepare/finalize pipeline (CommitPipeline).
 //
-// Alongside the state store, the disk backend keeps a durable block store
-// by default (CommitterConfig.PersistBlocks, internal/blockstore): every
-// committed block body is appended in the finalize stage just before the
+// Alongside the state store, a durable backend (disk, lsm) always keeps a
+// durable block store (internal/blockstore): every committed block body is
+// appended in the finalize stage just before the
 // state apply, so the ledger — not the state snapshot — is the recovery
 // root. A restarted peer serves its full history to syncing peers
 // (SyncFrom) and can rebuild its world state from block 0 (RebuildState),
@@ -477,12 +477,8 @@ func (p *Peer) ChainOn(channelID string) (*ledger.Chain, error) {
 	return rt.Chain(), nil
 }
 
-// Genesis returns the default channel's genesis block. It panics on a peer
-// restored from a durable state checkpoint without a block store (block
-// persistence off), whose chain no longer holds the genesis body — use
-// Chain().LastRef for the resume point instead. With block persistence on
-// (the disk-backend default) the genesis stays retrievable across
-// restarts.
+// Genesis returns the default channel's genesis block (after a restart,
+// from the durable block store behind the checkpointed chain).
 func (p *Peer) Genesis() *ledger.Block {
 	g, err := p.Chain().Get(0)
 	if err != nil {
@@ -769,12 +765,9 @@ func (p *Peer) SyncFrom(source *Peer) error {
 // recorded outcomes and reproduces the live state byte for byte
 // (channel.Runtime.ReplayBlock). Channels rebuild independently.
 //
-// With block persistence on (the disk-backend default), the durable block
-// store covers the full history even across restarts, so a restarted peer
-// rebuilds from block 0. A checkpointed channel WITHOUT a block store
-// (CommitterConfig.PersistBlocks off) cannot rebuild — the pre-checkpoint
-// bodies are gone; its recovery path is the inverse: the durable state IS
-// the replay result, and CommitBlockOn fast-forwards re-delivered history.
+// On a durable backend the block store covers the full history even across
+// restarts, so a restarted peer rebuilds from block 0; an in-memory peer
+// replays the chain it holds.
 func (p *Peer) RebuildState() error {
 	for _, id := range p.channelIDs {
 		if err := p.rebuildChannel(p.channels[id]); err != nil {
@@ -797,9 +790,6 @@ func (p *Peer) rebuildChannel(rt *channel.Runtime) error {
 			return fmt.Errorf("peer %s: rebuilding channel %s from its block store: %w", p.cfg.Name, rt.ID(), err)
 		}
 		return nil
-	}
-	if num, _, ok := rt.Chain().Checkpoint(); ok {
-		return fmt.Errorf("peer %s: cannot rebuild channel %s from a chain checkpointed at block %d: pre-checkpoint blocks are not stored locally (block persistence is off); enable CommitterConfig.PersistBlocks or SyncFrom a peer holding the history", p.cfg.Name, rt.ID(), num)
 	}
 	rt.DB().Reset()
 	rt.ResetCommitted()

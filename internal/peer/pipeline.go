@@ -35,21 +35,6 @@ const (
 	BackendLSM = channel.BackendLSM
 )
 
-// Block-body persistence modes for CommitterConfig.PersistBlocks (aliases
-// of the channel subsystem's constants). With the block store on — the
-// default for the disk backend — the ledger is the recovery root: a
-// restarted peer serves its full history (SyncFrom) and can rebuild its
-// world state from block 0 (RebuildState). DESIGN.md §8.
-const (
-	// PersistBlocksAuto enables the block store iff the backend is
-	// durable (BackendDisk or BackendLSM).
-	PersistBlocksAuto = channel.PersistBlocksAuto
-	// PersistBlocksOn requires the block store (durable backends only).
-	PersistBlocksOn = channel.PersistBlocksOn
-	// PersistBlocksOff keeps the state-checkpoint-only durability.
-	PersistBlocksOff = channel.PersistBlocksOff
-)
-
 // CommitterConfig selects the world-state backend behind the commit
 // pipeline and its durability (DESIGN.md §4, §5). It is the channel
 // subsystem's configuration type: one CommitterConfig applies to each
@@ -563,16 +548,14 @@ func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes 
 // the durable state itself. No commit events are emitted (listeners
 // attached after a restart should not see historical commits replayed).
 //
-// A re-delivered block is never accepted unverified where a local hash
-// exists: a block the chain stores (or the checkpoint block itself) must
-// match it header-for-header, so a forged "old" block cannot poison the
-// duplicate-screening set or masquerade as committed history. Blocks from
-// before the checkpoint have no local hash; they are acknowledged without
-// registering anything.
+// A re-delivered block is never accepted unverified: the chain holds every
+// committed block (in memory, or in the durable block store behind a
+// checkpointed chain), and the copy must match it header-for-header, so a
+// forged "old" block cannot poison the duplicate-screening set or
+// masquerade as committed history.
 func (p *Peer) fastForward(rt *channel.Runtime, stored *ledger.Block) (CommitResult, error) {
 	num := stored.Header.Number
-	switch {
-	case num >= rt.Chain().Height():
+	if num >= rt.Chain().Height() {
 		// Missing from the chain (e.g. a checkpointed chain receiving the
 		// block right after its checkpoint): Append hash-verifies it. Keep
 		// the block store in step so it stays a contiguous [0, height)
@@ -585,7 +568,7 @@ func (p *Peer) fastForward(rt *channel.Runtime, stored *ledger.Block) (CommitRes
 				return CommitResult{}, fmt.Errorf("peer %s: fast-forwarding block %d on %s: %w", p.cfg.Name, num, rt.ID(), err)
 			}
 		}
-	case num >= rt.Chain().FirstNumber():
+	} else {
 		// Locally stored: the re-delivered copy must be the same block.
 		local, err := rt.Chain().Get(num)
 		if err != nil {
@@ -594,18 +577,6 @@ func (p *Peer) fastForward(rt *channel.Runtime, stored *ledger.Block) (CommitRes
 		if !bytes.Equal(local.HeaderHash(), stored.HeaderHash()) {
 			return CommitResult{}, fmt.Errorf("peer %s: re-delivered block %d on %s does not match the committed block", p.cfg.Name, num, rt.ID())
 		}
-	default:
-		// Pre-checkpoint history. The checkpoint block itself is still
-		// verifiable against the recorded hash; anything earlier is not —
-		// acknowledge it without trusting its contents (the durable state
-		// already reflects the true history).
-		if cpNum, cpHash, ok := rt.Chain().Checkpoint(); ok && num == cpNum {
-			if !bytes.Equal(stored.HeaderHash(), cpHash) {
-				return CommitResult{}, fmt.Errorf("peer %s: re-delivered block %d on %s does not match the chain checkpoint", p.cfg.Name, num, rt.ID())
-			}
-			break
-		}
-		return CommitResult{ChannelID: rt.ID(), BlockNum: num, FastForwarded: true}, nil
 	}
 	for _, tx := range stored.Transactions {
 		rt.MarkCommitted(tx.ID)

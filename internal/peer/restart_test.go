@@ -5,15 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"fabriccrdt/internal/channel"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/orderer"
-	"fabriccrdt/internal/rwset"
-	"fabriccrdt/internal/statedb"
 )
 
 // makeBlockAt assembles a block chaining onto an explicit (number, hash)
@@ -177,7 +174,7 @@ func TestLSMPeerCrashRestart(t *testing.T) {
 		t.Fatalf("BackendLSM wrote a disk-backend state.log: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ch1", "blocks", "blocks.log")); err != nil {
-		t.Fatalf("block persistence is not on by default with the LSM backend: %v", err)
+		t.Fatalf("the LSM backend kept no block log: %v", err)
 	}
 
 	restarted := newEnvWithCommitter(t, true, committer)
@@ -208,77 +205,6 @@ func TestLSMPeerCrashRestart(t *testing.T) {
 	}
 	if err := p.Chain().Verify(); err != nil {
 		t.Fatalf("chain verify after restart: %v", err)
-	}
-}
-
-// TestDiskPeerRestartWithoutRedelivery models the fabricnet restart: the
-// rebuilt peer never sees old blocks again — the ordering service resumes
-// numbering after the checkpoint — and must commit fresh blocks directly.
-// Block persistence is explicitly OFF: this is the state-checkpoint-only
-// fallback, where the restarted peer resumes committing but holds no
-// pre-restart bodies (the block-store path is covered by
-// blockstore_restart_test.go).
-func TestDiskPeerRestartWithoutRedelivery(t *testing.T) {
-	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir, PersistBlocks: PersistBlocksOff}
-
-	env := newEnvWithCommitter(t, true, committer)
-	env.install(t, "iot", iotChaincode())
-	commitReadingBlocks(t, env, 2, 1)
-	if err := env.peer.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	restarted := newEnvWithCommitter(t, true, committer)
-	restarted.install(t, "iot", iotChaincode())
-	defer restarted.peer.Close()
-
-	// makeBlock assembles after Chain().Last()... which is nil on a
-	// checkpointed chain; endorse + assemble against the resume point.
-	num, hash := restarted.peer.Chain().LastRef()
-	if num != 2 {
-		t.Fatalf("resume point = %d, want 2", num)
-	}
-	tx := restarted.endorseTx(t, "tx-fresh", "iot", "record", "dev1", "77")
-	block := makeBlockAt(t, num, hash, []*ledger.Transaction{tx})
-	res, err := restarted.peer.CommitBlock(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastForwarded || res.Codes[0] != ledger.CodeCRDTMerged {
-		t.Fatalf("fresh block after restart: %+v", res)
-	}
-	if got := restarted.peer.Height(); got != 3 {
-		t.Fatalf("height = %d, want 3", got)
-	}
-	// Duplicate screening survives the restart: a transaction reusing an
-	// ID committed before the restart fails as a duplicate even though the
-	// old blocks were never re-delivered.
-	oldID := "tx-1-0"
-	dup := restarted.endorseTx(t, oldID, "iot", "record", "dev1", "13")
-	num, hash = restarted.peer.Chain().LastRef()
-	dupRes, err := restarted.peer.CommitBlock(makeBlockAt(t, num, hash, []*ledger.Transaction{dup}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dupRes.Codes[0] != ledger.CodeDuplicate {
-		t.Fatalf("pre-restart tx ID recommitted with code %v, want DUPLICATE_TXID", dupRes.Codes[0])
-	}
-
-	// RebuildState is the full-chain recovery path; with block persistence
-	// off, a checkpointed peer must refuse it rather than wipe durable
-	// state it cannot re-derive — and the refusal must name the real
-	// checkpoint height, not a derivation that can drift from it.
-	err = restarted.peer.RebuildState()
-	if err == nil {
-		t.Fatal("RebuildState succeeded on a checkpointed chain without a block store")
-	}
-	cpNum, _, ok := restarted.peer.Chain().Checkpoint()
-	if !ok {
-		t.Fatal("restarted chain is not checkpointed")
-	}
-	if want := fmt.Sprintf("checkpointed at block %d", cpNum); !strings.Contains(err.Error(), want) {
-		t.Fatalf("refusal does not name the checkpoint height (%q): %v", want, err)
 	}
 }
 
@@ -333,41 +259,6 @@ func TestFastForwardRejectsForgedBlocks(t *testing.T) {
 	// The genuine checkpoint block still fast-forwards.
 	if res, err := restarted.peer.CommitBlock(blocks[1]); err != nil || !res.FastForwarded {
 		t.Fatalf("genuine checkpoint block: res=%+v err=%v", res, err)
-	}
-}
-
-// TestNewRejectsDamagedStore writes a durable store with height but no
-// chain checkpoint (damage, or a store from an incompatible version): New
-// must refuse it — a genesis chain over a non-zero height would make
-// fast-forward silently swallow every new block up to that height.
-func TestNewRejectsDamagedStore(t *testing.T) {
-	dir := t.TempDir()
-	// The peer opens each channel's store under DataDir/<channel-ID>;
-	// damage the store where channel "ch1" will look for it.
-	db, err := statedb.NewDisk(filepath.Join(dir, "ch1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := statedb.NewUpdateBatch()
-	batch.Put("k", []byte("v"), rwset.Version{BlockNum: 3})
-	db.Apply(batch, rwset.Version{BlockNum: 3})
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ca, err := cryptoid.NewCA("Org1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := ca.Issue("Org1.peer0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		Name: "Org1.peer0", MSPID: "Org1", ChannelID: "ch1",
-		Committer: CommitterConfig{Backend: BackendDisk, DataDir: dir},
-	}, signer, cryptoid.NewMSP())
-	if err == nil {
-		t.Fatal("New accepted a durable store with height but no checkpoint")
 	}
 }
 

@@ -1,16 +1,15 @@
 package statedb
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -23,21 +22,18 @@ import (
 //	state.snap   one batch record holding the whole compacted state
 //	state.log    batch records appended since the last compaction
 //
-// Both files are sequences of framed records:
-//
-//	[4B little-endian payload length][4B CRC32-Castagnoli of payload][payload]
-//
-// and each payload is one batch record (see encodeBatch): the commit
-// height followed by the block's key mutations and metadata writes. One
-// Apply appends exactly one frame, so a crash can only ever produce a
-// torn *tail*; Open truncates a torn or CRC-corrupt tail back to the last
+// Both files hold internal/framing records (docs/PERSISTENCE.md, "Record
+// format and recovery"), and each payload is one batch record (see
+// encodeBatch): the commit height followed by the block's key mutations
+// and metadata writes. One Apply appends exactly one frame, so a crash can
+// only ever produce a torn *tail*, which open truncates back to the last
 // intact frame instead of failing. Opening replays the snapshot, then the
 // log, rebuilding the in-memory maps and the persisted height.
 //
 // Compaction: when the log grows past DiskOptions.CompactAfterBytes the
-// whole in-memory state is written to state.snap (via a temp file +
-// rename, so a crash mid-compaction leaves the previous snapshot valid)
-// and the log is truncated.
+// whole in-memory state atomically replaces state.snap (a crash
+// mid-compaction leaves the previous snapshot valid) and the log is
+// truncated.
 type diskBackend struct {
 	dir  string
 	opts DiskOptions
@@ -106,15 +102,12 @@ const (
 	snapFileName = "state.snap"
 	logFileName  = "state.log"
 
-	frameHeaderLen = 8
-	recordVersion  = 1
+	recordVersion = 1
 
 	// maxRecordBytes bounds a single record so a corrupt length prefix
 	// cannot trigger a multi-gigabyte allocation on open.
 	maxRecordBytes = 1 << 30
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed reports use of a closed disk backend.
 var ErrClosed = errors.New("statedb: disk backend is closed")
@@ -171,115 +164,50 @@ func NewDiskWithOptions(dir string, opts DiskOptions) (*DB, error) {
 	return NewWithBackend(b), nil
 }
 
-// loadSnapshot replays state.snap if present. A snapshot is written
-// atomically (temp file + rename) so it is either absent or fully intact;
-// a corrupt snapshot is reported as an error rather than silently dropped,
-// since losing it would silently lose compacted history.
+// loadSnapshot replays state.snap if present. A snapshot is replaced
+// atomically so it is either absent or one fully intact record; a corrupt
+// snapshot is reported as an error rather than silently dropped, since
+// losing it would silently lose compacted history.
 func (b *diskBackend) loadSnapshot() error {
 	path := filepath.Join(b.dir, snapFileName)
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("statedb: opening snapshot: %w", err)
+		return fmt.Errorf("statedb: reading snapshot: %w", err)
 	}
-	defer f.Close()
-	_, err = b.replayRecords(bufio.NewReader(f))
+	payload, err := framing.Verify(raw)
+	if err == nil {
+		err = b.replayRecord(payload)
+	}
 	if err != nil {
 		return fmt.Errorf("statedb: corrupt snapshot %s: %w", path, err)
 	}
 	return nil
 }
 
-// openAndReplayLog opens state.log for append, replays every intact frame
-// into memory and truncates anything after the last intact frame (the torn
-// or corrupt tail a crash mid-Apply leaves behind).
+// openAndReplayLog opens state.log for append, replaying every intact
+// frame into memory (the torn tail a crash mid-Apply leaves behind is
+// truncated).
 func (b *diskBackend) openAndReplayLog() error {
-	path := filepath.Join(b.dir, logFileName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, size, err := framing.OpenLog(filepath.Join(b.dir, logFileName), 0, maxRecordBytes, b.replayRecord)
 	if err != nil {
 		return fmt.Errorf("statedb: opening log: %w", err)
 	}
-	// Replay through a buffered reader (the log holds one small frame per
-	// block); the absolute Seek below re-positions the raw handle for
-	// appending, so the buffer never goes stale.
-	good, err := b.replayRecords(bufio.NewReader(f))
-	if err != nil {
-		// The tail after offset `good` is torn or corrupt: drop it.
-		if terr := f.Truncate(good); terr != nil {
-			f.Close()
-			return fmt.Errorf("statedb: truncating corrupt log tail: %w", terr)
-		}
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("statedb: seeking log: %w", err)
-	}
-	b.log = f
-	b.logSize = good
+	b.log, b.logSize = f, size
 	return nil
 }
 
-// replayRecords applies every intact framed record from r into the
-// in-memory maps, returning the offset just past the last intact frame.
-// The error (if any) describes why reading stopped early; io.EOF at a
-// frame boundary is clean termination and returns a nil error.
-func (b *diskBackend) replayRecords(r io.Reader) (int64, error) {
-	return scanFrames(r, func(payload []byte) error {
-		updates, meta, height, err := decodeBatch(payload)
-		if err != nil {
-			return fmt.Errorf("record decode: %w", err)
-		}
-		applyToMaps(b.data, b.meta, updates, meta)
-		b.height = height
-		return nil
-	})
-}
-
-// scanFrames reads a stream of framed records ([4B length][4B CRC32C]
-// [payload]) from r, calling apply for each intact payload, and returns
-// the offset just past the last intact frame. io.EOF at a frame boundary
-// is clean termination (nil error); a torn or corrupt tail — or an apply
-// rejection — stops the scan with a descriptive error. Shared by the disk
-// backend's log/snapshot replay and the LSM backend's WAL replay.
-func scanFrames(r io.Reader, apply func(payload []byte) error) (int64, error) {
-	var off int64
-	var header [frameHeaderLen]byte
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return off, nil // clean end
-			}
-			return off, fmt.Errorf("torn frame header at offset %d", off)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length > maxRecordBytes {
-			return off, fmt.Errorf("implausible record length %d at offset %d", length, off)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, fmt.Errorf("torn record payload at offset %d", off)
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, fmt.Errorf("record CRC mismatch at offset %d", off)
-		}
-		if err := apply(payload); err != nil {
-			return off, fmt.Errorf("%w at offset %d", err, off)
-		}
-		off += frameHeaderLen + int64(length)
+// replayRecord applies one batch record to the in-memory maps.
+func (b *diskBackend) replayRecord(payload []byte) error {
+	updates, meta, height, err := decodeBatch(payload)
+	if err != nil {
+		return fmt.Errorf("record decode: %w", err)
 	}
-}
-
-// frameRecord wraps one payload in the statedb frame: [4B little-endian
-// length][4B CRC32-Castagnoli][payload].
-func frameRecord(payload []byte) []byte {
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderLen:], payload)
-	return frame
+	applyToMaps(b.data, b.meta, updates, meta)
+	b.height = height
+	return nil
 }
 
 func (b *diskBackend) Get(key string) (VersionedValue, bool) {
@@ -345,16 +273,16 @@ func (b *diskBackend) Apply(updates map[string]Update, meta map[string][]byte, h
 	case b.logBroken:
 		// Write path disabled by an earlier failed append.
 	default:
-		if err := b.appendFrame(payload); err != nil {
+		n, err := appendBatch(b.log, payload, b.opts.SyncEveryApply)
+		b.logSize += int64(n)
+		if err != nil {
 			b.logBroken = true
 			b.recordErr(err)
-		} else if b.opts.SyncEveryApply {
-			if err := b.log.Sync(); err != nil {
-				b.logBroken = true
-				b.recordErr(err)
-			} else {
-				b.fsyncs++
-			}
+			break
+		}
+		b.appends++
+		if b.opts.SyncEveryApply {
+			b.fsyncs++
 		}
 	}
 	applyToMaps(b.data, b.meta, updates, meta)
@@ -375,65 +303,49 @@ func (b *diskBackend) recordErr(err error) {
 	}
 }
 
-// appendFrame writes one framed record to the log (mu held). A payload
-// larger than maxRecordBytes is refused: its frame would be rejected (or,
-// past 4 GiB, length-wrapped into corruption) on replay.
-func (b *diskBackend) appendFrame(payload []byte) error {
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("statedb: batch record of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordBytes)
-	}
-	n, err := b.log.Write(frameRecord(payload))
-	b.logSize += int64(n)
+// appendBatch appends payload to log as one frame and, when sync is set,
+// fsyncs it — the durable step of Apply on the disk log and the LSM WAL
+// alike. It returns the bytes that reached the file (a failed write may be
+// partial). A payload over maxRecordBytes is refused: replay would reject
+// its frame.
+func appendBatch(log *os.File, payload []byte, sync bool) (int, error) {
+	frame, err := framing.Append(nil, payload, maxRecordBytes)
 	if err != nil {
-		return fmt.Errorf("statedb: appending to log: %w", err)
+		return 0, fmt.Errorf("statedb: batch record: %w", err)
 	}
-	b.appends++
-	return nil
+	n, err := log.Write(frame)
+	if err == nil && sync {
+		err = log.Sync()
+	}
+	if err != nil {
+		return n, fmt.Errorf("statedb: appending batch to %s: %w", filepath.Base(log.Name()), err)
+	}
+	return n, nil
 }
 
-// compactLocked writes the whole in-memory state as one snapshot record to
-// a temp file, atomically renames it over state.snap, and truncates the
-// log (mu held). A crash at any point leaves either the old snapshot + old
-// log or the new snapshot + (possibly still full, harmlessly replayed) log.
+// compactLocked atomically replaces state.snap with the whole in-memory
+// state as one snapshot record and truncates the log (mu held). A crash at
+// any point leaves either the old snapshot + old log or the new snapshot +
+// (possibly still full, harmlessly replayed) log.
 func (b *diskBackend) compactLocked() error {
 	if b.opts.BeforeCompact != nil {
 		if err := b.opts.BeforeCompact(); err != nil {
 			return fmt.Errorf("statedb: pre-compaction hook: %w", err)
 		}
 	}
-	payload := encodeSnapshot(b.data, b.meta, b.height)
-	if len(payload) > maxRecordBytes {
-		// Writing this snapshot would produce a frame replay rejects (or,
-		// past 4 GiB, a wrapped length corrupting the file). Keep the old
-		// snapshot + full log, which still reproduce the state.
-		return fmt.Errorf("statedb: state snapshot of %d bytes exceeds the %d-byte record limit; compaction skipped", len(payload), maxRecordBytes)
+	frame := encodeSnapshot(b.data, b.meta, b.height)
+	if err := framing.Seal(frame, maxRecordBytes); err != nil {
+		// Keep the old snapshot + full log, which still reproduce the state.
+		return fmt.Errorf("statedb: state snapshot: %w; compaction skipped", err)
 	}
-
-	tmp := filepath.Join(b.dir, snapFileName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := framing.ReplaceFile(filepath.Join(b.dir, snapFileName), func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("statedb: creating snapshot temp: %w", err)
-	}
-	frame := make([]byte, frameHeaderLen)
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := f.Write(frame); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("statedb: writing snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(b.dir, snapFileName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedb: installing snapshot: %w", err)
-	}
+	b.fsyncs += framing.ReplaceFileSyncs
 	if err := b.log.Truncate(0); err != nil {
 		return fmt.Errorf("statedb: truncating log after compaction: %w", err)
 	}
@@ -442,7 +354,6 @@ func (b *diskBackend) compactLocked() error {
 	}
 	b.logSize = 0
 	b.compactions++
-	b.fsyncs++ // the snapshot temp file's Sync above
 	return nil
 }
 
@@ -549,6 +460,8 @@ func encodeBatch(updates map[string]Update, meta map[string][]byte, height rwset
 // encodeSnapshot writes the whole state as one batch record (all puts, no
 // deletes), straight from the live maps — the snapshot is a batch that
 // replays into the full state, so open needs no separate snapshot decoder.
+// The record sits behind framing.HeaderLen reserved bytes, ready to be
+// sealed in place: a snapshot is too large to copy into a second buffer.
 func encodeSnapshot(data map[string]VersionedValue, meta map[string][]byte, height rwset.Version) []byte {
 	size := 1 + 16 + 4 + 4
 	for k, vv := range data {
@@ -557,7 +470,7 @@ func encodeSnapshot(data map[string]VersionedValue, meta map[string][]byte, heig
 	for k, v := range meta {
 		size += 4 + len(k) + 4 + len(v)
 	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, framing.HeaderLen, framing.HeaderLen+size)
 	buf = append(buf, recordVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, height.BlockNum)
 	buf = binary.LittleEndian.AppendUint64(buf, height.TxNum)

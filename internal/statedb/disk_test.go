@@ -106,10 +106,17 @@ func TestDiskEmptyDirRejected(t *testing.T) {
 	}
 }
 
-// TestDiskCorruptTailTruncated simulates a crash mid-Apply: a torn or
-// CRC-corrupt log tail must be truncated on open, keeping every earlier
-// batch, rather than panicking or refusing to open.
+// TestDiskCorruptTailTruncated simulates a crash mid-Apply on state.log.
 func TestDiskCorruptTailTruncated(t *testing.T) {
+	requireLogTailRecovery(t, logFileName, NewDisk)
+}
+
+// requireLogTailRecovery is the recovery both durable backends build on
+// internal/framing's torn-tail rule (the damage shapes themselves are its
+// matrix): whatever a crash mid-Apply left at the tail of dir/logName, open
+// must keep every earlier batch, accept new ones and survive a clean reopen
+// — never panic or refuse.
+func requireLogTailRecovery(t *testing.T, logName string, open func(dir string) (*DB, error)) {
 	corruptions := map[string]func([]byte) []byte{
 		"torn-frame": func(log []byte) []byte {
 			return append(log, []byte{0x99, 0x00, 0x00, 0x00, 0x12}...) // header + partial payload
@@ -127,15 +134,15 @@ func TestDiskCorruptTailTruncated(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			good := New()
-			disk, err := NewDisk(dir)
+			db, err := open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			applyRandomBatches(t, 17, 10, good, disk)
-			if err := disk.Close(); err != nil {
+			applyRandomBatches(t, 17, 10, good, db)
+			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			logPath := filepath.Join(dir, "state.log")
+			logPath := filepath.Join(dir, logName)
 			log, err := os.ReadFile(logPath)
 			if err != nil {
 				t.Fatal(err)
@@ -143,30 +150,28 @@ func TestDiskCorruptTailTruncated(t *testing.T) {
 			if err := os.WriteFile(logPath, corrupt(log), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			reopened, err := NewDisk(dir)
+			reopened, err := open(dir)
 			if err != nil {
 				t.Fatalf("reopen after %s: %v", name, err)
 			}
 			defer reopened.Close()
 			if name == "bad-crc" {
-				// The last intact batch is gone; replay the good DB minus
-				// its final batch is awkward, so just require a sane height
-				// strictly below the corrupted batch's.
+				// The last intact batch went with the flipped bit; replaying
+				// the good DB minus its final batch is awkward, so just
+				// require the height right below the corrupted batch's.
 				if h := reopened.Height().BlockNum; h != 9 {
 					t.Fatalf("height after dropping corrupt tail = %d, want 9", h)
 				}
 			} else {
 				requireSameState(t, good, reopened)
 			}
-			// The truncated log must accept new batches and survive another
-			// clean reopen.
 			batch := NewUpdateBatch()
 			batch.Put("post", []byte("crash"), rwset.Version{BlockNum: 11})
 			reopened.Apply(batch, rwset.Version{BlockNum: 11})
 			if err := reopened.Close(); err != nil {
 				t.Fatalf("close after recovery: %v", err)
 			}
-			again, err := NewDisk(dir)
+			again, err := open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package statedb
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -32,19 +31,22 @@ import (
 //	MANIFEST       one framed record naming the live runs plus the
 //	               flushed height and live-key count
 //
+// Every record is an internal/framing frame (docs/PERSISTENCE.md, "Record
+// format and recovery").
+//
 // Writes append to the WAL and the memtable; when the memtable outgrows
-// MemtableBytes it is flushed: sorted into a new run (temp + fsync +
-// rename), the manifest is atomically rewritten to include it, and the
-// WAL is truncated. When the run count exceeds CompactRuns a background
-// goroutine k-way merges every current run into one (newest value per
-// key wins, tombstones dropped) and swaps the manifest.
+// MemtableBytes it is flushed: sorted into a new run, the manifest is
+// atomically replaced to include it, and the WAL is truncated. When the
+// run count exceeds CompactRuns a background goroutine k-way merges every
+// current run into one (newest value per key wins, tombstones dropped)
+// and swaps the manifest.
 //
 // Crash discipline mirrors the disk backend: one Apply appends exactly
 // one WAL frame, so a crash leaves at most a torn tail, truncated on
-// open. Runs and the manifest are fsynced before the rename installing
-// them, so a manifest-listed run is always intact; a run without a
-// manifest reference is an orphan from a crash mid-flush, removed on
-// open (its batches are still in the WAL). A stale WAL — crash between
+// open. Runs and the manifest are installed with framing.ReplaceFile, so
+// a manifest-listed run is always intact; a run without a manifest
+// reference is an orphan from a crash mid-flush, removed on open (its
+// batches are still in the WAL). A stale WAL — crash between
 // manifest install and WAL truncate — replays idempotently: re-applying
 // a batch already in a run reproduces the same values and the same
 // live-key count.
@@ -243,15 +245,11 @@ func (b *lsmBackend) loadManifest() error {
 	if err != nil {
 		return fmt.Errorf("statedb: reading manifest: %w", err)
 	}
-	var payloads [][]byte
-	good, err := scanFrames(bytes.NewReader(raw), func(p []byte) error {
-		payloads = append(payloads, p)
-		return nil
-	})
-	if err != nil || good != int64(len(raw)) || len(payloads) != 1 {
-		return fmt.Errorf("statedb: corrupt manifest %s", path)
+	payload, err := framing.Verify(raw)
+	if err != nil {
+		return fmt.Errorf("statedb: corrupt manifest %s: %w", path, err)
 	}
-	height, liveKeys, seqs, err := decodeManifest(payloads[0])
+	height, liveKeys, seqs, err := decodeManifest(payload)
 	if err != nil {
 		return fmt.Errorf("statedb: corrupt manifest %s: %w", path, err)
 	}
@@ -309,35 +307,22 @@ func (b *lsmBackend) removeOrphans() error {
 	return nil
 }
 
-// openAndReplayWAL opens wal.log for append, replays every intact frame
-// into the memtable and truncates a torn or corrupt tail — exactly the
-// disk backend's log discipline.
+// openAndReplayWAL opens wal.log for append, replaying every intact frame
+// into the memtable (a torn tail is truncated) — exactly the disk
+// backend's log discipline.
 func (b *lsmBackend) openAndReplayWAL() error {
-	path := filepath.Join(b.dir, walFileName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("statedb: opening WAL: %w", err)
-	}
-	good, err := scanFrames(bufio.NewReader(f), func(payload []byte) error {
-		updates, meta, height, derr := decodeBatch(payload)
-		if derr != nil {
-			return fmt.Errorf("record decode: %w", derr)
+	f, size, err := framing.OpenLog(filepath.Join(b.dir, walFileName), 0, maxRecordBytes, func(payload []byte) error {
+		updates, meta, height, err := decodeBatch(payload)
+		if err != nil {
+			return fmt.Errorf("record decode: %w", err)
 		}
 		b.applyBatchLocked(updates, meta, height)
 		return nil
 	})
 	if err != nil {
-		if terr := f.Truncate(good); terr != nil {
-			f.Close()
-			return fmt.Errorf("statedb: truncating corrupt WAL tail: %w", terr)
-		}
+		return fmt.Errorf("statedb: opening WAL: %w", err)
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("statedb: seeking WAL: %w", err)
-	}
-	b.wal = f
-	b.walSize = good
+	b.wal, b.walSize = f, size
 	return nil
 }
 
@@ -392,31 +377,20 @@ func decodeManifest(buf []byte) (rwset.Version, int64, []uint64, error) {
 	return height, liveKeys, seqs, nil
 }
 
-// writeManifestLocked atomically replaces MANIFEST (temp + fsync +
-// rename) with the given run list and flush point (mu held).
+// writeManifestLocked atomically replaces MANIFEST with the given run list
+// and flush point (mu held).
 func (b *lsmBackend) writeManifestLocked(height rwset.Version, liveKeys int64, seqs []uint64) error {
-	frame := frameRecord(encodeManifest(height, liveKeys, seqs))
-	tmp := filepath.Join(b.dir, manifestFileName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("statedb: creating manifest temp: %w", err)
-	}
-	_, err = f.Write(frame)
+	frame, err := framing.Append(nil, encodeManifest(height, liveKeys, seqs), maxRecordBytes)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		err = framing.ReplaceFile(filepath.Join(b.dir, manifestFileName), func(w io.Writer) error {
+			_, err := w.Write(frame)
+			return err
+		})
 	}
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("statedb: writing manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(b.dir, manifestFileName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedb: installing manifest: %w", err)
-	}
-	b.fsyncs++
+	b.fsyncs += framing.ReplaceFileSyncs
 	return nil
 }
 
@@ -533,26 +507,16 @@ func (b *lsmBackend) Apply(updates map[string]Update, meta map[string][]byte, he
 	case b.walBroken:
 		// Write path disabled by an earlier failed append.
 	default:
-		if len(payload) > maxRecordBytes {
-			b.walBroken = true
-			b.recordErr(fmt.Errorf("statedb: batch record of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordBytes))
-			break
-		}
-		n, err := b.wal.Write(frameRecord(payload))
+		n, err := appendBatch(b.wal, payload, b.opts.SyncEveryApply)
 		b.walSize += int64(n)
 		if err != nil {
 			b.walBroken = true
-			b.recordErr(fmt.Errorf("statedb: appending to WAL: %w", err))
-		} else {
-			b.appends++
-			if b.opts.SyncEveryApply {
-				if err := b.wal.Sync(); err != nil {
-					b.walBroken = true
-					b.recordErr(err)
-				} else {
-					b.fsyncs++
-				}
-			}
+			b.recordErr(err)
+			break
+		}
+		b.appends++
+		if b.opts.SyncEveryApply {
+			b.fsyncs++
 		}
 	}
 	b.applyBatchLocked(updates, meta, height)
@@ -590,7 +554,7 @@ func (b *lsmBackend) flushLocked() error {
 	if err := writeRun(path, sortedMemEntries(b.mem), b.opts.BlockBytes); err != nil {
 		return err
 	}
-	b.fsyncs++ // writeRun's temp-file Sync
+	b.fsyncs += framing.ReplaceFileSyncs // writeRun
 	fail := func(err error) error {
 		os.Remove(path)
 		return err
@@ -728,7 +692,7 @@ func (b *lsmBackend) compactRuns(captured []*runReader, seq uint64, gen uint64) 
 		abort(err)
 		return
 	}
-	b.fsyncs++ // the merged run's temp-file Sync in writeRun
+	b.fsyncs += framing.ReplaceFileSyncs // the merged run's writeRun
 	b.runs = append([]*runReader{merged}, remaining...)
 	oldSeqs := make(map[uint64]bool, len(captured))
 	for _, r := range captured {

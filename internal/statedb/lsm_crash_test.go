@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -49,8 +50,8 @@ func listedRunPaths(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var payload []byte
-	if _, err := scanFrames(bytes.NewReader(raw), func(p []byte) error { payload = p; return nil }); err != nil {
+	payload, err := framing.Verify(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, seqs, err := decodeManifest(payload)
@@ -65,74 +66,13 @@ func listedRunPaths(t *testing.T, dir string) []string {
 }
 
 // TestLSMCrashWALTail: a crash mid-Apply leaves a torn or corrupt WAL
-// tail; reopen must keep every earlier batch and accept new ones.
+// tail; reopen must keep every earlier batch and accept new ones. A large
+// memtable keeps all batches in the WAL, so the damage lands on real data,
+// not an empty file.
 func TestLSMCrashWALTail(t *testing.T) {
-	corruptions := map[string]func([]byte) []byte{
-		"torn-frame": func(wal []byte) []byte {
-			return append(wal, []byte{0x99, 0x00, 0x00, 0x00, 0x12}...)
-		},
-		"bad-crc": func(wal []byte) []byte {
-			tail := append([]byte(nil), wal...)
-			tail[len(tail)-1] ^= 0xff
-			return tail
-		},
-		"garbage": func(wal []byte) []byte {
-			return append(wal, bytes.Repeat([]byte{0xab}, 37)...)
-		},
-	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			// A large memtable keeps all batches in the WAL, so the damage
-			// lands on real data, not an empty file.
-			dir := t.TempDir()
-			good := New()
-			db, err := NewLSMWithOptions(dir, LSMOptions{MemtableBytes: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			applyRandomBatches(t, 17, 10, good, db)
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			walPath := filepath.Join(dir, walFileName)
-			wal, err := os.ReadFile(walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(walPath, corrupt(wal), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			reopened, err := NewLSMWithOptions(dir, LSMOptions{MemtableBytes: 1 << 20})
-			if err != nil {
-				t.Fatalf("reopen after %s: %v", name, err)
-			}
-			defer reopened.Close()
-			if name == "bad-crc" {
-				// The final intact batch is gone with the flipped bit.
-				if h := reopened.Height().BlockNum; h != 9 {
-					t.Fatalf("height after dropping corrupt tail = %d, want 9", h)
-				}
-			} else {
-				requireSameState(t, good, reopened)
-			}
-			// The truncated WAL accepts new batches and survives a clean
-			// reopen.
-			batch := NewUpdateBatch()
-			batch.Put("post", []byte("crash"), rwset.Version{BlockNum: 11})
-			reopened.Apply(batch, rwset.Version{BlockNum: 11})
-			if err := reopened.Close(); err != nil {
-				t.Fatalf("close after recovery: %v", err)
-			}
-			again, err := NewLSM(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer again.Close()
-			if vv, ok := again.Get("post"); !ok || string(vv.Value) != "crash" {
-				t.Fatal("post-recovery batch lost")
-			}
-		})
-	}
+	requireLogTailRecovery(t, walFileName, func(dir string) (*DB, error) {
+		return NewLSMWithOptions(dir, LSMOptions{MemtableBytes: 1 << 20})
+	})
 }
 
 // TestLSMCrashOrphanRun: a crash between a run's rename and the manifest
@@ -256,7 +196,10 @@ func TestLSMCrashStaleWAL(t *testing.T) {
 	// Simulate the crash: the flush installed the manifest but the WAL
 	// truncate never happened, so the WAL still holds every flushed
 	// batch — blocks 1..10 from phase 1 plus the trigger batch.
-	staleWAL = append(staleWAL, frameRecord(encodeBatch(trigger, nil, h11))...)
+	staleWAL, err = framing.Append(staleWAL, encodeBatch(trigger, nil, h11), maxRecordBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, walFileName), staleWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}

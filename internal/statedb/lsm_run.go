@@ -4,11 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -16,17 +17,17 @@ import (
 //
 //	[data block frame]...[filter frame][index frame][44-byte footer]
 //
-// Data blocks, the filter and the index are framed exactly like every
-// other statedb record ([4B length][4B CRC32C][payload], see frameRecord),
-// so a flipped bit anywhere is caught by a checksum. The fixed-size footer
-// sits at EOF and carries its own CRC; open reads only the footer, the
-// index and the filter — never the data blocks — so opening a run is O(1)
-// in the number of entries.
+// Data blocks, the filter and the index are internal/framing frames like
+// every other statedb record, so a flipped bit anywhere is caught by a
+// checksum. The fixed-size footer sits at EOF and carries its own
+// framing.Checksum; open reads only the footer, the index and the filter —
+// never the data blocks — so opening a run is O(1) in the number of
+// entries.
 //
-// Runs are written to a temp file, fsynced and renamed into place before
-// any manifest references them, so a manifest-listed run is either fully
-// intact or evidence of external corruption (which open refuses, mirroring
-// the disk backend's corrupt-snapshot refusal).
+// Runs are installed with framing.ReplaceFile before any manifest
+// references them, so a manifest-listed run is either fully intact or
+// evidence of external corruption (which open refuses, mirroring the disk
+// backend's corrupt-snapshot refusal).
 //
 // Data block payload:
 //
@@ -243,7 +244,7 @@ func decodeRunIndex(buf []byte, dataEnd int64) ([]runBlockMeta, error) {
 		if d.err != nil {
 			break
 		}
-		if m.off != prevEnd || m.flen <= frameHeaderLen || m.off+int64(m.flen) > dataEnd {
+		if m.off != prevEnd || m.flen <= framing.HeaderLen || m.off+int64(m.flen) > dataEnd {
 			return nil, fmt.Errorf("run index block %d spans [%d,+%d) outside the data region", i, m.off, m.flen)
 		}
 		if len(index) > 0 && m.firstKey <= index[len(index)-1].firstKey {
@@ -273,32 +274,46 @@ func encodeRunFooter(entryCount uint64, indexOff int64, indexLen uint32, filterO
 	binary.LittleEndian.PutUint32(buf[24:28], indexLen)
 	binary.LittleEndian.PutUint64(buf[28:36], uint64(filterOff))
 	binary.LittleEndian.PutUint32(buf[36:40], filterLen)
-	binary.LittleEndian.PutUint32(buf[40:44], crc32.Checksum(buf[:40], crcTable))
+	binary.LittleEndian.PutUint32(buf[40:44], framing.Checksum(buf[:40]))
 	return buf
 }
 
-// writeRun writes entries (sorted by internal key) as one run file via a
-// temp file + fsync + rename, so the run either exists completely or not
-// at all. blockBytes bounds each data block's payload size.
+// writeRun installs entries (sorted by internal key) as one run file with
+// framing.ReplaceFile, so the run either exists completely or not at all.
+// blockBytes bounds each data block's payload size.
 func writeRun(path string, entries []runEntry, blockBytes int) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := framing.ReplaceFile(path, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<16)
+		if err := encodeRun(w, entries, blockBytes); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 	if err != nil {
-		return fmt.Errorf("statedb: creating run temp: %w", err)
+		return fmt.Errorf("statedb: writing run: %w", err)
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
+	return nil
+}
 
+// encodeRun streams one run file's bytes to w.
+func encodeRun(w io.Writer, entries []runEntry, blockBytes int) error {
 	hashes := make([]uint64, len(entries))
 	for i, e := range entries {
 		hashes[i] = bloomKeyHash(e.ikey)
 	}
 
 	var off int64
+	// writeFrame frames payload and writes it, returning the framed length.
+	writeFrame := func(payload []byte) (uint32, error) {
+		frame, err := framing.Append(nil, payload, maxRecordBytes)
+		if err != nil {
+			return 0, err
+		}
+		_, err = w.Write(frame)
+		off += int64(len(frame))
+		return uint32(len(frame)), err
+	}
+
 	var index []runBlockMeta
 	for start := 0; start < len(entries); {
 		end, size := start, 0
@@ -306,45 +321,27 @@ func writeRun(path string, entries []runEntry, blockBytes int) error {
 			size += runEntrySize(entries[end])
 			end++
 		}
-		frame := frameRecord(encodeRunBlock(entries[start:end]))
-		index = append(index, runBlockMeta{firstKey: entries[start].ikey, off: off, flen: uint32(len(frame))})
-		if _, err := w.Write(frame); err != nil {
-			return fail(fmt.Errorf("statedb: writing run block: %w", err))
+		blockOff := off
+		flen, err := writeFrame(encodeRunBlock(entries[start:end]))
+		if err != nil {
+			return fmt.Errorf("run block: %w", err)
 		}
-		off += int64(len(frame))
+		index = append(index, runBlockMeta{firstKey: entries[start].ikey, off: blockOff, flen: flen})
 		start = end
 	}
 
-	filterFrame := frameRecord(encodeBloom(buildBloom(hashes)))
 	filterOff := off
-	if _, err := w.Write(filterFrame); err != nil {
-		return fail(fmt.Errorf("statedb: writing run filter: %w", err))
+	filterLen, err := writeFrame(encodeBloom(buildBloom(hashes)))
+	if err != nil {
+		return fmt.Errorf("run filter: %w", err)
 	}
-	off += int64(len(filterFrame))
-
-	indexFrame := frameRecord(encodeRunIndex(index))
 	indexOff := off
-	if _, err := w.Write(indexFrame); err != nil {
-		return fail(fmt.Errorf("statedb: writing run index: %w", err))
+	indexLen, err := writeFrame(encodeRunIndex(index))
+	if err != nil {
+		return fmt.Errorf("run index: %w", err)
 	}
-
-	footer := encodeRunFooter(uint64(len(entries)), indexOff, uint32(len(indexFrame)), filterOff, uint32(len(filterFrame)))
-	if _, err := w.Write(footer); err != nil {
-		return fail(fmt.Errorf("statedb: writing run footer: %w", err))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("statedb: flushing run: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("statedb: syncing run: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedb: closing run temp: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("statedb: installing run: %w", err)
+	if _, err := w.Write(encodeRunFooter(uint64(len(entries)), indexOff, indexLen, filterOff, filterLen)); err != nil {
+		return fmt.Errorf("run footer: %w", err)
 	}
 	return nil
 }
@@ -390,7 +387,7 @@ func loadRun(f *os.File, seq uint64) (*runReader, error) {
 	if _, err := f.ReadAt(footer, size-runFooterLen); err != nil {
 		return nil, fmt.Errorf("reading footer: %w", err)
 	}
-	if got := crc32.Checksum(footer[:40], crcTable); got != binary.LittleEndian.Uint32(footer[40:44]) {
+	if got := framing.Checksum(footer[:40]); got != binary.LittleEndian.Uint32(footer[40:44]) {
 		return nil, fmt.Errorf("footer CRC mismatch")
 	}
 	if magic := binary.LittleEndian.Uint32(footer[0:4]); magic != runMagic {
@@ -408,7 +405,7 @@ func loadRun(f *os.File, seq uint64) (*runReader, error) {
 		return nil, fmt.Errorf("footer regions do not tile the file")
 	}
 
-	filterPayload, err := readFrameAt(f, filterOff, filterLen)
+	filterPayload, err := framing.ReadAt(f, filterOff, int(filterLen), maxRecordBytes)
 	if err != nil {
 		return nil, fmt.Errorf("filter: %w", err)
 	}
@@ -416,7 +413,7 @@ func loadRun(f *os.File, seq uint64) (*runReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	indexPayload, err := readFrameAt(f, indexOff, indexLen)
+	indexPayload, err := framing.ReadAt(f, indexOff, int(indexLen), maxRecordBytes)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
@@ -427,34 +424,13 @@ func loadRun(f *os.File, seq uint64) (*runReader, error) {
 	return &runReader{seq: seq, f: f, entryCount: entryCount, index: index, filter: filter}, nil
 }
 
-// readFrameAt reads one framed record of known framed length at off,
-// verifying the length prefix and checksum.
-func readFrameAt(f *os.File, off int64, flen uint32) ([]byte, error) {
-	if flen <= frameHeaderLen {
-		return nil, fmt.Errorf("framed length %d is too short", flen)
-	}
-	buf := make([]byte, flen)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("reading frame at %d: %w", off, err)
-	}
-	length := binary.LittleEndian.Uint32(buf[0:4])
-	if length != flen-frameHeaderLen {
-		return nil, fmt.Errorf("frame at %d declares %d payload bytes, expected %d", off, length, flen-frameHeaderLen)
-	}
-	payload := buf[frameHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, fmt.Errorf("frame CRC mismatch at %d", off)
-	}
-	return payload, nil
-}
-
 func (r *runReader) close() error { return r.f.Close() }
 
 // readBlock fetches and decodes data block i straight from the file
 // (callers go through the LSM block cache; this is the miss path).
 func (r *runReader) readBlock(i int) ([]runEntry, error) {
 	m := r.index[i]
-	payload, err := readFrameAt(r.f, m.off, m.flen)
+	payload, err := framing.ReadAt(r.f, m.off, int(m.flen), maxRecordBytes)
 	if err != nil {
 		return nil, fmt.Errorf("statedb: run %d block %d: %w", r.seq, i, err)
 	}

@@ -10,7 +10,8 @@
 // Storage lives behind the Backend interface: New returns the trivial
 // single-lock map backend, NewSharded a backend with per-shard locks so
 // endorsement reads stop contending with commit writes, and NewDisk a
-// persistent backend — an append-only CRC-framed record log plus periodic
+// persistent backend — an append-only log of internal/framing records
+// (docs/PERSISTENCE.md, "Record format and recovery") plus periodic
 // snapshot compaction — whose contents and last-committed block height
 // survive restarts, so a reopened peer resumes from where it stopped
 // instead of replaying the chain (DESIGN.md §4). NewLSM is the second
@@ -20,8 +21,8 @@
 // RAM.
 //
 // Even durable, the world state is only a cache: the ledger's durable
-// block store (internal/blockstore, on by default beside a disk-backed
-// state) is the recovery root it can always be rebuilt from (DESIGN.md
+// block store (internal/blockstore, always kept beside a durable state)
+// is the recovery root it can always be rebuilt from (DESIGN.md
 // §8, docs/PERSISTENCE.md).
 package statedb
 

@@ -1,8 +1,9 @@
 // Package wire is the framed-TCP implementation of transport.Transport: the
 // four FabricCRDT streams (Deliver, Broadcast, Endorse, Submit) multiplexed
-// over one TCP connection as length-prefixed, CRC-checked, version-tagged
-// JSON frames — the same framing discipline as the durable block store
-// (internal/blockstore), lifted onto a socket. Serve exposes a
+// over one TCP connection as version-tagged JSON messages inside
+// internal/framing frames — the record discipline of the durable stores
+// (docs/PERSISTENCE.md, "Record format and recovery"), lifted onto a
+// socket. Serve exposes a
 // transport.Transport (usually a *transport.Node) on a listener; Dial
 // returns a client Transport that lazily connects, multiplexes concurrent
 // calls by stream id, verifies per-stream sequence numbers, and reports
@@ -13,10 +14,10 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"fabriccrdt/internal/framing"
 )
 
 // Version is the wire protocol version carried by every frame. A receiver
@@ -24,26 +25,18 @@ import (
 // together.
 const Version = 1
 
-// Frame layout, mirroring the block store's record discipline:
+// Every message is one framing frame whose payload starts with a fixed
+// header, followed by frame-type-specific JSON:
 //
-//	[4B LE frame length][4B LE CRC-32C][1B version][1B type][8B LE stream][8B LE seq][body]
-//
-// The frame length counts everything after the CRC (version byte through
-// body); the CRC-32C (Castagnoli) covers those same bytes. The 18 fixed
-// bytes after the CRC are the frame header; the body is frame-type-specific
-// JSON.
+//	[1B version][1B type][8B LE stream][8B LE seq][body]
 const (
-	// prefixLen is the length prefix + checksum preceding every frame.
-	prefixLen = 8
-	// headerLen is the fixed header covered by the length and CRC.
+	// headerLen is the fixed header opening every payload.
 	headerLen = 1 + 1 + 8 + 8
-	// MaxFrameBytes caps a frame's declared length BEFORE any allocation —
-	// a corrupt or hostile length prefix must not balloon memory. 64 MiB
-	// comfortably clears any block the cutter produces.
+	// MaxFrameBytes caps a frame's declared payload length BEFORE any
+	// allocation — a corrupt or hostile length prefix must not balloon
+	// memory. 64 MiB comfortably clears any block the cutter produces.
 	MaxFrameBytes = 64 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameType discriminates the multiplexed traffic on a connection.
 type frameType uint8
@@ -97,57 +90,42 @@ type wireError struct {
 // writeFrame encodes and writes one frame. Callers serialize writes per
 // connection (a torn interleaved frame is unrecoverable for the reader).
 func writeFrame(w io.Writer, f frame) error {
-	n := headerLen + len(f.Body)
-	if n > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	buf := make([]byte, framing.HeaderLen+headerLen+len(f.Body))
+	payload := buf[framing.HeaderLen:]
+	payload[0] = Version
+	payload[1] = byte(f.Type)
+	binary.LittleEndian.PutUint64(payload[2:10], f.Stream)
+	binary.LittleEndian.PutUint64(payload[10:18], f.Seq)
+	copy(payload[headerLen:], f.Body)
+	if err := framing.Seal(buf, MaxFrameBytes); err != nil {
+		return fmt.Errorf("wire: %w", err)
 	}
-	buf := make([]byte, prefixLen+n)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
-	buf[8] = Version
-	buf[9] = byte(f.Type)
-	binary.LittleEndian.PutUint64(buf[10:18], f.Stream)
-	binary.LittleEndian.PutUint64(buf[18:26], f.Seq)
-	copy(buf[26:], f.Body)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[8:], crcTable))
 	_, err := w.Write(buf)
 	return err
 }
 
 // readFrame reads and verifies one frame. Any malformed input — truncation,
-// a length prefix beyond MaxFrameBytes or below the header size, a checksum
-// mismatch, a version mismatch — returns an error; readFrame never panics
-// and never allocates more than the declared (capped) length. The fuzz
-// harness (frame_fuzz_test.go) holds it to that.
+// a length prefix beyond MaxFrameBytes, a checksum mismatch, a payload
+// shorter than the header, a version mismatch — returns an error; readFrame
+// never panics and never allocates more than the declared (capped) length.
+// The fuzz harnesses here and in internal/framing hold it to that. io.EOF
+// at a frame boundary is a clean close.
 func readFrame(r io.Reader) (frame, error) {
-	var prefix [prefixLen]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return frame{}, err // io.EOF at a frame boundary = clean close
+	payload, err := framing.Read(r, MaxFrameBytes)
+	if err != nil {
+		return frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(prefix[0:4])
-	if n > MaxFrameBytes {
-		return frame{}, fmt.Errorf("wire: frame length %d exceeds limit %d", n, MaxFrameBytes)
+	if len(payload) < headerLen {
+		return frame{}, fmt.Errorf("wire: frame length %d below header size %d", len(payload), headerLen)
 	}
-	if n < headerLen {
-		return frame{}, fmt.Errorf("wire: frame length %d below header size %d", n, headerLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return frame{}, fmt.Errorf("wire: truncated frame: %w", err)
-	}
-	if got, want := crc32.Checksum(buf, crcTable), binary.LittleEndian.Uint32(prefix[4:8]); got != want {
-		return frame{}, fmt.Errorf("wire: frame checksum mismatch: computed %08x, recorded %08x", got, want)
-	}
-	if buf[0] != Version {
-		return frame{}, fmt.Errorf("wire: protocol version %d, want %d", buf[0], Version)
+	if payload[0] != Version {
+		return frame{}, fmt.Errorf("wire: protocol version %d, want %d", payload[0], Version)
 	}
 	return frame{
-		Type:   frameType(buf[1]),
-		Stream: binary.LittleEndian.Uint64(buf[2:10]),
-		Seq:    binary.LittleEndian.Uint64(buf[10:18]),
-		Body:   buf[18:],
+		Type:   frameType(payload[1]),
+		Stream: binary.LittleEndian.Uint64(payload[2:10]),
+		Seq:    binary.LittleEndian.Uint64(payload[10:18]),
+		Body:   payload[headerLen:],
 	}, nil
 }
 

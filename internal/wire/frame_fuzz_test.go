@@ -2,11 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"io"
 	"testing"
+
+	"fabriccrdt/internal/framing"
 )
 
 // validFrameBytes encodes one well-formed frame for seeding.
@@ -20,36 +21,25 @@ func validFrameBytes(t frameType, stream, seq uint64, body []byte) []byte {
 
 // FuzzReadFrame holds the decoder to its contract on arbitrary input:
 // error, never panic, never allocate beyond the declared (capped) length.
-// The seed corpus (testdata/fuzz/FuzzReadFrame plus the f.Add cases below)
-// covers every rejection path: truncation at each boundary, checksum
-// mismatch, version mismatch, and length prefixes below the header size or
-// beyond MaxFrameBytes.
+// The seeds below are the rejections wire itself owns — a version mismatch
+// and a payload shorter than the header; the committed corpus
+// (testdata/fuzz/FuzzReadFrame) adds every framing-level one (truncation at
+// each boundary, checksum mismatch, over-cap length), which
+// internal/framing's FuzzFrame explores in depth.
 func FuzzReadFrame(f *testing.F) {
 	valid := validFrameBytes(ftMsg, 3, 7, []byte(`{"header":{"number":4}}`))
 	f.Add(valid)
-	f.Add(valid[:3])                           // truncated inside the length prefix
-	f.Add(valid[:prefixLen])                   // truncated before the header
-	f.Add(valid[:prefixLen+5])                 // truncated inside the header
-	f.Add(valid[:len(valid)-1])                // truncated inside the body
-	f.Add([]byte{})                            // empty input
 	f.Add(validFrameBytes(ftHello, 0, 0, nil)) // empty body
 
-	badCRC := append([]byte(nil), valid...)
-	badCRC[6] ^= 0xFF
-	f.Add(badCRC)
-
 	badVersion := append([]byte(nil), valid...)
-	badVersion[prefixLen] = 0x7F
-	binary.LittleEndian.PutUint32(badVersion[4:8], crc32.Checksum(badVersion[prefixLen:], crcTable))
-	f.Add(badVersion)
-
-	oversized := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(oversized[0:4], MaxFrameBytes+1)
-	f.Add(oversized)
-
-	undersized := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(undersized[0:4], headerLen-1)
-	f.Add(undersized)
+	badVersion[framing.HeaderLen] = 0x7F
+	short := append([]byte(nil), valid[:framing.HeaderLen+headerLen-1]...)
+	for _, seed := range [][]byte{badVersion, short} {
+		if err := framing.Seal(seed, MaxFrameBytes); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := readFrame(bytes.NewReader(data))
@@ -62,15 +52,16 @@ func FuzzReadFrame(f *testing.F) {
 		if werr := writeFrame(&buf, got); werr != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", werr)
 		}
-		consumed := prefixLen + headerLen + len(got.Body)
+		consumed := framing.HeaderLen + headerLen + len(got.Body)
 		if !bytes.Equal(buf.Bytes(), data[:consumed]) {
 			t.Fatalf("decode/encode round trip diverged:\n in: %x\nout: %x", data[:consumed], buf.Bytes())
 		}
 	})
 }
 
-// TestReadFrameRejections pins each rejection path deterministically (the
-// fuzz corpus exercises them too, but these run on every plain `go test`).
+// TestReadFrameRejections pins the rejections wire itself owns — an intact
+// frame whose payload is not a wire message — on every plain `go test`.
+// Truncation, checksum and length-cap damage is internal/framing's matrix.
 func TestReadFrameRejections(t *testing.T) {
 	valid := validFrameBytes(ftMsg, 1, 1, []byte(`{}`))
 
@@ -78,27 +69,15 @@ func TestReadFrameRejections(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 	}{
-		{"TruncatedPrefix", func(b []byte) []byte { return b[:5] }},
-		{"TruncatedHeader", func(b []byte) []byte { return b[:prefixLen+3] }},
-		{"TruncatedBody", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"BadChecksum", func(b []byte) []byte { b[prefixLen] ^= 0x01; return b }},
-		{"BadVersion", func(b []byte) []byte {
-			b[prefixLen] = 99
-			binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[prefixLen:], crcTable))
-			return b
-		}},
-		{"OversizedLength", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[0:4], MaxFrameBytes+1)
-			return b
-		}},
-		{"UndersizedLength", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[0:4], headerLen-1)
-			return b
-		}},
+		{"BadVersion", func(b []byte) []byte { b[framing.HeaderLen] = 99; return b }},
+		{"PayloadBelowHeaderSize", func(b []byte) []byte { return b[:framing.HeaderLen+headerLen-1] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), valid...))
+			if err := framing.Seal(data, MaxFrameBytes); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := readFrame(bytes.NewReader(data)); err == nil {
 				t.Fatal("corrupt frame decoded")
 			}
@@ -110,13 +89,26 @@ func TestReadFrameRejections(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty reader: got %v, want io.EOF", err)
 	}
+}
 
-	// And the valid frame itself decodes.
-	got, err := readFrame(bytes.NewReader(valid))
+// TestGoldenBytes pins the protocol bytes: the fixture is what the
+// pre-framing encoder (PR 12, wire.Version 1) put on the socket for this
+// frame. It must decode, and re-encode to the same bytes.
+func TestGoldenBytes(t *testing.T) {
+	const golden = "2100000069fcda760106080706050403020109000000000000007b22676f6c64656e223a747275657d"
+	want := frame{Type: ftMsg, Stream: 0x0102030405060708, Seq: 9, Body: []byte(`{"golden":true}`)}
+	raw, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != ftMsg || got.Stream != 1 || got.Seq != 1 || string(got.Body) != `{}` {
-		t.Fatalf("valid frame mangled: %+v", got)
+	got, err := readFrame(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Type != want.Type || got.Stream != want.Stream || got.Seq != want.Seq || !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("golden frame decoded to %+v, want %+v", got, want)
+	}
+	if enc := hex.EncodeToString(validFrameBytes(want.Type, want.Stream, want.Seq, want.Body)); enc != golden {
+		t.Fatalf("frame encodes to %s, want the golden %s", enc, golden)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"sync"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/obs"
 )
 
@@ -26,10 +27,10 @@ var (
 	reconnects      = obs.Default().Counter(obs.MetricWireReconnects)
 )
 
-// frameBytes is a frame's full on-the-wire size: length prefix + CRC,
-// fixed header, body.
+// frameBytes is a frame's full on-the-wire size: framing header, fixed
+// header, body.
 func frameBytes(f frame) int64 {
-	return int64(prefixLen + headerLen + len(f.Body))
+	return int64(framing.HeaderLen + headerLen + len(f.Body))
 }
 
 // liveClients tracks every open Client so one scrape-time gauge can report
