@@ -67,21 +67,25 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # The regression gate CI runs on pull requests (ROADMAP 1(d)): check BASE
-# out into a worktree, run iot_cold three times per side — alternating
-# which side goes first, end-to-end pass only since that is all -compare
-# reads — and compare the two result sets with each metric's own bound.
-# Fails on a REGRESSION verdict; an unresolved row (run-to-run spread
-# wider than the bound) is printed, not failed.
+# out into a worktree, run iot_cold (the cold-key commit path) and iot_hot
+# (the paper's all-conflicting workload, where the merge path dominates)
+# three times per side — alternating which side goes first, end-to-end
+# pass only since that is all -compare reads — and compare the two result
+# sets with each metric's own bound. Fails on a REGRESSION verdict; an
+# unresolved row (run-to-run spread wider than the bound) is printed, not
+# failed.
 BASE ?= origin/main
 GATE := $(CURDIR)/.bench_build/gate
 bench-gate:
 	@set -e; rm -rf $(GATE); mkdir -p $(GATE); git worktree prune; \
 	git worktree add --detach --force $(GATE)/base $(BASE); \
 	trap 'git worktree remove --force $(GATE)/base' EXIT; \
-	run() { bash $$1/bench/run.sh -workload iot_cold -seconds 12 -trace 0 -out $(GATE)/$$2.json; }; \
-	run $(GATE)/base base; run . head; \
-	run . head; run $(GATE)/base base; \
-	run $(GATE)/base base; run . head; \
+	run() { bash $$1/bench/run.sh -workload $$3 -seconds 12 -trace 0 -out $(GATE)/$$2.json; }; \
+	for w in iot_cold iot_hot; do \
+		run $(GATE)/base base $$w; run . head $$w; \
+		run . head $$w; run $(GATE)/base base $$w; \
+		run $(GATE)/base base $$w; run . head $$w; \
+	done; \
 	bash bench/run.sh -compare $(GATE)/base.json $(GATE)/head.json | tee $(GATE)/table.txt; \
 	! grep -q REGRESSION $(GATE)/table.txt
 

@@ -1,8 +1,8 @@
 // Benchmarks regenerating (at reduced scale) every figure of the paper's
-// evaluation, plus the ablations called out in DESIGN.md. Each figure bench
-// runs one representative cell per sub-range; the full parameter sweeps at
-// paper scale are produced by cmd/fabriccrdt-bench, whose output is recorded
-// in EXPERIMENTS.md.
+// evaluation, plus the ablation called out in DESIGN.md A1. Each figure
+// bench runs one representative cell per sub-range; the full parameter
+// sweeps at paper scale are produced by cmd/fabriccrdt-bench, whose -compare
+// flag prints them beside the paper's numbers (calibration: DESIGN.md S18).
 //
 // Run: go test -bench=. -benchmem .
 package fabriccrdt_test
@@ -53,7 +53,7 @@ func figConfig(mode simnet.Mode, blockSize int, rate float64, wl workload.IoTPar
 		TotalTx:   benchTotalTx,
 		Workload:  wl,
 		Latency:   benchModel(),
-		Engine:    core.Options{FreshDocPerBlock: true},
+		Engine:    core.Options{PaperLiteral: true},
 	}
 }
 
@@ -148,42 +148,17 @@ func mergeBlockFixture(blockSize int) *ledger.Block {
 	return &ledger.Block{Header: ledger.BlockHeader{Number: 1}, Transactions: txs}
 }
 
-// BenchmarkAblationSecondPass quantifies DESIGN.md A1: Algorithm 1's
-// literal per-transaction reserialization versus serialize-once-per-key.
-func BenchmarkAblationSecondPass(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"paper-literal", core.Options{FreshDocPerBlock: true}},
-		{"once-per-key", core.Options{FreshDocPerBlock: true, SerializeOncePerKey: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				block := mergeBlockFixture(400)
-				engine := core.NewEngine(statedb.New(), variant.opts)
-				codes := make([]ledger.ValidationCode, len(block.Transactions))
-				b.StartTimer()
-				if _, err := engine.MergeBlock(block, codes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSeeding quantifies DESIGN.md §3: the paper-literal fresh
-// document per block versus cross-block seeding (true no-update-loss),
+// BenchmarkAblationPaperLiteral quantifies DESIGN.md A1: Algorithm 1 as
+// printed (a fresh document per block, re-serialized per transaction)
+// versus the peer's engine (seeded across blocks, serialized once per key),
 // committing 20 consecutive 25-transaction blocks to one key.
-func BenchmarkAblationSeeding(b *testing.B) {
+func BenchmarkAblationPaperLiteral(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"fresh-per-block", core.Options{FreshDocPerBlock: true}},
-		{"cross-block-seeded", core.Options{}},
+		{"paper-literal", core.Options{PaperLiteral: true}},
+		{"peer", core.Options{}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,10 +8,11 @@
 //	fabriccrdt-bench -experiment fig3        # one figure
 //	fabriccrdt-bench -txs 2000 -parallel 8   # reduced scale, more parallel
 //
-// Results should be compared against EXPERIMENTS.md, which records the
-// paper's numbers next to a reference run of this command. Accurate virtual
-// times need low -parallel values (cells measure their own CPU; heavy
-// co-scheduling inflates it); -parallel 1 gives the most stable numbers.
+// -compare prints the paper's numbers beside the measured ones; DESIGN.md
+// S18 records how the latency model is calibrated against them. Accurate
+// virtual times need low -parallel values (cells measure their own CPU;
+// heavy co-scheduling inflates it); -parallel 1 gives the most stable
+// numbers.
 package main
 
 import (

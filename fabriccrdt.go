@@ -45,8 +45,6 @@ type (
 	OrgConfig = fabricnet.OrgConfig
 	// OrdererConfig mirrors Fabric's BatchSize/BatchTimeout settings.
 	OrdererConfig = orderer.Config
-	// EngineOptions tunes the CRDT merge engine.
-	EngineOptions = core.Options
 	// CommitterConfig selects every peer's world-state backend
 	// (Backend/DataDir/SyncEveryApply/StateCacheBytes — see the Backend*
 	// constants). A peer on a durable backend (BackendDisk, BackendLSM)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/orderer"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
@@ -101,7 +100,7 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 		"misspelled-entry": {Backend: "Memory"},
 		"misspelled-lsm":   {Backend: "LSM"},
 	} {
-		if _, err := NewRuntime("ch1", committer, core.Options{}); err == nil {
+		if _, err := NewRuntime("ch1", committer); err == nil {
 			t.Errorf("%s: NewRuntime accepted %+v", name, committer)
 		}
 	}
@@ -113,7 +112,7 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 		{Backend: BackendLSM, DataDir: t.TempDir()},
 		{Backend: BackendLSM, DataDir: t.TempDir(), StateCacheBytes: 1 << 20},
 	} {
-		rt, err := NewRuntime("ch1", committer, core.Options{})
+		rt, err := NewRuntime("ch1", committer)
 		if err != nil {
 			t.Errorf("NewRuntime(%+v): %v", committer, err)
 			continue
@@ -135,7 +134,7 @@ func TestDiskRuntimePerChannelLayout(t *testing.T) {
 	dir := t.TempDir()
 	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
 	for _, id := range []string{"ch1", "ch2"} {
-		rt, err := NewRuntime(id, committer, core.Options{})
+		rt, err := NewRuntime(id, committer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +159,7 @@ func TestNewRuntimeRejectsLegacyStore(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "state.log"), []byte{}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := NewRuntime("ch1", CommitterConfig{Backend: BackendDisk, DataDir: dir}, core.Options{})
+	_, err := NewRuntime("ch1", CommitterConfig{Backend: BackendDisk, DataDir: dir})
 	if err == nil {
 		t.Fatal("NewRuntime opened beside a legacy store")
 	}
@@ -178,7 +177,7 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
 	// A fresh runtime leaves the channel's block log (genesis only) in
 	// place; the state is then advanced behind its back, checkpoint-less.
-	rt, err := NewRuntime("ch1", committer, core.Options{})
+	rt, err := NewRuntime("ch1", committer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRuntime("ch1", committer, core.Options{})
+	_, err = NewRuntime("ch1", committer)
 	if err == nil {
 		t.Fatal("NewRuntime accepted a durable store with height but no checkpoint")
 	}
@@ -210,12 +209,12 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 func TestRuntimeDedupIsChannelLocal(t *testing.T) {
 	dir := t.TempDir()
 	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
-	rt1, err := NewRuntime("ch1", committer, core.Options{})
+	rt1, err := NewRuntime("ch1", committer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt1.Close()
-	rt2, err := NewRuntime("ch2", committer, core.Options{})
+	rt2, err := NewRuntime("ch2", committer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ type Runtime struct {
 // log against the state checkpoint and replays any blocks the log durably
 // holds beyond it (a crash window the append-first commit order makes
 // possible; DESIGN.md §8).
-func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (*Runtime, error) {
+func NewRuntime(id string, committer CommitterConfig) (*Runtime, error) {
 	rt := &Runtime{
 		id:           id,
 		committedIDs: make(map[string]struct{}),
@@ -139,7 +139,7 @@ func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (
 		}
 	}
 	rt.validator = mvcc.New(db)
-	rt.engine = core.NewEngine(db, engineOpts)
+	rt.engine = core.NewEngine(db, core.Options{})
 	chain, err := rt.recoverChain()
 	if err != nil {
 		rt.Close()

@@ -3,16 +3,22 @@
 // (paper §5, Algorithms 1 and 2).
 //
 // Within a block, every CRDT-flagged write to the same key is merged into
-// one JSON CRDT document; the converged document then replaces the value in
-// every one of those transactions' write sets, so all of them commit and no
-// update is lost. Non-CRDT transactions are untouched and go through stock
-// MVCC validation.
+// one CRDT state; the converged value then replaces the value in every one
+// of those transactions' write sets, so all of them commit and no update is
+// lost. Non-CRDT transactions are untouched and go through stock MVCC
+// validation.
 //
-// Cross-block continuity: each ledger key's full JSON CRDT document (with
-// operation metadata) is persisted in the state database's metadata space
-// and reloaded to seed the merge of later blocks, so deltas merge against
-// the key's complete history (DESIGN.md §3 records this clarification of
-// the paper's delta semantics).
+// A key's state is a JSON CRDT document (the paper's datatype) or a classic
+// CRDT from internal/crdt (the paper's future work), fixed by the key's
+// first write and kept for good. Both kinds sit behind one keyState
+// interface (state.go) that seeds, merges, converges and persists, so the
+// merge loop has one path for each.
+//
+// Cross-block continuity: each key's full state (with operation metadata)
+// is persisted in the state database's metadata space and reloaded to seed
+// the merge of later blocks, so deltas merge against the key's complete
+// history (DESIGN.md §3 records this clarification of the paper's delta
+// semantics; Options.PaperLiteral restores the algorithm as printed).
 //
 // The merge is organized as independent per-key groups: all CRDT writes to
 // one key, in block order, form one group, and distinct groups share no
@@ -22,21 +28,14 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
-	"fabriccrdt/internal/crdt"
-	"fabriccrdt/internal/jsoncrdt"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
 )
-
-// MetaPrefix namespaces persisted CRDT documents in the state database's
-// metadata space.
-const MetaPrefix = "crdt/"
 
 // MergeReplica is the replica identifier every peer's merge engine stamps
 // operations with. It must be identical on all peers: peers observe blocks
@@ -47,55 +46,41 @@ const MergeReplica = "fabriccrdt"
 
 // Options tune the engine.
 type Options struct {
-	// SerializeOncePerKey replaces Algorithm 1's literal second pass —
-	// which re-serializes the converged document into every transaction's
-	// write set (lines 16–22, O(txs × doc size) per block) — with a
-	// serialize-once-per-key cache. Off by default for paper fidelity;
-	// the ablation benchmark (DESIGN.md A1) quantifies the difference.
-	SerializeOncePerKey bool
-	// FreshDocPerBlock is the paper-literal Algorithm 1 behaviour: every
-	// block starts from InitEmptyCRDT, so only the block's own deltas are
-	// merged and nothing is persisted across blocks. The committed world
-	// state then holds only the LAST block's converged readings — updates
-	// from earlier blocks survive solely in the blockchain history. Off
-	// by default: the library seeds each block's documents from the
-	// persisted state so "no update loss" holds across blocks too
-	// (DESIGN.md §3). The paper's evaluation is reproduced with this ON,
-	// which is what yields Figure 3's block-size-dependent merge cost.
-	FreshDocPerBlock bool
+	// PaperLiteral runs Algorithm 1 as printed: every block starts each
+	// JSON key from InitEmptyCRDT, so only the block's own deltas merge and
+	// no document is persisted, and the converged document is re-serialized
+	// into every merged transaction's write set (lines 16–22, O(txs × doc
+	// size) per block). The committed world state then holds only the LAST
+	// block's converged readings; earlier blocks survive solely in the
+	// chain. Only the paper-figure simulator sets it: Figure 3's
+	// block-size-dependent merge cost comes from exactly this (DESIGN.md §3,
+	// A1). Off — every peer — seeds each key from its persisted state, so
+	// "no update loss" holds across blocks too, and serializes each key's
+	// converged value once per block.
+	PaperLiteral bool
 }
 
 // Engine merges the CRDT transactions of blocks for one peer.
 type Engine struct {
-	db       *statedb.DB
-	opts     Options
-	registry *crdt.Registry
+	db   *statedb.DB
+	opts Options
 }
 
-// NewEngine returns a merge engine reading and persisting CRDT document
-// state through db.
+// NewEngine returns a merge engine reading and persisting CRDT state
+// through db.
 func NewEngine(db *statedb.DB, opts Options) *Engine {
-	return &Engine{db: db, opts: opts, registry: crdt.NewRegistry()}
+	return &Engine{db: db, opts: opts}
 }
-
-// Registry exposes the datatype registry so deployments can register
-// custom CRDTs before committing blocks that use them.
-func (e *Engine) Registry() *crdt.Registry { return e.registry }
 
 // Result summarizes one block's merge.
 type Result struct {
-	// MergedTxCount is the number of transactions committed via the CRDT
-	// path.
-	MergedTxCount int
-	// MergedKeys lists the distinct ledger keys whose documents were
+	// MergedKeys lists the distinct ledger keys whose states were
 	// extended, in first-touch order.
 	MergedKeys []string
-	// DocStates holds the serialized post-merge JSON CRDT document per
-	// key, to be written to the metadata space by the commit batch.
-	DocStates map[string][]byte
-	// TypedStates holds the serialized post-merge classic-CRDT state per
-	// key (the future-work datatypes).
-	TypedStates map[string][]byte
+	// States holds each merged key's serialized post-merge state by
+	// metadata key (MetaPrefix or TypedMetaPrefix + ledger key), to be
+	// written to the metadata space by the commit batch.
+	States map[string][]byte
 }
 
 // mergeOp is one CRDT-flagged write scheduled into a key-group: the write
@@ -115,15 +100,15 @@ type keyGroup struct {
 	key string
 	ops []*mergeOp
 
-	// Outputs of the merge pass.
-	doc   *jsoncrdt.Doc
-	typed *typedState
-	err   error // hard failure (corrupt persisted state), not a bad delta
+	// state is seeded by the group's first write that seeds cleanly.
+	state keyState
+	// err is a hard failure (corrupt persisted state, unserializable
+	// state), not a bad delta.
+	err error
 
-	// Outputs of the finish pass (serialization).
-	docState   []byte
-	typedState []byte
-	finishErr  error
+	// Output of the finish pass: the state to persist, if any.
+	metaKey   string
+	metaState []byte
 }
 
 // MergeBlock implements Algorithm 1 (ValidateMergeBlock). codes[i] must be
@@ -132,11 +117,11 @@ type keyGroup struct {
 // codes[i] = CodeCRDTMerged for every transaction it commits via the merge
 // path (the paper's SkipMVCCValidation flag) and CodeInvalidCRDT for CRDT
 // transactions carrying unparseable values. Write-set values of merged
-// transactions are rewritten in place to the converged documents.
+// transactions are rewritten in place to the converged values.
 //
 // A transaction is merged only if every one of its CRDT writes merges
 // cleanly; a bad delta fails the transaction (CodeInvalidCRDT) while its
-// other writes still extend their keys' documents, exactly as its earlier
+// other writes still extend their keys' states, exactly as its earlier
 // writes already did — one transaction's failure never rolls back a key
 // group, in any interleaving.
 //
@@ -184,10 +169,7 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 	}
 
 	// Validation codes: a candidate is merged iff all its writes merged.
-	res := Result{
-		DocStates:   make(map[string][]byte),
-		TypedStates: make(map[string][]byte),
-	}
+	res := Result{States: make(map[string][]byte)}
 	txFailed := make(map[int]bool)
 	for _, item := range flat {
 		if !item.op.ok {
@@ -200,7 +182,6 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 			continue
 		}
 		codes[txIdx] = ledger.CodeCRDTMerged
-		res.MergedTxCount++
 	}
 
 	// MergedKeys in first-successful-touch block order.
@@ -217,26 +198,15 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 	}
 
 	// Finish pass (Algorithm 1 lines 16–22): rewrite every merged
-	// transaction's CRDT write values with the converged documents,
-	// metadata stripped, and serialize the states to persist. The paper's
-	// literal algorithm converts the document anew for every transaction;
-	// SerializeOncePerKey caches it.
+	// transaction's CRDT write values with the converged values, metadata
+	// stripped, and serialize the states to persist.
 	parallel.ForEach(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
 	for _, g := range groups {
-		if g.finishErr != nil {
-			return Result{}, g.finishErr
+		if g.err != nil {
+			return Result{}, g.err
 		}
-	}
-
-	for _, g := range groups {
-		if g.typedState != nil {
-			// Always persisted, even in fresh-per-block mode — a
-			// state-based join is cheap and counters are meaningless
-			// without continuity.
-			res.TypedStates[g.key] = g.typedState
-		}
-		if g.docState != nil {
-			res.DocStates[g.key] = g.docState
+		if g.metaKey != "" {
+			res.States[g.metaKey] = g.metaState
 		}
 	}
 	return res, nil
@@ -281,10 +251,8 @@ func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
 // failed and the group continues; hard failures (corrupt persisted state)
 // stop the group.
 func (e *Engine) runGroup(g *keyGroup) {
-	docs := make(map[string]*jsoncrdt.Doc, 1)
-	typed := make(map[string]*typedState, 1)
 	for _, op := range g.ops {
-		err := e.mergeWrite(docs, typed, op.w)
+		err := e.mergeWrite(g, op.w)
 		switch {
 		case err == nil:
 			op.ok = true
@@ -296,8 +264,19 @@ func (e *Engine) runGroup(g *keyGroup) {
 			return
 		}
 	}
-	g.doc = docs[g.key]
-	g.typed = typed[g.key]
+}
+
+// mergeWrite joins one write into its group's state, seeding the state
+// first if no earlier write did.
+func (e *Engine) mergeWrite(g *keyGroup, w *rwset.Write) error {
+	if g.state == nil {
+		st, err := e.seed(w)
+		if err != nil {
+			return err
+		}
+		g.state = st
+	}
+	return g.state.merge(w)
 }
 
 // firstMergeError returns the hard error of the earliest (block-order)
@@ -313,140 +292,46 @@ func firstMergeError(flat []flatOp) error {
 }
 
 // finishGroup serializes one group's converged value into every merged
-// transaction's write set and marshals the post-merge states to persist.
+// transaction's write set and marshals the post-merge state to persist.
+// Options.PaperLiteral re-serializes the value for every transaction, as
+// Algorithm 1 prints it; otherwise all of them share one serialization.
 func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
-	var cached []byte
+	if g.state == nil {
+		return // no write seeded the key, so none merged
+	}
+	var converged []byte
 	for _, op := range g.ops {
 		if codes[op.txIdx] != ledger.CodeCRDTMerged {
 			continue
 		}
-		converged := cached
-		if converged == nil {
-			var err error
-			switch {
-			case g.doc != nil:
-				converged, err = json.Marshal(g.doc.ToJSON())
-			case g.typed != nil:
-				converged, err = cleanTypedValue(g.typed)
-			default:
-				err = fmt.Errorf("core: merged write for key %q has no document", g.key)
-			}
+		if converged == nil || e.opts.PaperLiteral {
+			v, err := g.state.value()
 			if err != nil {
-				g.finishErr = fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
+				g.err = fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
 				return
 			}
-			if e.opts.SerializeOncePerKey {
-				cached = converged
-			}
+			converged = v
 		}
 		op.w.Value = converged
 	}
-	if g.typed != nil {
-		state, err := crdt.Marshal(g.typed.acc)
-		if err != nil {
-			g.finishErr = fmt.Errorf("core: persisting %s state for %q: %w", g.typed.typeName, g.key, err)
-			return
-		}
-		g.typedState = state
+	metaKey, state, err := g.state.persisted()
+	if err != nil {
+		g.err = fmt.Errorf("core: persisting state for %q: %w", g.key, err)
+		return
 	}
-	// Persist the post-merge JSON CRDT document for cross-block seeding
-	// (skipped in the paper-literal fresh-per-block mode).
-	if g.doc != nil && !e.opts.FreshDocPerBlock {
-		state, err := g.doc.MarshalBinary()
-		if err != nil {
-			g.finishErr = fmt.Errorf("core: persisting document for %q: %w", g.key, err)
-			return
-		}
-		g.docState = state
-	}
+	g.metaKey, g.metaState = metaKey, state
 }
 
 // errInvalidDelta marks merge failures attributable to the transaction's
-// data (unparseable delta, type conflicts); the transaction fails with
-// CodeInvalidCRDT while the block commit proceeds.
+// data (unparseable delta, kind or datatype conflicts); the transaction
+// fails with CodeInvalidCRDT while the block commit proceeds.
 var errInvalidDelta = errors.New("core: invalid CRDT delta")
 
-// mergeWrite routes one CRDT-flagged write to the JSON CRDT or the typed
-// classic-CRDT merge path. The maps are group-local: they only ever hold
-// the group's own key, so route conflicts (doc vs typed) are detected
-// exactly as they were when one block-wide map existed.
-func (e *Engine) mergeWrite(docs map[string]*jsoncrdt.Doc, typed map[string]*typedState, w *rwset.Write) error {
-	if w.CRDTType == "" {
-		if _, isTyped := typed[w.Key]; isTyped {
-			return fmt.Errorf("%w: key %q already merged as a typed CRDT in this block", errInvalidDelta, w.Key)
-		}
-		doc, err := e.docForKey(docs, w.Key)
-		if err != nil {
-			return err // corrupt persisted state: peer-side, hard failure
-		}
-		var delta any
-		if err := json.Unmarshal(w.Value, &delta); err != nil {
-			return fmt.Errorf("%w: %v", errInvalidDelta, err)
-		}
-		if err := doc.MergeJSON(delta); err != nil {
-			return fmt.Errorf("%w: %v", errInvalidDelta, err)
-		}
-		return nil
-	}
-	if _, isDoc := docs[w.Key]; isDoc {
-		return fmt.Errorf("%w: key %q already merged as a JSON CRDT in this block", errInvalidDelta, w.Key)
-	}
-	st, err := e.typedForKey(typed, w.Key, w.CRDTType)
-	switch {
-	case errors.Is(err, crdt.ErrTypeMismatch), errors.Is(err, crdt.ErrUnknownType):
-		return fmt.Errorf("%w: %v", errInvalidDelta, err)
-	case err != nil:
-		return err // corrupt persisted state: hard failure
-	}
-	if err := e.mergeTypedDelta(st, w.Value); err != nil {
-		return fmt.Errorf("%w: %v", errInvalidDelta, err)
-	}
-	return nil
-}
-
-// docForKey returns the block-local document for key, seeding it from the
-// persisted state of earlier blocks (InitEmptyCRDT in Algorithm 1, extended
-// with cross-block continuity).
-func (e *Engine) docForKey(docs map[string]*jsoncrdt.Doc, key string) (*jsoncrdt.Doc, error) {
-	if doc, ok := docs[key]; ok {
-		return doc, nil
-	}
-	doc := jsoncrdt.NewDoc(MergeReplica)
-	if !e.opts.FreshDocPerBlock {
-		if persisted := e.db.GetMeta(MetaPrefix + key); persisted != nil {
-			if err := doc.UnmarshalBinary(persisted); err != nil {
-				return nil, fmt.Errorf("core: loading persisted document for %q: %w", key, err)
-			}
-		}
-	}
-	docs[key] = doc
-	return doc, nil
-}
-
-// StageDocStates writes the merged document and typed-CRDT states into a
-// commit batch's metadata space.
+// StageDocStates writes the merged CRDT states into a commit batch's
+// metadata space.
 func StageDocStates(batch *statedb.UpdateBatch, res Result) {
 	//lint:sorted map-to-map staging; UpdateBatch is keyed, insertion order invisible
-	for key, state := range res.DocStates {
-		batch.PutMeta(MetaPrefix+key, state)
+	for metaKey, state := range res.States {
+		batch.PutMeta(metaKey, state)
 	}
-	//lint:sorted map-to-map staging; UpdateBatch is keyed, insertion order invisible
-	for key, state := range res.TypedStates {
-		batch.PutMeta(TypedMetaPrefix+key, state)
-	}
-}
-
-// LoadDoc returns the persisted CRDT document for a ledger key, or nil when
-// the key has never been CRDT-written. Read-side helpers (clients, examples)
-// use it to inspect merge metadata.
-func LoadDoc(db *statedb.DB, key string) (*jsoncrdt.Doc, error) {
-	persisted := db.GetMeta(MetaPrefix + key)
-	if persisted == nil {
-		return nil, nil
-	}
-	doc := jsoncrdt.NewDoc(MergeReplica)
-	if err := doc.UnmarshalBinary(persisted); err != nil {
-		return nil, fmt.Errorf("core: loading persisted document for %q: %w", key, err)
-	}
-	return doc, nil
 }

@@ -112,7 +112,7 @@ func TestMergeWorkersEquivalence(t *testing.T) {
 	if count[ledger.CodeInvalidCRDT] != 2 || count[ledger.CodeCRDTMerged] == 0 {
 		t.Fatalf("workload degenerate, code mix = %v", count)
 	}
-	if baseline[0].res.TypedStates["hits"] == nil {
+	if baseline[0].res.States[TypedMetaPrefix+"hits"] == nil {
 		t.Fatal("typed state not persisted")
 	}
 }

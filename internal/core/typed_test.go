@@ -85,8 +85,8 @@ func TestTypedCounterMergesConflictingIncrements(t *testing.T) {
 
 func TestTypedCounterAccumulatesAcrossBlocks(t *testing.T) {
 	db := statedb.New()
-	// Even in the paper-literal fresh mode, typed state persists.
-	e := NewEngine(db, Options{FreshDocPerBlock: true})
+	// Even in the paper-literal mode, typed state persists.
+	e := NewEngine(db, Options{PaperLiteral: true})
 	commitMerge(t, db, e, 1, typedTx(t, "t1", "votes", counterDelta("t1", 10)))
 	commitMerge(t, db, e, 2, typedTx(t, "t2", "votes", counterDelta("t2", 5)))
 	vv, _ := db.Get("votes")
@@ -207,6 +207,47 @@ func TestTypedPersistedTypeMismatchFailsTx(t *testing.T) {
 	}
 }
 
+// TestKindFixedAcrossBlocks: a key merged as a JSON document in one block
+// refuses a typed write in a later block, and vice versa, instead of
+// switching kind and leaving both states persisted.
+func TestKindFixedAcrossBlocks(t *testing.T) {
+	t.Run("json then typed", func(t *testing.T) {
+		db := statedb.New()
+		e := NewEngine(db, Options{})
+		commitMerge(t, db, e, 1, crdtTx("t1", "k", `{"a":["x"]}`))
+		if codes := commitMerge(t, db, e, 2, typedTx(t, "t2", "k", counterDelta("t2", 1))); codes[0] != ledger.CodeInvalidCRDT {
+			t.Fatalf("typed write over a JSON key = %v, want INVALID_CRDT_VALUE", codes[0])
+		}
+		codes := commitMerge(t, db, e, 3, crdtTx("t3", "k", `{"a":["y"]}`))
+		if codes[0] != ledger.CodeCRDTMerged {
+			t.Fatalf("JSON write = %v", codes[0])
+		}
+		vv, _ := db.Get("k")
+		if got := decodeJSON(t, vv.Value); !reflect.DeepEqual(got["a"], []any{"x", "y"}) {
+			t.Fatalf("k = %v, want both readings", got)
+		}
+		if c, err := LoadTypedCRDT(db, "k"); err != nil || c != nil {
+			t.Fatalf("typed state persisted for a JSON key: %v, %v", c, err)
+		}
+	})
+	t.Run("typed then json", func(t *testing.T) {
+		db := statedb.New()
+		e := NewEngine(db, Options{})
+		commitMerge(t, db, e, 1, typedTx(t, "t1", "k", counterDelta("t1", 2)))
+		if codes := commitMerge(t, db, e, 2, crdtTx("t2", "k", `{"a":["x"]}`)); codes[0] != ledger.CodeInvalidCRDT {
+			t.Fatalf("JSON write over a typed key = %v, want INVALID_CRDT_VALUE", codes[0])
+		}
+		commitMerge(t, db, e, 3, typedTx(t, "t3", "k", counterDelta("t3", 5)))
+		vv, _ := db.Get("k")
+		if string(vv.Value) != "7" {
+			t.Fatalf("k = %s, want 7", vv.Value)
+		}
+		if doc, err := LoadDoc(db, "k"); err != nil || doc != nil {
+			t.Fatalf("JSON document persisted for a typed key: %v, %v", doc, err)
+		}
+	})
+}
+
 func TestTypedCorruptPersistedStateIsHardError(t *testing.T) {
 	db := statedb.New()
 	batch := statedb.NewUpdateBatch()
@@ -231,7 +272,7 @@ func TestLoadTypedCRDTMissing(t *testing.T) {
 }
 
 // TestFreshModeShadowsEarlierBlocks pins the paper-literal anomaly that
-// DESIGN.md §3 documents: with InitEmptyCRDT per block (FreshDocPerBlock),
+// DESIGN.md §3 documents: with InitEmptyCRDT per block (PaperLiteral),
 // a later block's converged document OVERWRITES the world-state value, so
 // earlier blocks' JSON CRDT updates survive only in the chain history. The
 // library's default mode preserves them.
@@ -248,9 +289,9 @@ func TestFreshModeShadowsEarlierBlocks(t *testing.T) {
 		list, _ := doc["r"].([]any)
 		return len(list)
 	}
-	run := func(fresh bool) int {
+	run := func(literal bool) int {
 		db := statedb.New()
-		e := NewEngine(db, Options{FreshDocPerBlock: fresh})
+		e := NewEngine(db, Options{PaperLiteral: literal})
 		commitMerge(t, db, e, 1, crdtTx("t1", "dev", `{"r":["a"]}`))
 		commitMerge(t, db, e, 2, crdtTx("t2", "dev", `{"r":["b"]}`))
 		return readings(db)

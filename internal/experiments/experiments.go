@@ -116,9 +116,9 @@ func runCells(opts Options, rows []Row, cells []cell) error {
 }
 
 // baseConfig returns the shared simulation configuration. The merge engine
-// runs in the paper-literal fresh-document-per-block mode (Algorithm 1's
-// InitEmptyCRDT), which is what gives Figure 3 its block-size-dependent
-// merge cost; the Seeding ablation flips this.
+// runs Algorithm 1 as printed (a fresh document per block, the converged
+// document re-serialized per transaction), which is what gives Figure 3 its
+// block-size-dependent merge cost (DESIGN.md A1).
 func baseConfig(opts Options, mode simnet.Mode, blockSize int, rate float64, wl workload.IoTParams) simnet.Config {
 	return simnet.Config{
 		Mode:      mode,
@@ -127,7 +127,7 @@ func baseConfig(opts Options, mode simnet.Mode, blockSize int, rate float64, wl 
 		TotalTx:   opts.TotalTx,
 		Workload:  wl,
 		Latency:   opts.Latency,
-		Engine:    core.Options{FreshDocPerBlock: true},
+		Engine:    core.Options{PaperLiteral: true},
 	}
 }
 

@@ -49,10 +49,12 @@ func TestBlockSizeShape(t *testing.T) {
 				r.Label, r.CRDT.Throughput, r.Fabric.Throughput)
 		}
 	}
-	// Monotone-ish decline: first row beats last row clearly.
+	// Monotone-ish decline: first row beats last row clearly. The decline
+	// comes from the paper-literal per-transaction re-serialization;
+	// without it the two rows land within ~15% of each other.
 	first, last := fig.Rows[0].CRDT.Throughput, fig.Rows[len(fig.Rows)-1].CRDT.Throughput
-	if first <= last {
-		t.Fatalf("no decline: %.1f -> %.1f", first, last)
+	if first < 1.5*last {
+		t.Fatalf("no clear decline: %.1f -> %.1f (want a ratio of at least 1.5)", first, last)
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/channel"
 	"fabriccrdt/internal/client"
-	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
@@ -70,8 +69,6 @@ type Config struct {
 	Orderer  orderer.Config
 	// EnableCRDT makes every peer a FabricCRDT peer; off = stock Fabric.
 	EnableCRDT bool
-	// EngineOptions tunes the merge engine on every peer.
-	EngineOptions core.Options
 	// Committer selects every peer's statedb backend and its durability.
 	// With a durable Backend (peer.BackendDisk or peer.BackendLSM),
 	// Committer.DataDir is the shared root directory; each peer persists
@@ -180,12 +177,11 @@ func New(cfg Config) (*Network, error) {
 				committer.DataDir = filepath.Join(cfg.Committer.DataDir, name)
 			}
 			p, err := peer.New(peer.Config{
-				Name:          name,
-				MSPID:         org.MSPID,
-				Channels:      registry.IDs(),
-				EnableCRDT:    cfg.EnableCRDT,
-				EngineOptions: cfg.EngineOptions,
-				Committer:     committer,
+				Name:       name,
+				MSPID:      org.MSPID,
+				Channels:   registry.IDs(),
+				EnableCRDT: cfg.EnableCRDT,
+				Committer:  committer,
 			}, signer, n.msp)
 			if err != nil {
 				n.closePeers()

@@ -44,7 +44,6 @@ import (
 
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/channel"
-	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
@@ -124,8 +123,6 @@ type Config struct {
 	// behaves exactly like stock Fabric (CRDT-flagged writes validate and
 	// commit as ordinary writes).
 	EnableCRDT bool
-	// EngineOptions tunes the merge engine (ablation switches).
-	EngineOptions core.Options
 	// Committer selects every channel's world-state backend and its
 	// durability.
 	Committer CommitterConfig
@@ -245,7 +242,7 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 		workers:    commitWorkers(len(ids)),
 	}
 	for _, id := range ids {
-		rt, err := channel.NewRuntime(id, cfg.Committer, cfg.EngineOptions)
+		rt, err := channel.NewRuntime(id, cfg.Committer)
 		if err != nil {
 			p.closeRuntimes()
 			return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)

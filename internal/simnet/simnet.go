@@ -48,8 +48,9 @@ func (m Mode) String() string {
 }
 
 // LatencyModel carries the calibrated constants standing in for the paper's
-// cluster (CouchDB, Kafka, Kubernetes networking). Values are documented
-// and justified in EXPERIMENTS.md §Calibration.
+// cluster (CouchDB, Kafka, Kubernetes networking). DESIGN.md S18 justifies
+// them; `fabriccrdt-bench -compare` prints the paper's numbers beside the
+// ones they reproduce.
 type LatencyModel struct {
 	// Endorse is the client→endorser→client round trip including proposal
 	// signing and simulation scheduling.
@@ -73,10 +74,10 @@ type LatencyModel struct {
 	CPUScale float64
 }
 
-// DefaultLatencyModel returns the calibration used for EXPERIMENTS.md:
+// DefaultLatencyModel returns the calibration `fabriccrdt-bench` runs with:
 // constants anchored so that the paper's two block-size extremes (≈267 tx/s
 // at 25 txs/block, ≈20 tx/s at 1000) reproduce, with everything in between
-// emerging from the measured merge CPU.
+// emerging from the merge CPU measured under core.Options.PaperLiteral.
 func DefaultLatencyModel() LatencyModel {
 	return LatencyModel{
 		Endorse:          10 * time.Millisecond,
@@ -105,7 +106,8 @@ type Config struct {
 	Workload workload.IoTParams
 	// Latency is the calibrated constant model; zero value uses defaults.
 	Latency *LatencyModel
-	// Engine tunes the merge engine (ablations).
+	// Engine tunes the merge engine; the paper's figures are reproduced
+	// with PaperLiteral set.
 	Engine core.Options
 }
 

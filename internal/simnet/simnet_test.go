@@ -31,7 +31,7 @@ func crdtConfig(total int) Config {
 		TotalTx:   total,
 		Workload:  workload.IoTParams{ReadKeys: 1, WriteKeys: 1, JSONKeys: 2, ConflictPct: 100},
 		Latency:   fastModel(),
-		Engine:    core.Options{FreshDocPerBlock: true},
+		Engine:    core.Options{PaperLiteral: true},
 	}
 }
 
@@ -109,6 +109,12 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestThroughputDeclinesWithBlockSize pins Figure 3's decline. Its size
+// comes from the paper-literal per-transaction re-serialization: the
+// converged document costs O(txs) to serialize and is serialized once per
+// transaction, so merge cost per block grows with the block squared.
+// Serializing once per key leaves the two throughputs within a few percent
+// of each other, which the ratio bound rejects.
 func TestThroughputDeclinesWithBlockSize(t *testing.T) {
 	small := crdtConfig(1500)
 	small.BlockSize = 25
@@ -122,8 +128,8 @@ func TestThroughputDeclinesWithBlockSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rSmall.Throughput <= rBig.Throughput {
-		t.Fatalf("Figure 3 shape violated: tput(25)=%.1f <= tput(500)=%.1f",
+	if rSmall.Throughput < 1.5*rBig.Throughput {
+		t.Fatalf("Figure 3 shape violated: tput(25)=%.1f < 1.5 × tput(500)=%.1f",
 			rSmall.Throughput, rBig.Throughput)
 	}
 	if rSmall.AvgLatency >= rBig.AvgLatency {
@@ -151,9 +157,9 @@ func TestBatchTimeoutBoundsBlockSize(t *testing.T) {
 }
 
 func TestSeededEngineAccumulatesAcrossBlocks(t *testing.T) {
-	fresh := crdtConfig(300)
-	seeded := crdtConfig(300)
-	seeded.Engine = core.Options{} // cross-block seeding on
+	fresh := crdtConfig(600)
+	seeded := crdtConfig(600)
+	seeded.Engine = core.Options{} // the peer engine: cross-block seeding
 	rFresh, err := Run(fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +168,14 @@ func TestSeededEngineAccumulatesAcrossBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rSeeded.Successful != 300 || rFresh.Successful != 300 {
+	if rSeeded.Successful != 600 || rFresh.Successful != 600 {
 		t.Fatal("both engine modes must commit everything")
 	}
-	// Seeded mode re-merges the whole history each block: strictly more
-	// work, so its run must be at least as slow in virtual time.
+	// Seeded mode decodes and re-encodes the key's whole history every
+	// block, so its run must be at least as slow in virtual time. The
+	// paper-literal run pays per-transaction serialization of a one-block
+	// document instead; 600 transactions keep the history cost ahead of it
+	// by ~10% of the run (at 300 the gap is ~3%, inside scheduler noise).
 	if rSeeded.Duration < rFresh.Duration {
 		t.Fatalf("seeded (%v) faster than fresh (%v)", rSeeded.Duration, rFresh.Duration)
 	}
