@@ -67,13 +67,14 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # The regression gate CI runs on pull requests (ROADMAP 1(d)): check BASE
-# out into a worktree, run iot_cold (the cold-key commit path) and iot_hot
+# out into a worktree, run iot_cold (the cold-key commit path), iot_hot
 # (the paper's all-conflicting workload, where the merge path dominates)
-# three times per side — alternating which side goes first, end-to-end
-# pass only since that is all -compare reads — and compare the two result
-# sets with each metric's own bound. Fails on a REGRESSION verdict; an
-# unresolved row (run-to-run spread wider than the bound) is printed, not
-# failed.
+# and iot_mixed_durable (the merge path reading its state through the LSM
+# backend) three times per side — alternating which side goes first,
+# end-to-end pass only since that is all -compare reads — and compare the
+# two result sets with each metric's own bound. Fails on a REGRESSION
+# verdict; an unresolved row (run-to-run spread wider than the bound) is
+# printed, not failed.
 BASE ?= origin/main
 GATE := $(CURDIR)/.bench_build/gate
 bench-gate:
@@ -81,7 +82,7 @@ bench-gate:
 	git worktree add --detach --force $(GATE)/base $(BASE); \
 	trap 'git worktree remove --force $(GATE)/base' EXIT; \
 	run() { bash $$1/bench/run.sh -workload $$3 -seconds 12 -trace 0 -out $(GATE)/$$2.json; }; \
-	for w in iot_cold iot_hot; do \
+	for w in iot_cold iot_hot iot_mixed_durable; do \
 		run $(GATE)/base base $$w; run . head $$w; \
 		run . head $$w; run $(GATE)/base base $$w; \
 		run $(GATE)/base base $$w; run . head $$w; \
@@ -91,12 +92,14 @@ bench-gate:
 
 # Short-budget coverage-guided fuzzing of the binary decoders — the
 # record framing every store and the wire share, the wire-frame header
-# decoder and the LSM sorted-run block decoder — enough for CI to catch a
-# decoder regression without a long fuzz run.
+# decoder, the LSM sorted-run block decoder and the persisted JSON CRDT
+# document state — enough for CI to catch a decoder regression without a
+# long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime 10s ./internal/framing
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
+	$(GO) test -run xxx -fuzz FuzzDocStateRoundTrip -fuzztime 10s ./internal/jsoncrdt
 
 # One short live-network run with durable peers — state store and block
 # store — against a throwaway datadir: proves the -backend disk path end

@@ -15,10 +15,14 @@
 // merge loop has one path for each.
 //
 // Cross-block continuity: each key's full state (with operation metadata)
-// is persisted in the state database's metadata space and reloaded to seed
-// the merge of later blocks, so deltas merge against the key's complete
-// history (DESIGN.md §3 records this clarification of the paper's delta
-// semantics; Options.PaperLiteral restores the algorithm as printed).
+// is persisted in the state database's metadata space and seeds the merge
+// of later blocks, so deltas merge against the key's complete history
+// (DESIGN.md §3 records this clarification of the paper's delta semantics;
+// Options.PaperLiteral restores the algorithm as printed). The engine keeps
+// the states of the last merged block resident and resumes one instead of
+// decoding it whenever the database still holds exactly the bytes it was
+// persisted as, so a key every block touches is decoded once per process
+// (DESIGN.md §5).
 //
 // The merge is organized as independent per-key groups: all CRDT writes to
 // one key, in block order, form one group, and distinct groups share no
@@ -30,6 +34,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/parallel"
@@ -64,6 +69,19 @@ type Options struct {
 type Engine struct {
 	db   *statedb.DB
 	opts Options
+
+	// resident holds, by metadata key, each state the last successful
+	// merge persisted, so the next block resumes it instead of decoding it
+	// (state.go, resume). Key-groups take entries concurrently.
+	mu       sync.Mutex
+	resident map[string]residentState
+}
+
+// residentState is a merged key state kept between blocks, with the exact
+// bytes it was persisted as.
+type residentState struct {
+	state     keyState
+	persisted []byte
 }
 
 // NewEngine returns a merge engine reading and persisting CRDT state
@@ -201,14 +219,21 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 	// transaction's CRDT write values with the converged values, metadata
 	// stripped, and serialize the states to persist.
 	parallel.ForEach(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
+	resident := make(map[string]residentState, len(groups))
 	for _, g := range groups {
 		if g.err != nil {
 			return Result{}, g.err
 		}
 		if g.metaKey != "" {
 			res.States[g.metaKey] = g.metaState
+			resident[g.metaKey] = residentState{state: g.state, persisted: g.metaState}
 		}
 	}
+	// Exactly this block's persisted states stay resident: a key every
+	// block touches stays decoded, any other leaves after one block.
+	e.mu.Lock()
+	e.resident = resident
+	e.mu.Unlock()
 	return res, nil
 }
 

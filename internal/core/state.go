@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -42,9 +43,27 @@ type keyState interface {
 // refuses the write.
 func (e *Engine) seed(w *rwset.Write) (keyState, error) {
 	if w.CRDTType == "" {
-		return seedDoc(e.db, w.Key, e.opts.PaperLiteral)
+		return e.seedDoc(w.Key)
 	}
-	return seedTyped(e.db, w.Key, w.CRDTType)
+	return e.seedTyped(w.Key, w.CRDTType)
+}
+
+// resume takes the resident state persisted under metaKey out of the
+// engine and returns it if the database still holds exactly the bytes it
+// was persisted as, else nil. That byte comparison is the whole coherence
+// rule: a block merged but never applied, a reset or rebuilt state, a
+// replayed block and a restart all leave other bytes (or no entry) behind,
+// and equal bytes decode to a state that behaves exactly like the resident
+// one (FuzzDocStateRoundTrip, TestTypedStateRoundTrip).
+func (e *Engine) resume(metaKey string) keyState {
+	e.mu.Lock()
+	r, ok := e.resident[metaKey]
+	delete(e.resident, metaKey)
+	e.mu.Unlock()
+	if !ok || !bytes.Equal(r.persisted, e.db.GetMeta(metaKey)) {
+		return nil
+	}
+	return r.state
 }
 
 // refuseOtherKind fails the write when key holds state under prefix.
@@ -64,9 +83,13 @@ type docState struct {
 	fresh bool
 }
 
-func seedDoc(db *statedb.DB, key string, fresh bool) (keyState, error) {
+func (e *Engine) seedDoc(key string) (keyState, error) {
+	fresh := e.opts.PaperLiteral
 	if !fresh {
-		doc, err := LoadDoc(db, key)
+		if st := e.resume(MetaPrefix + key); st != nil {
+			return st, nil
+		}
+		doc, err := LoadDoc(e.db, key)
 		if err != nil {
 			return nil, err // corrupt persisted state: hard failure
 		}
@@ -74,7 +97,7 @@ func seedDoc(db *statedb.DB, key string, fresh bool) (keyState, error) {
 			return &docState{key: key, doc: doc}, nil
 		}
 	}
-	if err := refuseOtherKind(db, TypedMetaPrefix, key); err != nil {
+	if err := refuseOtherKind(e.db, TypedMetaPrefix, key); err != nil {
 		return nil, err
 	}
 	return &docState{key: key, doc: jsoncrdt.NewDoc(MergeReplica), fresh: fresh}, nil
@@ -112,23 +135,27 @@ type typedState struct {
 	acc crdt.CRDT
 }
 
-func seedTyped(db *statedb.DB, key, typeName string) (keyState, error) {
-	acc, err := LoadTypedCRDT(db, key)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading persisted %s state for %q: %w", typeName, key, err)
-	}
-	if acc == nil {
-		if err := refuseOtherKind(db, MetaPrefix, key); err != nil {
-			return nil, err
+func (e *Engine) seedTyped(key, typeName string) (keyState, error) {
+	st, _ := e.resume(TypedMetaPrefix + key).(*typedState)
+	if st == nil {
+		acc, err := LoadTypedCRDT(e.db, key)
+		if err != nil {
+			return nil, fmt.Errorf("core: loading persisted %s state for %q: %w", typeName, key, err)
 		}
-		if acc, err = types.New(typeName); err != nil {
-			return nil, fmt.Errorf("%w: %v", errInvalidDelta, err)
+		if acc == nil {
+			if err := refuseOtherKind(e.db, MetaPrefix, key); err != nil {
+				return nil, err
+			}
+			if acc, err = types.New(typeName); err != nil {
+				return nil, fmt.Errorf("%w: %v", errInvalidDelta, err)
+			}
 		}
+		st = &typedState{key: key, acc: acc}
 	}
-	if acc.TypeName() != typeName {
-		return nil, fmt.Errorf("%w: key %q persisted as %s, written as %s", errInvalidDelta, key, acc.TypeName(), typeName)
+	if st.acc.TypeName() != typeName {
+		return nil, fmt.Errorf("%w: key %q persisted as %s, written as %s", errInvalidDelta, key, st.acc.TypeName(), typeName)
 	}
-	return &typedState{key: key, acc: acc}, nil
+	return st, nil
 }
 
 func (s *typedState) merge(w *rwset.Write) error {

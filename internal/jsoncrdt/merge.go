@@ -135,14 +135,10 @@ func (d *Doc) mergeListItem(cursor Cursor, item any, deps idSet) error {
 // not exist yet. Appending after the absolute tail keeps block order.
 func (d *Doc) listTailID(cursor Cursor) lamport.ID {
 	e := d.lookup(cursor)
-	if e == nil || e.list == nil {
+	if e == nil || e.list == nil || e.list.tail == nil {
 		return lamport.ID{}
 	}
-	tail := e.list.last()
-	if tail == nil {
-		return lamport.ID{}
-	}
-	return tail.id
+	return e.list.tail.id
 }
 
 func sortedKeys(m map[string]any) []string {

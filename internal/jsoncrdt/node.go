@@ -122,9 +122,11 @@ type listElem struct {
 }
 
 // listNode is a JSON array node: a singly linked list with a sentinel head,
-// plus an index for O(1) element lookup by insertion ID.
+// plus an index for O(1) element lookup by insertion ID and a tail pointer
+// for O(1) appends.
 type listNode struct {
 	head  *listElem // sentinel; head.next is the first element
+	tail  *listElem // final element in list order; nil when empty
 	index map[lamport.ID]*listElem
 }
 
@@ -140,18 +142,16 @@ func (l *listNode) find(id lamport.ID) *listElem {
 	return l.index[id]
 }
 
-// last returns the final element in list order (tombstoned or not), or nil
-// if the list is empty. The block-order append path of the merge engine
-// inserts after this element.
-func (l *listNode) last() *listElem {
-	el := l.head
-	for el.next != nil {
-		el = el.next
+// push appends el after the final element, bypassing the RGA rule: only
+// for rebuilding a list in its persisted order.
+func (l *listNode) push(el *listElem) {
+	if l.tail == nil {
+		l.head.next = el
+	} else {
+		l.tail.next = el
 	}
-	if el == l.head {
-		return nil
-	}
-	return el
+	l.tail = el
+	l.index[el.id] = el
 }
 
 // insertAfter places a new element with the given id after ref (the sentinel
@@ -168,6 +168,9 @@ func (l *listNode) insertAfter(ref *listElem, id lamport.ID) *listElem {
 	}
 	el := &listElem{id: id, ent: newEntry(), next: pos.next}
 	pos.next = el
+	if el.next == nil {
+		l.tail = el
+	}
 	l.index[id] = el
 	return el
 }

@@ -3,6 +3,7 @@ package jsoncrdt
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fabriccrdt/internal/lamport"
 )
@@ -50,15 +51,24 @@ func (k ValueKind) String() string {
 type Value struct {
 	Kind ValueKind `json:"kind"`
 	Str  string    `json:"str,omitempty"`
-	Num  float64   `json:"num,omitempty"`
+	Num  number    `json:"num,omitzero"`
 	Bool bool      `json:"bool,omitempty"`
 }
+
+// number is a Value's numeric payload. Its encoding is omitted only for +0:
+// a -0 renders as -0, so it must survive decoding, and omitempty would drop
+// it.
+type number float64
+
+// IsZero reports +0, for omitzero. The pointer receiver keeps encoding
+// allocation-free: encoding/json calls it on the field's address.
+func (n *number) IsZero() bool { return math.Float64bits(float64(*n)) == 0 }
 
 // StringValue returns a string-scalar Value.
 func StringValue(s string) Value { return Value{Kind: ValString, Str: s} }
 
 // NumberValue returns a number-scalar Value.
-func NumberValue(f float64) Value { return Value{Kind: ValNumber, Num: f} }
+func NumberValue(f float64) Value { return Value{Kind: ValNumber, Num: number(f)} }
 
 // BoolValue returns a boolean-scalar Value.
 func BoolValue(b bool) Value { return Value{Kind: ValBool, Bool: b} }
@@ -82,7 +92,7 @@ func (v Value) Interface() any {
 	case ValString:
 		return v.Str
 	case ValNumber:
-		return v.Num
+		return float64(v.Num)
 	case ValBool:
 		return v.Bool
 	default:

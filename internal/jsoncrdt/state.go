@@ -11,7 +11,10 @@ import (
 // FabricCRDT persists each ledger key's JSON CRDT document between blocks so
 // that deltas from later blocks merge against the full operation history
 // (DESIGN.md §3). The wire format is deterministic JSON: identical documents
-// marshal to identical bytes on every peer.
+// marshal to identical bytes on every peer, and a decoded document behaves
+// exactly like the one marshaled — it renders, re-marshals and merges the
+// same (FuzzDocStateRoundTrip) — which is what lets the merge engine keep a
+// document resident instead of decoding it every block.
 
 type docState struct {
 	Replica string      `json:"replica"`
@@ -25,11 +28,14 @@ type mapState struct {
 	Entries map[string]*entryState `json:"entries,omitempty"`
 }
 
+// entryState encodes an entry. List is omitted only when the entry has no
+// list branch: an empty list branch encodes as "list":[], because it
+// renders as [] and must survive decoding.
 type entryState struct {
 	Pres []string    `json:"pres,omitempty"`
 	Reg  []regState  `json:"reg,omitempty"`
 	Map  *mapState   `json:"map,omitempty"`
-	List []elemState `json:"list,omitempty"`
+	List []elemState `json:"list,omitzero"`
 }
 
 type regState struct {
@@ -176,7 +182,6 @@ func unmarshalEntry(st *entryState) (*entry, error) {
 	}
 	if st.List != nil {
 		l := newListNode()
-		tail := l.head
 		for _, es := range st.List {
 			id, err := lamport.Parse(es.ID)
 			if err != nil {
@@ -186,10 +191,7 @@ func unmarshalEntry(st *entryState) (*entry, error) {
 			if err != nil {
 				return nil, err
 			}
-			el := &listElem{id: id, ent: child}
-			tail.next = el
-			tail = el
-			l.index[id] = el
+			l.push(&listElem{id: id, ent: child})
 		}
 		e.list = l
 	}

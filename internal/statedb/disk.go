@@ -264,7 +264,7 @@ func (b *diskBackend) Err() error {
 // open's tail truncation anyway, so continuing would only fake
 // durability. The recorded error keeps surfacing via Err and Close.
 func (b *diskBackend) Apply(updates map[string]Update, meta map[string][]byte, height rwset.Version) {
-	payload := encodeBatch(updates, meta, height)
+	frame := encodeBatch(updates, meta, height)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
@@ -273,7 +273,7 @@ func (b *diskBackend) Apply(updates map[string]Update, meta map[string][]byte, h
 	case b.logBroken:
 		// Write path disabled by an earlier failed append.
 	default:
-		n, err := appendBatch(b.log, payload, b.opts.SyncEveryApply)
+		n, err := appendBatch(b.log, frame, b.opts.SyncEveryApply)
 		b.logSize += int64(n)
 		if err != nil {
 			b.logBroken = true
@@ -303,14 +303,13 @@ func (b *diskBackend) recordErr(err error) {
 	}
 }
 
-// appendBatch appends payload to log as one frame and, when sync is set,
-// fsyncs it — the durable step of Apply on the disk log and the LSM WAL
-// alike. It returns the bytes that reached the file (a failed write may be
-// partial). A payload over maxRecordBytes is refused: replay would reject
-// its frame.
-func appendBatch(log *os.File, payload []byte, sync bool) (int, error) {
-	frame, err := framing.Append(nil, payload, maxRecordBytes)
-	if err != nil {
+// appendBatch seals frame (as encodeBatch returns it) in place, appends it
+// to log and, when sync is set, fsyncs it — the durable step of Apply on
+// the disk log and the LSM WAL alike. It returns the bytes that reached the
+// file (a failed write may be partial). A payload over maxRecordBytes is
+// refused: replay would reject its frame.
+func appendBatch(log *os.File, frame []byte, sync bool) (int, error) {
+	if err := framing.Seal(frame, maxRecordBytes); err != nil {
 		return 0, fmt.Errorf("statedb: batch record: %w", err)
 	}
 	n, err := log.Write(frame)
@@ -420,6 +419,8 @@ func (b *diskBackend) Close() error {
 // Updates are written in map order: replay order within one batch is
 // irrelevant because UpdateBatch already collapsed per-key writes.
 
+// encodeBatch encodes one batch record behind framing.HeaderLen reserved
+// bytes, ready for appendBatch to seal in place without copying it.
 func encodeBatch(updates map[string]Update, meta map[string][]byte, height rwset.Version) []byte {
 	size := 1 + 16 + 4 + 4
 	for k, u := range updates {
@@ -431,7 +432,7 @@ func encodeBatch(updates map[string]Update, meta map[string][]byte, height rwset
 	for k, v := range meta {
 		size += 4 + len(k) + 4 + len(v)
 	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, framing.HeaderLen, framing.HeaderLen+size)
 	buf = append(buf, recordVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, height.BlockNum)
 	buf = binary.LittleEndian.AppendUint64(buf, height.TxNum)

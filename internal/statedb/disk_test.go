@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -315,7 +316,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 	}
 	meta := map[string][]byte{"crdt/alive": []byte(`{"doc":1}`), "crdt/zero": {}}
 	height := rwset.Version{BlockNum: 3, TxNum: 9}
-	gotU, gotM, gotH, err := decodeBatch(encodeBatch(updates, meta, height))
+	gotU, gotM, gotH, err := decodeBatch(encodeBatch(updates, meta, height)[framing.HeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 
 func TestBatchRecordRejectsCorruptStructure(t *testing.T) {
 	good := encodeBatch(map[string]Update{"k": {Value: []byte("v"), Version: rwset.Version{BlockNum: 1}}},
-		map[string][]byte{"m": []byte("x")}, rwset.Version{BlockNum: 1})
+		map[string][]byte{"m": []byte("x")}, rwset.Version{BlockNum: 1})[framing.HeaderLen:]
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad-version":   append([]byte{42}, good[1:]...),

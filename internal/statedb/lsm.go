@@ -498,7 +498,7 @@ func (b *lsmBackend) applyBatchLocked(updates map[string]Update, meta map[string
 // the disk backend: errors are recorded (Err/Close), the in-memory
 // update still happens, and the broken path is fail-stopped.
 func (b *lsmBackend) Apply(updates map[string]Update, meta map[string][]byte, height rwset.Version) {
-	payload := encodeBatch(updates, meta, height)
+	frame := encodeBatch(updates, meta, height)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
@@ -507,7 +507,7 @@ func (b *lsmBackend) Apply(updates map[string]Update, meta map[string][]byte, he
 	case b.walBroken:
 		// Write path disabled by an earlier failed append.
 	default:
-		n, err := appendBatch(b.wal, payload, b.opts.SyncEveryApply)
+		n, err := appendBatch(b.wal, frame, b.opts.SyncEveryApply)
 		b.walSize += int64(n)
 		if err != nil {
 			b.walBroken = true

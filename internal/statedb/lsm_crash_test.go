@@ -196,7 +196,7 @@ func TestLSMCrashStaleWAL(t *testing.T) {
 	// Simulate the crash: the flush installed the manifest but the WAL
 	// truncate never happened, so the WAL still holds every flushed
 	// batch — blocks 1..10 from phase 1 plus the trigger batch.
-	staleWAL, err = framing.Append(staleWAL, encodeBatch(trigger, nil, h11), maxRecordBytes)
+	staleWAL, err = framing.Append(staleWAL, encodeBatch(trigger, nil, h11)[framing.HeaderLen:], maxRecordBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
