@@ -68,11 +68,12 @@ bench-compare:
 
 # The regression gate CI runs on pull requests (ROADMAP 1(d)): check BASE
 # out into a worktree, run iot_cold (the cold-key commit path), iot_hot
-# (the paper's all-conflicting workload, where the merge path dominates)
-# and iot_mixed_durable (the merge path reading its state through the LSM
-# backend) three times per side — alternating which side goes first,
-# end-to-end pass only since that is all -compare reads — and compare the
-# two result sets with each metric's own bound. Fails on a REGRESSION
+# (the paper's all-conflicting workload, where the merge path dominates),
+# iot_mixed_durable (the merge path reading its state through the LSM
+# backend) and fabric_cold (the stock-Fabric control: CRDT off, MVCC
+# validation instead of merges) three times per side — alternating which
+# side goes first, end-to-end pass only since that is all -compare reads —
+# and compare the two result sets with each metric's own bound. Fails on a REGRESSION
 # verdict; an unresolved row (run-to-run spread wider than the bound) is
 # printed, not failed.
 BASE ?= origin/main
@@ -82,7 +83,7 @@ bench-gate:
 	git worktree add --detach --force $(GATE)/base $(BASE); \
 	trap 'git worktree remove --force $(GATE)/base' EXIT; \
 	run() { bash $$1/bench/run.sh -workload $$3 -seconds 12 -trace 0 -out $(GATE)/$$2.json; }; \
-	for w in iot_cold iot_hot iot_mixed_durable; do \
+	for w in iot_cold iot_hot iot_mixed_durable fabric_cold; do \
 		run $(GATE)/base base $$w; run . head $$w; \
 		run . head $$w; run $(GATE)/base base $$w; \
 		run $(GATE)/base base $$w; run . head $$w; \

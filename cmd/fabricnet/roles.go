@@ -106,9 +106,11 @@ func awaitSignal() os.Signal {
 }
 
 // runOrderer serves the ordering side of every channel over one listener:
-// each channel gets its own ordering service feeding an in-memory History,
-// and the wire server exposes Deliver (the histories) and Broadcast (the
-// services) to any number of peer and client processes.
+// each channel gets its own ordering service appending to an in-memory
+// History (the channel's block log), and the wire server exposes Deliver
+// (the histories) and Broadcast (the services) to any number of peer and
+// client processes. Stop on a service flushes into its history and closes
+// it, so open Deliver streams end after the last block.
 func runOrderer(o roleOpts) error {
 	if o.listen == "" {
 		return fmt.Errorf("-role orderer requires -listen")
@@ -120,37 +122,22 @@ func runOrderer(o roleOpts) error {
 	broadcasts := make(map[string]transport.Broadcaster, len(o.channels))
 	services := make([]*orderer.Service, 0, len(o.channels))
 	reg := obs.NewRegistry()
-	var feeders sync.WaitGroup
 	for _, id := range o.channels {
 		genesis, err := ledger.NewChain(id).Get(0)
 		if err != nil {
 			return err
 		}
-		svc := orderer.NewService(cfg, genesis)
-		svc.SetLabel(id)
-		services = append(services, svc)
 		h := transport.NewHistory(1)
 		h.SetLabel(id)
+		svc := orderer.NewService(cfg, genesis, h)
+		svc.SetLabel(id)
+		services = append(services, svc)
 		histories[id] = h
 		broadcasts[id] = svc
-		reg.GaugeFunc(obs.MetricOrdererQueueDepth,
-			func() float64 { return float64(svc.QueueDepth()) }, "channel", id)
 		reg.GaugeFunc(obs.MetricHistoryLagBlocks,
 			func() float64 { return float64(h.MaxLag()) }, "channel", id)
 		reg.GaugeFunc(obs.MetricHistoryStreams,
 			func() float64 { return float64(h.Streams()) }, "channel", id)
-		sub := svc.Subscribe()
-		feeders.Add(1)
-		go func(id string, h *transport.History) {
-			defer feeders.Done()
-			defer h.Close()
-			for b := range sub {
-				if err := h.Append(b); err != nil {
-					fmt.Fprintf(os.Stderr, "fabricnet: orderer %s history: %v\n", id, err)
-					return
-				}
-			}
-		}(id, h)
 	}
 
 	node := &transport.Node{
@@ -175,7 +162,6 @@ func runOrderer(o roleOpts) error {
 	for _, svc := range services {
 		svc.Stop()
 	}
-	feeders.Wait()
 	srv.Close()
 	ob.shutdown()
 	fmt.Println("fabricnet: orderer shut down cleanly")

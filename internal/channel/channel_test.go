@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fabriccrdt/internal/orderer"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
 )
@@ -27,68 +26,6 @@ func TestValidateIDs(t *testing.T) {
 	}
 	if err := ValidateIDs([]string{"channel1", "Ch-2", "ch_3.shard"}); err != nil {
 		t.Fatalf("valid IDs rejected: %v", err)
-	}
-}
-
-func TestRegistryLifecycle(t *testing.T) {
-	if _, err := NewRegistry(); err == nil {
-		t.Fatal("empty registry accepted")
-	}
-	if _, err := NewRegistry("a", "a"); err == nil {
-		t.Fatal("duplicate channels accepted")
-	}
-	r, err := NewRegistry("ch1", "ch2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Default(); got != "ch1" {
-		t.Fatalf("Default() = %q, want ch1", got)
-	}
-	if !r.Has("ch2") || r.Has("ch3") {
-		t.Fatal("Has misreports membership")
-	}
-	if _, err := r.Service("ch1"); err == nil {
-		t.Fatal("Service resolved before StartService")
-	}
-	if _, err := r.StartService("ch3", orderer.DefaultConfig(10), 0, nil); err == nil {
-		t.Fatal("StartService accepted an unknown channel")
-	}
-	for _, id := range r.IDs() {
-		if _, err := r.StartService(id, orderer.DefaultConfig(10), 0, nil); err != nil {
-			t.Fatalf("StartService(%s): %v", id, err)
-		}
-	}
-	if _, err := r.StartService("ch1", orderer.DefaultConfig(10), 0, nil); err == nil {
-		t.Fatal("double StartService accepted")
-	}
-	s1, err := r.Service("ch1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := r.Service("ch2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Fatal("channels share an ordering service")
-	}
-	deliver, err := r.Subscribe("ch2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.StopAll()
-	if _, open := <-deliver; open {
-		t.Fatal("StopAll did not close deliver channels")
-	}
-	// A stopped registry accepts no further StartService: a late service
-	// would order blocks no committer goroutine drains.
-	r2, err := NewRegistry("late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.StopAll()
-	if _, err := r2.StartService("late", orderer.DefaultConfig(10), 0, nil); err == nil {
-		t.Fatal("StartService accepted after StopAll")
 	}
 }
 

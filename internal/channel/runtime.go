@@ -2,16 +2,14 @@
 // sharding, where each channel is an independent ledger with its own
 // ordering service, block numbering, world state and commit pipeline
 // (Androulaki et al., "Hyperledger Fabric: A Distributed Operating System
-// for Permissioned Blockchains"). Two layers live here:
-//
-//   - Runtime is the peer-side per-channel committer state — statedb
-//     backend, hash chain (genesis or checkpoint-resumed), MVCC validator,
-//     CRDT merge engine, duplicate screening and the commit mutex. A peer
-//     owns one Runtime per joined channel; runtimes share nothing, so N
-//     channels commit fully in parallel.
-//   - Registry is the network-side channel manager — the validated,
-//     ordered channel ID set and one ordering service per channel
-//     (registry.go).
+// for Permissioned Blockchains"). Runtime is the peer-side per-channel
+// committer state — statedb backend, hash chain (genesis or
+// checkpoint-resumed), MVCC validator, CRDT merge engine, duplicate
+// screening and the commit mutex. A peer owns one Runtime per joined
+// channel; runtimes share nothing, so N channels commit fully in parallel.
+// ValidateIDs (ids.go) is the one rule for what a channel list may name.
+// The ordering side of a channel (its orderer.Service and block log) lives
+// with the network that runs it, not here.
 //
 // Runtimes on a durable backend (disk, lsm) persist under
 // DataDir/<channel-ID> — the state store directly in it, the block store

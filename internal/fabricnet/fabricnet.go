@@ -2,9 +2,10 @@
 // with CAs, peers, and one ordering service per channel — in the paper's
 // topology (§7.2: three organizations, two peers each, one orderer, one
 // channel) and wires the live delivery pipeline: each channel's orderer
-// deliver channels feed one committer pipeline per (peer, channel) pair
-// (peer.CommitPipeline — preparing each block while its predecessor is in
-// the serialized commit stage).
+// appends the blocks it cuts to the channel's block log, and one committer
+// pipeline per (peer, channel) pair reads it (peer.CommitPipeline —
+// preparing each block while its predecessor is in the serialized commit
+// stage).
 //
 // Channels are the unit of sharding (Config.Channels): every channel has
 // its own ordering service, block numbering, and per-peer commit runtime,
@@ -17,16 +18,18 @@
 // the block number — a disk-backed peer rebuilt over its data directory)
 // fast-forwards it inside CommitBlockOn instead of re-validating it.
 //
-// Since the wire-transport refactor, delivery flows through the
-// transport.Transport interface: each channel's orderer subscription feeds
-// one transport.History, the network's transport.Node serves Deliver and
-// Broadcast from those histories and services, and every (peer, channel)
-// pair runs transport.DeliverToPeer against it — the SAME loop a remote
-// peer process runs against a wire client. Config.TransportWrap interposes
-// middleware (transport.Chaos in the fault-injection tests) between the
-// loop and the node. Transport failures the loop heals by reconnecting are
-// recorded separately (TransportRetries); only fatal errors — commit
-// failures, subscription failures, close failures — reach Err.
+// Delivery flows through the transport.Transport interface: each
+// channel's block log is a transport.History the orderer appends to
+// directly, the network's transport.Node serves Deliver and Broadcast from
+// those histories and services, and every (peer, channel) pair runs
+// transport.DeliverToPeer against it — the SAME loop a remote peer process
+// runs against a wire client. The log retains every block from its base,
+// so blocks cut before Start reach the peers once it runs.
+// Config.TransportWrap interposes middleware (transport.Chaos in the
+// fault-injection tests) between the loop and the node. Transport failures
+// the loop heals by reconnecting are recorded separately
+// (TransportRetries); only fatal errors — commit failures, close failures
+// — reach Err.
 package fabricnet
 
 import (
@@ -41,7 +44,6 @@ import (
 	"fabriccrdt/internal/client"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
-	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/orderer"
 	"fabriccrdt/internal/peer"
@@ -56,14 +58,11 @@ type OrgConfig struct {
 
 // Config describes a network.
 type Config struct {
-	// ChannelID is the single-channel convenience knob; ignored when
-	// Channels is set.
-	ChannelID string
 	// Channels lists every channel the network runs — each gets its own
-	// ordering service and, on every peer, its own commit pipeline and
-	// state backend. The first entry is the default channel that
-	// single-channel APIs (Orderer, NewClient) bind to. Names must be
-	// unique and non-empty; empty falls back to [ChannelID].
+	// ordering service and block log and, on every peer, its own commit
+	// pipeline and state backend. The first entry is the default channel
+	// that single-channel APIs (Orderer, NewClient) bind to. Names must be
+	// unique and non-empty; empty means [channel.DefaultChannel].
 	Channels []string
 	Orgs     []OrgConfig
 	Orderer  orderer.Config
@@ -94,9 +93,6 @@ func (c Config) channelIDs() []string {
 	if len(c.Channels) > 0 {
 		return c.Channels
 	}
-	if c.ChannelID != "" {
-		return []string{c.ChannelID}
-	}
 	return []string{channel.DefaultChannel}
 }
 
@@ -104,7 +100,6 @@ func (c Config) channelIDs() []string {
 // given block size: 3 organizations × 2 peers, one channel.
 func PaperConfig(maxBlockTxs int, enableCRDT bool) Config {
 	return Config{
-		ChannelID: channel.DefaultChannel,
 		Orgs: []OrgConfig{
 			{MSPID: "Org1", Peers: 2},
 			{MSPID: "Org2", Peers: 2},
@@ -117,19 +112,21 @@ func PaperConfig(maxBlockTxs int, enableCRDT bool) Config {
 
 // Network is a running in-process Fabric/FabricCRDT network.
 type Network struct {
-	cfg       Config
-	cas       map[string]*cryptoid.CA
-	msp       *cryptoid.MSP
-	peers     []*peer.Peer
-	channels  *channel.Registry
-	histories map[string]*transport.History
-	node      *transport.Node
-	reg       *obs.Registry
+	cfg   Config
+	cas   map[string]*cryptoid.CA
+	msp   *cryptoid.MSP
+	peers []*peer.Peer
+	// channels is the validated channel list; channels[0] is the default.
+	// Each channel has one ordering service appending to one block log,
+	// which the node serves Deliver from.
+	channels []string
+	services map[string]*orderer.Service
+	node     *transport.Node
+	reg      *obs.Registry
 
 	mu      sync.Mutex
 	started bool
 	stopped bool
-	feedWg  sync.WaitGroup // orderer-subscription → History feeders
 	wg      sync.WaitGroup // deliver loops
 	errMu   sync.Mutex
 	errs    []error
@@ -139,20 +136,20 @@ type Network struct {
 // New builds the network: CAs, peer identities, peers, and one ordering
 // service per channel.
 func New(cfg Config) (*Network, error) {
-	registry, err := channel.NewRegistry(cfg.channelIDs()...)
-	if err != nil {
+	ids := append([]string(nil), cfg.channelIDs()...)
+	if err := channel.ValidateIDs(ids); err != nil {
 		return nil, fmt.Errorf("fabricnet: %w", err)
 	}
 	if len(cfg.Orgs) == 0 {
 		return nil, errors.New("fabricnet: no organizations")
 	}
 	n := &Network{
-		cfg:       cfg,
-		cas:       make(map[string]*cryptoid.CA, len(cfg.Orgs)),
-		msp:       cryptoid.NewMSP(),
-		channels:  registry,
-		histories: make(map[string]*transport.History),
-		reg:       obs.NewRegistry(),
+		cfg:      cfg,
+		cas:      make(map[string]*cryptoid.CA, len(cfg.Orgs)),
+		msp:      cryptoid.NewMSP(),
+		channels: ids,
+		services: make(map[string]*orderer.Service, len(ids)),
+		reg:      obs.NewRegistry(),
 	}
 	for _, org := range cfg.Orgs {
 		ca, err := cryptoid.NewCA(org.MSPID)
@@ -179,7 +176,7 @@ func New(cfg Config) (*Network, error) {
 			p, err := peer.New(peer.Config{
 				Name:       name,
 				MSPID:      org.MSPID,
-				Channels:   registry.IDs(),
+				Channels:   ids,
 				EnableCRDT: cfg.EnableCRDT,
 				Committer:  committer,
 			}, signer, n.msp)
@@ -194,11 +191,13 @@ func New(cfg Config) (*Network, error) {
 	// point for that channel: the genesis block for a fresh network, or the
 	// durable chain checkpoint when every peer was rebuilt over an existing
 	// data directory. Peers resuming one channel at different heights
-	// cannot be reconciled here (the orderer holds no history to catch
+	// cannot be reconciled here (the block log holds no history to catch
 	// stragglers up with), so that is an error. Channels resume
 	// independently — one channel checkpointed at block 40 and another at
 	// block 7 is the normal shape of a sharded network.
-	for _, id := range registry.IDs() {
+	histories := make(map[string]*transport.History, len(ids))
+	broadcasts := make(map[string]transport.Broadcaster, len(ids))
+	for _, id := range ids {
 		refChain, err := n.peers[0].ChainOn(id)
 		if err != nil {
 			n.closePeers()
@@ -218,39 +217,28 @@ func New(cfg Config) (*Network, error) {
 					id, n.peers[0].Name(), lastNum, lastHash, p.Name(), num, hash)
 			}
 		}
-		if _, err := registry.StartService(id, cfg.Orderer, lastNum, lastHash); err != nil {
-			n.closePeers()
-			return nil, fmt.Errorf("fabricnet: %w", err)
-		}
-		// The channel's retained history begins at the first block the
-		// orderer will produce; everything below is already inside every
-		// peer's resume point.
-		n.histories[id] = transport.NewHistory(lastNum + 1)
-	}
-	broadcasts := make(map[string]transport.Broadcaster, len(registry.IDs()))
-	for _, id := range registry.IDs() {
-		svc, err := registry.Service(id)
-		if err != nil {
-			n.closePeers()
-			return nil, fmt.Errorf("fabricnet: %w", err)
-		}
-		broadcasts[id] = svc
-		// Delivery-plane gauges: the orderer fan-out queues and the History
-		// cursors are the network's only unbounded buffers; both are read
-		// live at scrape time (zero cost on the commit path).
-		svc.SetLabel(id)
-		h := n.histories[id]
+		// The channel's block log begins at the first block the orderer
+		// will cut; everything below is already inside every peer's resume
+		// point. The log is the channel's only fan-out: the orderer appends
+		// to it and every deliver stream reads it through its own cursor.
+		h := transport.NewHistory(lastNum + 1)
 		h.SetLabel(id)
-		n.reg.GaugeFunc(obs.MetricOrdererQueueDepth,
-			func() float64 { return float64(svc.QueueDepth()) }, "channel", id)
+		svc := orderer.NewServiceAt(cfg.Orderer, lastNum, lastHash, h)
+		svc.SetLabel(id)
+		histories[id] = h
+		n.services[id] = svc
+		broadcasts[id] = svc
+		// Delivery-plane gauges: the log's cursors are the network's only
+		// unbounded delivery buffer; read live at scrape time (zero cost on
+		// the commit path).
 		n.reg.GaugeFunc(obs.MetricHistoryLagBlocks,
 			func() float64 { return float64(h.MaxLag()) }, "channel", id)
 		n.reg.GaugeFunc(obs.MetricHistoryStreams,
 			func() float64 { return float64(h.Streams()) }, "channel", id)
 	}
 	n.node = &transport.Node{
-		NodeInfo:   transport.Info{Name: "fabricnet", Channels: registry.IDs()},
-		Histories:  n.histories,
+		NodeInfo:   transport.Info{Name: "fabricnet", Channels: n.Channels()},
+		Histories:  histories,
 		Broadcasts: broadcasts,
 	}
 	return n, nil
@@ -303,25 +291,21 @@ func (n *Network) AnchorPeer(mspID string) (*peer.Peer, error) {
 
 // Channels returns the network's channel IDs in configuration order; the
 // first is the default channel.
-func (n *Network) Channels() []string { return n.channels.IDs() }
+func (n *Network) Channels() []string { return append([]string(nil), n.channels...) }
 
 // DefaultChannel returns the channel single-channel APIs bind to.
-func (n *Network) DefaultChannel() string { return n.channels.Default() }
+func (n *Network) DefaultChannel() string { return n.channels[0] }
 
 // Orderer returns the default channel's ordering service.
-func (n *Network) Orderer() *orderer.Service {
-	svc, err := n.channels.Service(n.channels.Default())
-	if err != nil {
-		// The default channel's service is started in New; this is
-		// unreachable on a constructed network.
-		panic("fabricnet: default channel has no ordering service: " + err.Error())
-	}
-	return svc
-}
+func (n *Network) Orderer() *orderer.Service { return n.services[n.channels[0]] }
 
 // OrdererOn returns one channel's ordering service.
 func (n *Network) OrdererOn(channelID string) (*orderer.Service, error) {
-	return n.channels.Service(channelID)
+	svc, ok := n.services[channelID]
+	if !ok {
+		return nil, fmt.Errorf("fabricnet: unknown channel %q (channels: %v)", channelID, n.channels)
+	}
+	return svc, nil
 }
 
 // InstallChaincode installs a chaincode on every peer with the given
@@ -353,14 +337,14 @@ func (n *Network) InstallChaincodeOn(channelID, name string, cc chaincode.Chainc
 	return nil
 }
 
-// Start launches the delivery plane: one History feeder per channel (the
-// orderer subscription drained into the channel's retained history — the
-// orderer never sees a slow peer) and one transport.DeliverToPeer loop per
-// (peer, channel) pair running against the network's Node, each with its
-// own commit pipeline — channels deliver and commit independently, so a
-// slow channel never stalls the others; each pipeline decodes and
-// endorsement-validates the next delivered block while the current one is
-// in the serialized commit stage (DESIGN.md §7).
+// Start launches the delivery plane: one transport.DeliverToPeer loop per
+// (peer, channel) pair reading the channel's block log through the
+// network's Node, each with its own commit pipeline — channels deliver and
+// commit independently, so a slow channel never stalls the others; each
+// pipeline decodes and endorsement-validates the next delivered block
+// while the current one is in the serialized commit stage (DESIGN.md §7).
+// Blocks the orderer cut before Start are still in the log and are
+// delivered first.
 //
 // Failure discipline (the Err/TransportRetries split): a transport failure
 // — severed stream, sequence gap, lost frame — is healed by the loop
@@ -368,9 +352,9 @@ func (n *Network) InstallChaincodeOn(channelID, name string, cc chaincode.Chainc
 // (re-delivered blocks fast-forward inside CommitBlockOn); each healed
 // failure is recorded under TransportRetries. A COMMIT failure is an
 // application decision: it ends that pair's loop, is recorded under Err,
-// and the channel's history keeps flowing for everyone else, so an
-// abandoned consumer never applies backpressure to delivery (the PR 4
-// fan-out discipline, now enforced structurally by History cursors).
+// and the channel's block log keeps flowing for everyone else, so an
+// abandoned consumer never applies backpressure to delivery (each reader
+// has its own History cursor).
 func (n *Network) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -378,24 +362,7 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
-	for _, id := range n.channels.IDs() {
-		sub, err := n.channels.Subscribe(id)
-		if err != nil {
-			n.recordError(fmt.Errorf("channel %s: subscribing feeder: %w", id, err))
-			n.histories[id].Close()
-			continue
-		}
-		n.feedWg.Add(1)
-		go func(id string, h *transport.History, sub <-chan *ledger.Block) {
-			defer n.feedWg.Done()
-			defer h.Close()
-			for b := range sub {
-				if err := h.Append(b); err != nil {
-					n.recordError(fmt.Errorf("channel %s: feeding history: %w", id, err))
-					return
-				}
-			}
-		}(id, n.histories[id], sub)
+	for _, id := range n.channels {
 		for _, p := range n.peers {
 			var tr transport.Transport = n.node
 			if n.cfg.TransportWrap != nil {
@@ -432,8 +399,8 @@ func (n *Network) recordRetry(err error) {
 }
 
 // Err aggregates every FATAL failure — commit errors on any (peer, channel)
-// pair, subscription failures, backend close errors — with errors.Join; nil
-// when the run was clean. errors.Is/As see through the join, and the
+// pair, backend close errors — with errors.Join; nil when the run was
+// clean. errors.Is/As see through the join, and the
 // message lists every cause one per line. Transport failures that deliver
 // loops healed by reconnecting are NOT here (a healed medium is not a
 // failed run) — see TransportRetries.
@@ -453,10 +420,10 @@ func (n *Network) TransportRetries() []error {
 	return append([]error(nil), n.retries...)
 }
 
-// Stop flushes every channel's orderer, lets the feeders drain into the
-// histories and close them, waits for every deliver loop to finish the
-// retained tail, then closes peer event streams and releases peer state
-// backends (flushing disk-backed world states).
+// Stop stops every channel's orderer — each flushes its pending
+// transactions into its block log and closes it — waits for every deliver
+// loop to finish the log's tail, then closes peer event streams and
+// releases peer state backends (flushing disk-backed world states).
 func (n *Network) Stop() {
 	n.mu.Lock()
 	if !n.started || n.stopped {
@@ -465,8 +432,9 @@ func (n *Network) Stop() {
 	}
 	n.stopped = true
 	n.mu.Unlock()
-	n.channels.StopAll()
-	n.feedWg.Wait()
+	for _, id := range n.channels {
+		n.services[id].Stop()
+	}
 	n.wg.Wait()
 	for _, p := range n.peers {
 		p.CloseEvents()
@@ -487,7 +455,7 @@ func (n *Network) closePeers() {
 // NewClient issues a fresh client identity bound to the default channel.
 // See NewClientOn.
 func (n *Network) NewClient(mspID, name string, endorserOrgs []string) (*client.Client, error) {
-	return n.NewClientOn(n.channels.Default(), mspID, name, endorserOrgs)
+	return n.NewClientOn(n.DefaultChannel(), mspID, name, endorserOrgs)
 }
 
 // NewClientOn issues a fresh client identity from the organization's CA,
@@ -507,9 +475,9 @@ func (n *Network) NewClientOn(channelID, mspID, name string, endorserOrgs []stri
 // listener, returning the organization's anchor peer for the caller to
 // wire events from.
 func (n *Network) newClient(channelID, mspID, name string, endorserOrgs []string) (*client.Client, *peer.Peer, error) {
-	svc, err := n.channels.Service(channelID)
+	svc, err := n.OrdererOn(channelID)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fabricnet: %w", err)
+		return nil, nil, err
 	}
 	ca, ok := n.cas[mspID]
 	if !ok {
@@ -544,7 +512,7 @@ func (n *Network) newClient(channelID, mspID, name string, endorserOrgs []string
 // multi-client instead of one per (client, channel).
 func (n *Network) NewMultiClient(mspID, name string, endorserOrgs []string, channelIDs ...string) (*client.MultiClient, error) {
 	if len(channelIDs) == 0 {
-		channelIDs = n.channels.IDs()
+		channelIDs = n.Channels()
 	}
 	clients := make([]*client.Client, 0, len(channelIDs))
 	routes := make(map[string]chan peer.CommitEvent, len(channelIDs))

@@ -71,7 +71,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := New(Config{ChannelID: "ch"}); err == nil {
+	if _, err := New(Config{Channels: []string{"ch"}}); err == nil {
 		t.Fatal("config without orgs accepted")
 	}
 }
@@ -354,5 +354,36 @@ func TestOrdererTimeoutPathDelivers(t *testing.T) {
 	}
 	if b.Metadata.CutReason != string(orderer.CutTimeout) {
 		t.Fatalf("cut reason = %q, want timeout", b.Metadata.CutReason)
+	}
+}
+
+// TestBlockCutBeforeStartIsDelivered: a block the orderer cuts before
+// Start must reach every peer once delivery starts. The channel's block log
+// retains it from its base whether or not anyone is reading yet; a fan-out
+// that only reached live subscribers dropped it, and the history then
+// refused every later block as out of sequence.
+func TestBlockCutBeforeStartIsDelivered(t *testing.T) {
+	cfg := PaperConfig(1, true)
+	cfg.Orderer.BatchTimeout = time.Hour
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := n.DefaultChannel()
+	if err := n.Orderer().Broadcast(&ledger.Transaction{ID: "before-start", ChannelID: id}); err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if err := n.Orderer().Broadcast(&ledger.Transaction{ID: "after-start", ChannelID: id}); err != nil {
+		t.Fatal(err)
+	}
+	n.Stop()
+	if err := n.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range n.Peers() {
+		if h, err := p.HeightOn(id); err != nil || h != 2 {
+			t.Fatalf("peer %s height = %d (err %v), want 2", p.Name(), h, err)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func TestLatePeerSyncsFromRunningPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	late, err := peer.New(peer.Config{
-		Name: "Org1.late", MSPID: "Org1", ChannelID: "channel1", EnableCRDT: true,
+		Name: "Org1.late", MSPID: "Org1", Channels: []string{"channel1"}, EnableCRDT: true,
 	}, signer, n.msp)
 	if err != nil {
 		t.Fatal(err)

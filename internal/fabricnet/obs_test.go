@@ -42,7 +42,6 @@ func TestNetworkRegistriesRenderValidExposition(t *testing.T) {
 		obs.MetricCommitStageSeconds + "_bucket",
 		obs.MetricPeerBlockHeight,
 		obs.MetricPeerBlocksCommitted,
-		obs.MetricOrdererQueueDepth,
 		obs.MetricHistoryLagBlocks,
 	} {
 		if !bytes.Contains(body, []byte(want)) {

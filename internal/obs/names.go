@@ -41,10 +41,9 @@ const (
 	MetricBlockstoreFsyncs   = "fabriccrdt_blockstore_fsyncs_total"    // counter{peer,channel}
 
 	// Unbounded handoff queues (scrape-time depth gauges).
-	MetricOrdererQueueDepth  = "fabriccrdt_orderer_fanout_queue_depth" // gauge{channel}
-	MetricHistoryLagBlocks   = "fabriccrdt_history_lag_blocks"         // gauge{channel}
-	MetricHistoryStreams     = "fabriccrdt_history_streams"            // gauge{channel}
-	MetricWireCallQueueDepth = "fabriccrdt_wire_call_queue_depth"      // gauge (client side)
+	MetricHistoryLagBlocks   = "fabriccrdt_history_lag_blocks"    // gauge{channel}
+	MetricHistoryStreams     = "fabriccrdt_history_streams"       // gauge{channel}
+	MetricWireCallQueueDepth = "fabriccrdt_wire_call_queue_depth" // gauge (client side)
 
 	// Wire transport (process-global Default registry).
 	MetricWireFrames      = "fabriccrdt_wire_frames_total"       // counter{side,dir}

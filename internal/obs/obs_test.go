@@ -249,12 +249,12 @@ func TestWarnQueueDepthRateLimited(t *testing.T) {
 	SetQueueWarnDepth(10)
 	t.Cleanup(func() { SetQueueWarnDepth(DefaultQueueWarnDepth) })
 
-	WarnQueueDepth("orderer_fanout", "channel1", 5) // below: silent
+	WarnQueueDepth("history_lag", "channel1", 5) // below: silent
 	if buf.Len() != 0 {
 		t.Fatalf("warned below high-water mark: %s", buf.String())
 	}
-	WarnQueueDepth("orderer_fanout", "channel1", 50)
-	WarnQueueDepth("orderer_fanout", "channel1", 60) // rate-limited
+	WarnQueueDepth("history_lag", "channel1", 50)
+	WarnQueueDepth("history_lag", "channel1", 60) // rate-limited
 	if got := strings.Count(buf.String(), "high-water"); got != 1 {
 		t.Fatalf("got %d warnings, want 1 (rate-limited): %s", got, buf.String())
 	}
@@ -262,7 +262,7 @@ func TestWarnQueueDepthRateLimited(t *testing.T) {
 	if got := strings.Count(buf.String(), "high-water"); got != 2 {
 		t.Fatalf("got %d warnings, want 2: %s", got, buf.String())
 	}
-	if !strings.Contains(buf.String(), "queue=orderer_fanout") ||
+	if !strings.Contains(buf.String(), "queue=history_lag") ||
 		!strings.Contains(buf.String(), "label=channel1") {
 		t.Fatalf("warning missing structured fields: %s", buf.String())
 	}

@@ -8,7 +8,9 @@
 // A service normally chains blocks after the channel genesis block
 // (NewService); a network resuming from durable peer state instead chains
 // after the recorded checkpoint (NewServiceAt), continuing the committed
-// block numbering rather than restarting at 1.
+// block numbering rather than restarting at 1. Either way the service
+// appends each cut block to the channel's block log (BlockLog), which is
+// the only fan-out: peers read it through their own cursors.
 package orderer
 
 import (
@@ -211,27 +213,33 @@ func (a *Assembler) Assemble(batch Batch) (*ledger.Block, error) {
 	return b, nil
 }
 
-// Service is the live (goroutine-driven) ordering service: Broadcast
-// serializes submissions into a total order, the cutter batches them, and
-// completed blocks fan out to every subscribed deliver channel.
+// BlockLog is where a Service writes the blocks it cuts: the channel's
+// block log, which is also its only fan-out (*transport.History satisfies
+// it; every Deliver stream is a cursor into it). Append must not wait on a
+// reader: the service calls it under its mutex, so blocks reach the log in
+// the order they were cut.
+type BlockLog interface {
+	// Append publishes the next block in sequence.
+	Append(*ledger.Block) error
+	// Close ends the log: readers drain what was appended, then see EOF.
+	Close()
+}
+
+// Service is the live ordering service: Broadcast serializes submissions
+// into a total order, the cutter batches them, and each completed block is
+// appended to the channel's block log.
 //
-// Fan-out never blocks the service: emit appends each block to a
-// per-subscriber handoff queue under the service mutex (an append, never a
-// channel send), and a forwarder goroutine per subscriber delivers from
-// its queue outside the mutex. A stuck, slow or abandoned subscriber
-// therefore delays only its own delivery — Broadcast, Flush and Stop stay
-// responsive, and other subscribers keep receiving. The cost of that
-// guarantee is an unbounded queue per subscriber: a consumer that stops
-// draining accrues the blocks it is missing until it resumes or the
-// service stops (fabricnet's committers always drain, even after a commit
-// error, precisely so those queues stay empty).
+// The service never blocks under its mutex: emit appends to the log, and
+// the log's Append never waits on a reader (a slow or stuck consumer lags
+// behind on its own cursor). Broadcast, Flush and Stop therefore stay
+// responsive whatever the consumers do.
 type Service struct {
 	cfg Config
+	out BlockLog
 
 	mu        sync.Mutex
 	cutter    *Cutter
 	assembler *Assembler
-	subs      []*subscription
 	timer     *time.Timer
 	stopped   bool
 	label     string
@@ -242,93 +250,21 @@ type Service struct {
 	tracedAt map[string]time.Time
 }
 
-// subscription is one subscriber's delivery state: the handoff queue emit
-// appends to under the service mutex, and the out channel its forwarder
-// goroutine feeds from that queue.
-type subscription struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*ledger.Block
-	closed bool
-	out    chan *ledger.Block
-}
-
-func newSubscription() *subscription {
-	s := &subscription{out: make(chan *ledger.Block, 64)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// push appends a block to the handoff queue and returns the resulting
-// depth (0 when closed). It never blocks (the queue is a slice), which is
-// what keeps the service's emit safe under its mutex.
-func (s *subscription) push(b *ledger.Block) int {
-	s.mu.Lock()
-	depth := 0
-	if !s.closed {
-		s.queue = append(s.queue, b)
-		depth = len(s.queue)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-	return depth
-}
-
-// depth returns the current handoff-queue length.
-func (s *subscription) depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// close marks the subscription finished: the forwarder delivers what is
-// already queued, then closes the out channel. Never blocks.
-func (s *subscription) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// forward runs as the subscription's forwarder goroutine: it moves blocks
-// from the queue to the out channel in order, blocking only this
-// subscriber when its consumer is slow. After close it drains the
-// remaining queue (so Stop's final flush reaches consumers that keep
-// reading) and then closes out; a consumer that never reads again parks
-// its forwarder on the pending send until process exit — shutdown delivery
-// is best-effort, never a deadlock of the service itself.
-func (s *subscription) forward() {
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		b := s.queue[0]
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		s.out <- b
-	}
-}
-
 // NewService returns a started ordering service chaining blocks after
-// genesis.
-func NewService(cfg Config, genesis *ledger.Block) *Service {
-	return NewServiceAt(cfg, genesis.Header.Number, genesis.HeaderHash())
+// genesis and appending them to out.
+func NewService(cfg Config, genesis *ledger.Block, out BlockLog) *Service {
+	return NewServiceAt(cfg, genesis.Header.Number, genesis.HeaderHash(), out)
 }
 
 // NewServiceAt returns a started ordering service chaining blocks after
-// the block identified by (number, header hash) — used when a network
-// resumes from durable peer state and new blocks must continue the
-// recorded chain rather than restart at 1.
-func NewServiceAt(cfg Config, afterNumber uint64, afterHash []byte) *Service {
+// the block identified by (number, header hash) and appending them to out
+// — used when a network resumes from durable peer state and new blocks
+// must continue the recorded chain rather than restart at 1. out must
+// expect afterNumber+1 as its next block.
+func NewServiceAt(cfg Config, afterNumber uint64, afterHash []byte, out BlockLog) *Service {
 	return &Service{
 		cfg:       cfg.normalized(),
+		out:       out,
 		cutter:    NewCutter(cfg),
 		assembler: NewAssemblerAt(afterNumber, afterHash),
 	}
@@ -337,50 +273,12 @@ func NewServiceAt(cfg Config, afterNumber uint64, afterHash []byte) *Service {
 // ErrStopped reports a broadcast to a stopped service.
 var ErrStopped = errors.New("orderer: service stopped")
 
-// SetLabel names the service (normally its channel ID) in queue high-water
-// warnings and trace spans. Call before serving traffic.
+// SetLabel names the service (normally its channel ID) in trace spans.
+// Call before serving traffic.
 func (s *Service) SetLabel(label string) {
 	s.mu.Lock()
 	s.label = label
 	s.mu.Unlock()
-}
-
-// QueueDepth returns the total number of blocks sitting in subscriber
-// handoff queues — the service's only unbounded buffers. Intended as a
-// scrape-time gauge callback.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	subs := append([]*subscription(nil), s.subs...)
-	s.mu.Unlock()
-	total := 0
-	for _, sub := range subs {
-		total += sub.depth()
-	}
-	return total
-}
-
-// Subscribe registers a deliver channel; all blocks cut after the call are
-// sent to it, in order, by a dedicated forwarder goroutine over an
-// unbounded handoff queue. A slow subscriber lags behind (its queue grows
-// with the blocks it has not consumed) but never applies backpressure to
-// the ordering service or to other subscribers. Consumers must drain the
-// channel until it is closed — including after deciding to stop
-// committing — or they strand their queued blocks.
-func (s *Service) Subscribe() <-chan *ledger.Block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		// No blocks will ever be cut again: yield an already-closed
-		// stream instead of one nobody would ever close (Stop has
-		// already swept the subscriber list).
-		ch := make(chan *ledger.Block)
-		close(ch)
-		return ch
-	}
-	sub := newSubscription()
-	s.subs = append(s.subs, sub)
-	go sub.forward()
-	return sub.out
 }
 
 // Broadcast submits a transaction for ordering. The mutex acquisition order
@@ -438,10 +336,9 @@ func (s *Service) onTimeout() {
 	s.armTimerLocked()
 }
 
-// emit assembles a batch and hands the block to every subscriber's queue
-// (mu held). The handoff is an append, never a channel send, so emit —
-// and every caller holding the service mutex — cannot block on a stuck
-// subscriber. (The previous implementation sent into bounded subscriber
+// emit assembles a batch and appends the block to the log (mu held).
+// Append never waits on a reader, so emit cannot block on a stuck
+// consumer. (An earlier implementation sent into bounded subscriber
 // channels right here; one abandoned subscriber filling its buffer then
 // wedged Broadcast, Flush and Stop behind the mutex.)
 func (s *Service) emit(batch Batch) error {
@@ -465,10 +362,7 @@ func (s *Service) emit(batch Batch) error {
 				"block", num, "reason", string(batch.Reason))
 		}
 	}
-	for _, sub := range s.subs {
-		obs.WarnQueueDepth("orderer_fanout", s.label, sub.push(block))
-	}
-	return nil
+	return s.out.Append(block)
 }
 
 // Flush cuts and delivers any pending transactions immediately.
@@ -482,15 +376,13 @@ func (s *Service) Flush() {
 	s.armTimerLocked()
 }
 
-// Stop flushes pending transactions, closes all deliver channels and
-// rejects further broadcasts. Shutdown delivery is best-effort: queued
-// blocks (including the final flush) are delivered to subscribers that
-// keep draining, after which their channels close; Stop itself never
-// waits on a subscriber, so it returns even when one has stopped reading.
+// Stop flushes pending transactions, closes the block log and rejects
+// further broadcasts. Readers of the log receive every block, the final
+// flush included, and then EOF; Stop never waits on them.
 func (s *Service) Stop() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
 	if s.cutter.Pending() > 0 {
@@ -502,10 +394,5 @@ func (s *Service) Stop() {
 		s.timer.Stop()
 		s.timer = nil
 	}
-	subs := s.subs
-	s.subs = nil
-	s.mu.Unlock()
-	for _, sub := range subs {
-		sub.close()
-	}
+	s.out.Close()
 }

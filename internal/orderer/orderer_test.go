@@ -1,11 +1,14 @@
 package orderer
 
 import (
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"fabriccrdt/internal/ledger"
+	"fabriccrdt/internal/transport"
 )
 
 func smallTx(id string) *ledger.Transaction {
@@ -182,66 +185,128 @@ func TestAssemblerChainsBlocks(t *testing.T) {
 	}
 }
 
-func TestServiceCutsBySize(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 2, BatchTimeout: time.Hour}, genesis)
-	deliver := s.Subscribe()
-	for i := 0; i < 4; i++ {
+// newService starts a service over a fresh in-memory History, the block
+// log the network wires it to.
+func newService(cfg Config) (*Service, *transport.History) {
+	h := transport.NewHistory(1)
+	return NewService(cfg, ledger.NewChain("ch1").Last(), h), h
+}
+
+// openStream opens a cursor into the log at block 1.
+func openStream(t *testing.T, h *transport.History) transport.BlockStream {
+	t.Helper()
+	s, err := h.Stream(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// broadcast submits transactions t0..t(n-1) one by one. It reports
+// failures with t.Errorf, so it may run off the test goroutine.
+func broadcast(t *testing.T, s *Service, n int) {
+	for i := 0; i < n; i++ {
 		if err := s.Broadcast(smallTx("t" + itoa(i))); err != nil {
-			t.Fatal(err)
+			t.Errorf("broadcast %d: %v", i, err)
+			return
 		}
 	}
-	b1 := <-deliver
-	b2 := <-deliver
-	if len(b1.Transactions) != 2 || len(b2.Transactions) != 2 {
-		t.Fatalf("block sizes %d, %d", len(b1.Transactions), len(b2.Transactions))
+}
+
+// drain reads a stream until EOF; any other error fails the test.
+func drain(t *testing.T, s transport.BlockStream) []*ledger.Block {
+	var got []*ledger.Block
+	for {
+		b, err := s.Recv()
+		if errors.Is(err, io.EOF) {
+			return got
+		}
+		if err != nil {
+			t.Errorf("recv after %d blocks: %v", len(got), err)
+			return got
+		}
+		got = append(got, b)
 	}
-	if b1.Header.Number != 1 || b2.Header.Number != 2 {
-		t.Fatalf("block numbers %d, %d", b1.Header.Number, b2.Header.Number)
+}
+
+// checkSequence fails unless got is blocks 1..n, in order, carrying the
+// transactions t0..t(txs-1) in order.
+func checkSequence(t *testing.T, got []*ledger.Block, n, txs int) {
+	t.Helper()
+	if len(got) != n {
+		t.Fatalf("stream delivered %d blocks, want %d", len(got), n)
 	}
+	k := 0
+	for i, b := range got {
+		if b.Header.Number != uint64(i+1) {
+			t.Fatalf("block %d delivered as number %d", i+1, b.Header.Number)
+		}
+		for _, tx := range b.Transactions {
+			if tx.ID != "t"+itoa(k) {
+				t.Fatalf("block %d: tx %q, want t%d", b.Header.Number, tx.ID, k)
+			}
+			k++
+		}
+	}
+	if k != txs {
+		t.Fatalf("stream carried %d transactions, want %d", k, txs)
+	}
+}
+
+func TestServiceCutsBySize(t *testing.T) {
+	s, h := newService(Config{MaxMessageCount: 2, BatchTimeout: time.Hour})
+	broadcast(t, s, 4)
 	s.Stop()
+	got := drain(t, openStream(t, h))
+	checkSequence(t, got, 2, 4)
+	if len(got[0].Transactions) != 2 {
+		t.Fatalf("block sizes %d, %d", len(got[0].Transactions), len(got[1].Transactions))
+	}
 }
 
 func TestServiceTimeoutCut(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 100, BatchTimeout: 30 * time.Millisecond}, genesis)
-	deliver := s.Subscribe()
+	s, h := newService(Config{MaxMessageCount: 100, BatchTimeout: 30 * time.Millisecond})
+	defer s.Stop()
+	deliver := openStream(t, h)
 	if err := s.Broadcast(smallTx("only")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case b := <-deliver:
-		if len(b.Transactions) != 1 || b.Metadata.CutReason != string(CutTimeout) {
-			t.Fatalf("block = %d txs, reason %q", len(b.Transactions), b.Metadata.CutReason)
+	within(t, 2*time.Second, "waiting for the timeout block", func() {
+		b, err := deliver.Recv()
+		if err != nil || len(b.Transactions) != 1 || b.Metadata.CutReason != string(CutTimeout) {
+			t.Errorf("timeout block = %+v, err %v", b, err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timeout block never delivered")
-	}
-	s.Stop()
+	})
 }
 
 func TestServiceStopFlushesAndCloses(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 100, BatchTimeout: time.Hour}, genesis)
-	deliver := s.Subscribe()
+	s, h := newService(Config{MaxMessageCount: 100, BatchTimeout: time.Hour})
+	deliver := openStream(t, h)
 	if err := s.Broadcast(smallTx("pending")); err != nil {
 		t.Fatal(err)
 	}
 	go s.Stop()
-	b, ok := <-deliver
-	if !ok || len(b.Transactions) != 1 {
-		t.Fatalf("flush block = %+v, ok=%v", b, ok)
-	}
-	if _, ok := <-deliver; ok {
-		t.Fatal("deliver channel not closed after stop")
+	if got := drain(t, deliver); len(got) != 1 || len(got[0].Transactions) != 1 {
+		t.Fatalf("stop delivered %d blocks, want the one flush block", len(got))
 	}
 	if err := s.Broadcast(smallTx("late")); err == nil {
 		t.Fatal("broadcast after stop accepted")
 	}
 }
 
+// TestBroadcastReturnsLogError: a block the log refuses surfaces from the
+// Broadcast that cut it.
+func TestBroadcastReturnsLogError(t *testing.T) {
+	h := transport.NewHistory(2) // expects block 2; the service cuts block 1
+	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, ledger.NewChain("ch1").Last(), h)
+	defer s.Stop()
+	if err := s.Broadcast(smallTx("t0")); err == nil {
+		t.Fatal("broadcast succeeded although the log refused its block")
+	}
+}
+
 // within fails the test if fn does not return in the given time — the
-// shape of every fan-out regression below: the old implementation
+// shape of every fan-out regression below: an earlier implementation
 // deadlocked (fan-out sent into bounded subscriber channels while holding
 // the service mutex), so "returns at all" is the property under test.
 func within(t *testing.T, d time.Duration, what string, fn func()) {
@@ -259,117 +324,80 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 }
 
 // TestBroadcastSurvivesStuckSubscriber is the deadlock regression: a
-// subscriber that never reads must not wedge Broadcast or Flush, and a
-// healthy subscriber on the same service must keep receiving every block
-// in order. The 200 single-transaction blocks far exceed the old 64-slot
-// subscriber buffer that used to fill and block emit under the mutex.
+// stream that is opened and never read must not wedge Broadcast, Flush or
+// Stop, and a healthy stream on the same log must receive every block in
+// order and then EOF. The 200 single-transaction blocks far exceed the
+// 64-slot subscriber buffer that once filled and blocked emit under the
+// mutex.
 func TestBroadcastSurvivesStuckSubscriber(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, genesis)
-	_ = s.Subscribe() // never read
-	healthy := s.Subscribe()
+	s, h := newService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour})
+	stuck := openStream(t, h) // never read
+	defer stuck.Close()
+	healthy := openStream(t, h)
 
 	const blocks = 200
 	received := make(chan []*ledger.Block, 1)
-	go func() {
-		var got []*ledger.Block
-		for b := range healthy {
-			got = append(got, b)
-		}
-		received <- got
-	}()
-	within(t, 10*time.Second, "Broadcast x200", func() {
-		for i := 0; i < blocks; i++ {
-			if err := s.Broadcast(smallTx("t" + itoa(i))); err != nil {
-				t.Errorf("broadcast %d: %v", i, err)
-				return
-			}
-		}
-	})
+	go func() { received <- drain(t, healthy) }()
+	within(t, 10*time.Second, "Broadcast x200", func() { broadcast(t, s, blocks) })
 	within(t, 5*time.Second, "Flush", s.Flush)
 	within(t, 5*time.Second, "Stop", s.Stop)
-
-	got := <-received
-	if len(got) != blocks {
-		t.Fatalf("healthy subscriber received %d blocks, want %d", len(got), blocks)
-	}
-	for i, b := range got {
-		if b.Header.Number != uint64(i+1) || len(b.Transactions) != 1 || b.Transactions[0].ID != "t"+itoa(i) {
-			t.Fatalf("block %d out of order: number %d, tx %q", i, b.Header.Number, b.Transactions[0].ID)
-		}
-	}
+	checkSequence(t, <-received, blocks, blocks)
 }
 
-// TestStopWithNeverReadingSubscriber: Stop used to flush pending
-// transactions into the subscriber's full buffer while holding the mutex,
-// blocking forever. It must now return; shutdown delivery to the dead
-// subscriber is best-effort.
+// TestStopWithNeverReadingSubscriber: Stop once flushed pending
+// transactions into a subscriber's full buffer while holding the mutex,
+// blocking forever. It must return while a stream sits unread — and the
+// unread stream still holds every block, the final flush included.
 func TestStopWithNeverReadingSubscriber(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, genesis)
-	_ = s.Subscribe() // never read
-	within(t, 10*time.Second, "Broadcast x100", func() {
-		for i := 0; i < 100; i++ {
-			if err := s.Broadcast(smallTx("t" + itoa(i))); err != nil {
-				t.Errorf("broadcast %d: %v", i, err)
-				return
-			}
-		}
-	})
-	// One transaction left pending so Stop's flush path also runs.
-	if err := s.Broadcast(smallTx("pending")); err != nil {
-		t.Fatal(err)
-	}
+	s, h := newService(Config{MaxMessageCount: 2, BatchTimeout: time.Hour})
+	unread := openStream(t, h)
+	// 201 transactions: 100 full blocks and one left pending, so Stop's
+	// flush path also runs.
+	within(t, 10*time.Second, "Broadcast x201", func() { broadcast(t, s, 201) })
 	within(t, 5*time.Second, "Stop", s.Stop)
 	if err := s.Broadcast(smallTx("late")); err == nil {
 		t.Fatal("broadcast after stop accepted")
 	}
+	checkSequence(t, drain(t, unread), 101, 201)
 }
 
-// TestSlowSubscriberStillGetsEverything: a subscriber that lags (reads
-// with a delay after many blocks are queued) receives the full ordered
-// stream and a clean close — lag queues blocks, it never drops them.
+// TestSlowSubscriberStillGetsEverything: a reader that lags (reads with a
+// delay after many blocks were cut) receives the full ordered stream and a
+// clean EOF — lag leaves blocks in the log, it never drops them.
 func TestSlowSubscriberStillGetsEverything(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, genesis)
-	slow := s.Subscribe()
+	s, h := newService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour})
+	slow := openStream(t, h)
 	const blocks = 150
-	for i := 0; i < blocks; i++ {
-		if err := s.Broadcast(smallTx("t" + itoa(i))); err != nil {
+	broadcast(t, s, blocks)
+	go s.Stop()
+	var got []*ledger.Block
+	for {
+		b, err := slow.Recv()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	go s.Stop()
-	var got int
-	for b := range slow {
-		if b.Header.Number != uint64(got+1) {
-			t.Fatalf("block %d delivered as number %d", got, b.Header.Number)
-		}
-		got++
-		if got%50 == 0 {
+		got = append(got, b)
+		if len(got)%50 == 0 {
 			time.Sleep(10 * time.Millisecond) // fall behind on purpose
 		}
 	}
-	if got != blocks {
-		t.Fatalf("slow subscriber received %d blocks, want %d", got, blocks)
-	}
+	checkSequence(t, got, blocks, blocks)
 }
 
-// TestSubscribeAfterStopReturnsClosedChannel: a late subscriber must see
-// an immediately closed stream, not a channel that never closes (and no
-// forwarder goroutine parked forever behind it).
-func TestSubscribeAfterStopReturnsClosedChannel(t *testing.T) {
-	genesis := ledger.NewChain("ch1").Last()
-	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, genesis)
+// TestStreamAfterStopYieldsRetainedThenEOF: a reader that arrives after
+// Stop still gets every block the service cut, then EOF — never a stream
+// that waits forever.
+func TestStreamAfterStopYieldsRetainedThenEOF(t *testing.T) {
+	s, h := newService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour})
+	broadcast(t, s, 3)
 	s.Stop()
-	select {
-	case _, ok := <-s.Subscribe():
-		if ok {
-			t.Fatal("subscribe after stop delivered a block")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("subscribe after stop returned a channel that never closes")
-	}
+	late := openStream(t, h)
+	var got []*ledger.Block
+	within(t, 2*time.Second, "reading a stopped log", func() { got = drain(t, late) })
+	checkSequence(t, got, 3, 3)
 }
 
 func TestDefaultConfig(t *testing.T) {

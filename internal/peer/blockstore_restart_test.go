@@ -2,7 +2,8 @@ package peer
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
+	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/ledger"
 )
 
@@ -237,21 +239,28 @@ func TestBlockLogGapReplayedOnOpen(t *testing.T) {
 	}
 }
 
-// truncateLastFrame removes the final CRC frame from a framed log file by
-// walking the length prefixes.
+// truncateLastFrame removes the final frame from a framed log file by
+// reading it frame by frame.
 func truncateLastFrame(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var off, prev int64
-	for off < int64(len(data)) {
-		prev = off
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		off += 8 + int64(length)
+	r := bytes.NewReader(data)
+	var off, last int64
+	for {
+		payload, err := framing.Read(r, len(data))
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("frame at offset %d: %v", off, err)
+		}
+		last = off
+		off += framing.HeaderLen + int64(len(payload))
 	}
-	if err := os.Truncate(path, prev); err != nil {
+	if err := os.Truncate(path, last); err != nil {
 		t.Fatal(err)
 	}
 }

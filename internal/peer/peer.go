@@ -111,13 +111,9 @@ type CommitResult struct {
 type Config struct {
 	Name  string
 	MSPID string
-	// ChannelID is the single-channel convenience knob: with Channels
-	// empty, the peer joins just this channel (or channel.DefaultChannel
-	// when both are empty).
-	ChannelID string
 	// Channels lists every channel the peer joins; the first is the
-	// default channel the single-channel API binds to. Overrides
-	// ChannelID when set. Names must be unique and non-empty.
+	// default channel the single-channel API binds to. Names must be
+	// unique and non-empty; empty means [channel.DefaultChannel].
 	Channels []string
 	// EnableCRDT turns the peer into a FabricCRDT peer; disabled it
 	// behaves exactly like stock Fabric (CRDT-flagged writes validate and
@@ -221,11 +217,7 @@ func (cm *channelMetrics) time(stage string, fn func()) {
 func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) {
 	ids := cfg.Channels
 	if len(ids) == 0 {
-		id := cfg.ChannelID
-		if id == "" {
-			id = channel.DefaultChannel
-		}
-		ids = []string{id}
+		ids = []string{channel.DefaultChannel}
 	}
 	if err := channel.ValidateIDs(ids); err != nil {
 		return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)

@@ -62,7 +62,7 @@ func newPipelineEnv(t *testing.T, variants []variant) *pipelineEnv {
 		}
 		setGOMAXPROCS(t, v.procs)
 		p, err := New(Config{
-			Name: name, MSPID: "Org1", ChannelID: "ch1",
+			Name: name, MSPID: "Org1", Channels: []string{"ch1"},
 			EnableCRDT: true, Committer: CommitterConfig{Backend: v.backend},
 		}, signer, msp)
 		if err != nil {

@@ -277,7 +277,7 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 	}
 	newPeer := func(committer CommitterConfig) (*Peer, error) {
 		return New(Config{
-			Name: "Org1.peer0", MSPID: "Org1", ChannelID: "ch1",
+			Name: "Org1.peer0", MSPID: "Org1", Channels: []string{"ch1"},
 			Committer: committer,
 		}, signer, cryptoid.NewMSP())
 	}

@@ -11,16 +11,17 @@ import (
 
 // History is one channel's retained block sequence plus its live tail —
 // the server side of every Deliver stream. Producers append (or advance)
-// exactly once per committed block; each consumer streams through its own
-// cursor, so a slow or stuck consumer lags behind without ever applying
-// backpressure to the producer or to other consumers (the unbounded
-// per-subscriber handoff discipline of DESIGN.md §7, expressed as a shared
-// log + cursors instead of per-subscriber queues).
+// exactly once per block; each consumer streams through its own cursor, so
+// a slow or stuck consumer lags behind without ever applying backpressure
+// to the producer or to other consumers (DESIGN.md §7: a shared log +
+// cursors, no per-subscriber queues).
 //
 // Two backings exist:
 //
-//   - NewHistory(base): in-memory — Append retains every block. The
-//     ordering node uses this; its process lifetime bounds the memory.
+//   - NewHistory(base): in-memory — Append retains every block. This is
+//     a channel's block log on the ordering node (orderer.Service appends
+//     to it directly, as its orderer.BlockLog); the process lifetime bounds
+//     the memory.
 //   - NewSourceHistory(src): backed by a ledger.BlockSource (a peer's
 //     chain over its durable block store) — blocks are fetched on demand
 //     and Advance publishes each newly committed height. A restarted peer

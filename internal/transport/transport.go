@@ -11,9 +11,10 @@
 // The package also carries the pieces both implementations share:
 //
 //   - History (history.go): one channel's retained block sequence plus live
-//     tail — the server side of every Deliver stream, giving each consumer
-//     an unbounded cursor instead of a bounded queue (the orderer fan-out
-//     deadlock of DESIGN.md §7 is structurally impossible here).
+//     tail — the block log the ordering service appends to and the server
+//     side of every Deliver stream, giving each consumer an unbounded
+//     cursor instead of a bounded queue (the orderer fan-out deadlock of
+//     DESIGN.md §7 is structurally impossible here).
 //   - Gateway (node.go): the Submit server half — broadcast an endorsed
 //     envelope, wait for the local peer's commit event.
 //   - Chaos (chaos.go): fault-injecting middleware wrapping any Transport —
