@@ -44,7 +44,7 @@ race: vet lint
 # state).
 test-wire: vet
 	$(GO) test -race ./internal/transport/... ./internal/wire/...
-	$(GO) test -race -run 'TestWire|TestDeliverLoopHealsSeveredStream|TestCommitErrorIsFatalNotRetried' ./internal/fabricnet
+	$(GO) test -race -run 'TestWire|TestGateway|TestDeliverLoopHealsSeveredStream|TestCommitErrorIsFatalNotRetried' ./internal/fabricnet
 	$(GO) test -run TestMultiProcess ./cmd/fabricnet
 
 # Just the multi-process smoke: spawn orderer + peer binaries, submit

@@ -276,22 +276,30 @@ func runPeer(o roleOpts) error {
 
 	// Publish each committed block to the served histories and report it —
 	// the line the multi-process harness (and a human in a terminal) uses
-	// to watch the peer catch up.
-	events := p.Events()
-	reporterDone := make(chan struct{})
-	go func() {
-		defer close(reporterDone)
-		last := make(map[string]uint64)
-		for ev := range events {
-			if h, ok := histories[ev.ChannelID]; ok {
-				h.Advance(ev.BlockNum)
-			}
-			if ev.BlockNum > last[ev.ChannelID] {
-				last[ev.ChannelID] = ev.BlockNum
-				fmt.Printf("fabricnet: %s committed block %d on %s\n", name, ev.BlockNum, ev.ChannelID)
-			}
+	// to watch the peer catch up. One reporter per channel follows the
+	// channel's committed height.
+	reportStop := make(chan struct{})
+	var reporters sync.WaitGroup
+	for _, id := range o.channels {
+		h, err := p.HeightOn(id)
+		if err != nil {
+			return err
 		}
-	}()
+		reporters.Add(1)
+		go func(id string, h uint64) {
+			defer reporters.Done()
+			for {
+				next, ok := p.AwaitHeightOn(id, h+1, reportStop)
+				if !ok {
+					return
+				}
+				histories[id].Advance(next)
+				for ; h < next; h++ {
+					fmt.Printf("fabricnet: %s committed block %d on %s\n", name, h+1, id)
+				}
+			}
+		}(id, h)
+	}
 
 	// One deliver loop per channel; retryable transport failures reconnect
 	// forever (MaxRetries 0), fatal errors bring the process down loudly.
@@ -326,8 +334,8 @@ func runPeer(o roleOpts) error {
 	oc.Close() // unblocks deliver streams and in-flight gateway broadcasts
 	loops.Wait()
 	srv.Close()
-	p.CloseEvents()
-	<-reporterDone
+	close(reportStop) // each reporter first reports what the loops committed
+	reporters.Wait()
 	ob.shutdown() // after the pipelines drain, so the last spans are in the dump
 	if err := p.Close(); err != nil && runErr == nil {
 		runErr = err

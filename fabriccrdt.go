@@ -141,8 +141,8 @@ type (
 	// Peer is one peer node (endorser + committer), joined to one or more
 	// channels.
 	Peer = peer.Peer
-	// CommitEvent notifies listeners of a transaction's commit outcome on
-	// one channel.
+	// CommitEvent is a transaction's commit outcome on one channel, handed
+	// to the submission waiting for it.
 	CommitEvent = peer.CommitEvent
 )
 

@@ -2,7 +2,9 @@
 // execute-order-validate lifecycle on behalf of an application (paper §2.1,
 // Figure 1) — creating proposals, collecting and cross-checking
 // endorsements, assembling the transaction envelope, submitting it for
-// ordering, and waiting for the commit event.
+// ordering, and waiting for the commit event. The wait is registered with
+// the committing peer (Committer) before the broadcast, so the client runs
+// no goroutine of its own.
 package client
 
 import (
@@ -35,13 +37,21 @@ type Broadcaster interface {
 	Broadcast(tx *ledger.Transaction) error
 }
 
+// Committer is the surface SubmitAndWait learns commit outcomes from —
+// satisfied by *peer.Peer: AwaitCommit registers a wait for one
+// transaction on one channel, returning a channel that receives its event
+// (closed without one if the committer shuts down) and a cancel func.
+type Committer interface {
+	AwaitCommit(channelID, txID string) (<-chan peer.CommitEvent, func(), error)
+}
+
 // Client errors.
 var (
-	ErrNoEndorsers        = errors.New("client: no endorsers configured")
-	ErrEndorseMismatch    = errors.New("client: endorsers returned different read/write sets")
-	ErrCommitTimeout      = errors.New("client: timed out waiting for commit")
-	ErrTxFailed           = errors.New("client: transaction failed validation")
-	ErrListenerNotStarted = errors.New("client: commit listener not started")
+	ErrNoEndorsers     = errors.New("client: no endorsers configured")
+	ErrEndorseMismatch = errors.New("client: endorsers returned different read/write sets")
+	ErrCommitTimeout   = errors.New("client: timed out waiting for commit")
+	ErrTxFailed        = errors.New("client: transaction failed validation")
+	ErrNoCommitter     = errors.New("client: no committer attached")
 )
 
 // Client submits transactions on behalf of one identity.
@@ -59,10 +69,7 @@ type Client struct {
 	// nonce Fabric clients put into every proposal.
 	txSalt string
 
-	mu      sync.Mutex
-	waiters map[string]chan peer.CommitEvent
-	started bool
-	done    chan struct{}
+	committer Committer
 }
 
 // New creates a client for the given channel submitting through the given
@@ -80,59 +87,15 @@ func New(signer *cryptoid.Signer, channelID string, endorsers []Endorser, ordere
 		endorsers: endorsers,
 		orderer:   orderer,
 		txSalt:    hex.EncodeToString(salt[:]),
-		waiters:   make(map[string]chan peer.CommitEvent),
 	}
 }
 
 // ChannelID returns the channel this client submits on.
 func (c *Client) ChannelID() string { return c.channelID }
 
-// StartCommitListener consumes commit events (from one peer's Events
-// channel) and completes pending waits. Call once before SubmitAndWait.
-// Events from other channels are skipped: a multi-channel peer emits one
-// stream for all its channels, and this client only ever waits on its own.
-func (c *Client) StartCommitListener(events <-chan peer.CommitEvent) {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.done = make(chan struct{})
-	c.mu.Unlock()
-	go func() {
-		defer close(c.done)
-		for ev := range events {
-			// A client constructed with an empty channel ID submits on the
-			// endorsers' default channel (prepare adopts the resolved ID),
-			// so it cannot filter by name — waiters are keyed by txID,
-			// which is unique per client instance either way.
-			if ev.ChannelID != "" && c.channelID != "" && ev.ChannelID != c.channelID {
-				continue
-			}
-			c.mu.Lock()
-			ch, ok := c.waiters[ev.TxID]
-			if ok {
-				delete(c.waiters, ev.TxID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- ev
-			}
-		}
-	}()
-}
-
-// WaitListenerDone blocks until the commit-listener goroutine exits (after
-// the peer closes its event channel).
-func (c *Client) WaitListenerDone() {
-	c.mu.Lock()
-	done := c.done
-	c.mu.Unlock()
-	if done != nil {
-		<-done
-	}
-}
+// AttachCommitter names the peer whose commits SubmitAndWait waits on.
+// Call once, before submitting.
+func (c *Client) AttachCommitter(cm Committer) { c.committer = cm }
 
 // NewTxID derives a unique transaction ID from the client identity, the
 // instance salt and a monotonic nonce, as Fabric does from (creator,
@@ -158,56 +121,38 @@ func (c *Client) Prepare(chaincodeName string, args ...[]byte) (*ledger.Transact
 	return tx, nil
 }
 
-// Submit runs execution + ordering for one invocation and returns the
-// transaction ID once the envelope is accepted for ordering. It does not
-// wait for commit.
-func (c *Client) Submit(chaincodeName string, args ...[]byte) (string, error) {
-	tx, err := c.prepare(chaincodeName, args)
-	if err != nil {
-		return "", err
-	}
-	tx.SubmitUnixNano = time.Now().UnixNano()
-	if err := c.orderer.Broadcast(tx); err != nil {
-		return "", err
-	}
-	return tx.ID, nil
-}
-
-// SubmitAndWait submits and blocks until the commit event arrives (or
-// timeout). It returns the validation code; a non-committed code is also an
-// ErrTxFailed error.
+// SubmitAndWait runs execution + ordering for one invocation and blocks
+// until the attached committer commits it (or timeout). It returns the
+// validation code; a non-committed code is also an ErrTxFailed error.
 func (c *Client) SubmitAndWait(timeout time.Duration, chaincodeName string, args ...[]byte) (ledger.ValidationCode, error) {
-	c.mu.Lock()
-	started := c.started
-	c.mu.Unlock()
-	if !started {
-		return ledger.CodeNotValidated, ErrListenerNotStarted
+	if c.committer == nil {
+		return ledger.CodeNotValidated, ErrNoCommitter
 	}
 	tx, err := c.prepare(chaincodeName, args)
 	if err != nil {
 		return ledger.CodeNotValidated, err
 	}
-	wait := make(chan peer.CommitEvent, 1)
-	c.mu.Lock()
-	c.waiters[tx.ID] = wait
-	c.mu.Unlock()
-	tx.SubmitUnixNano = time.Now().UnixNano()
-	if err := c.orderer.Broadcast(tx); err != nil {
-		c.mu.Lock()
-		delete(c.waiters, tx.ID)
-		c.mu.Unlock()
+	wait, cancel, err := c.committer.AwaitCommit(tx.ChannelID, tx.ID)
+	if err != nil {
 		return ledger.CodeNotValidated, err
 	}
+	defer cancel()
+	tx.SubmitUnixNano = time.Now().UnixNano()
+	if err := c.orderer.Broadcast(tx); err != nil {
+		return ledger.CodeNotValidated, err
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
-	case ev := <-wait:
-		if !ev.Code.Committed() {
+	case ev, ok := <-wait:
+		switch {
+		case !ok:
+			return ledger.CodeNotValidated, fmt.Errorf("client: committer closed before %s committed", tx.ID)
+		case !ev.Code.Committed():
 			return ev.Code, fmt.Errorf("%w: %s (%s)", ErrTxFailed, tx.ID, ev.Code)
 		}
 		return ev.Code, nil
-	case <-time.After(timeout):
-		c.mu.Lock()
-		delete(c.waiters, tx.ID)
-		c.mu.Unlock()
+	case <-timer.C:
 		return ledger.CodeNotValidated, fmt.Errorf("%w: %s", ErrCommitTimeout, tx.ID)
 	}
 }

@@ -16,7 +16,7 @@ var (
 )
 
 // MultiClient bundles one Client per channel under a single application
-// identity: submit to a named channel, or let the round-robin helpers
+// identity: submit to a named channel, or let the round-robin helper
 // spread independent transactions across every channel — the
 // multi-channel sharding pattern where aggregate throughput scales with
 // the channel count because channels commit in parallel.
@@ -60,17 +60,6 @@ func (m *MultiClient) On(channelID string) (*Client, error) {
 	return c, nil
 }
 
-// Submit runs execution + ordering for one invocation on the named channel
-// and returns the transaction ID once accepted for ordering (no commit
-// wait).
-func (m *MultiClient) Submit(channelID, chaincodeName string, args ...[]byte) (string, error) {
-	c, err := m.On(channelID)
-	if err != nil {
-		return "", err
-	}
-	return c.Submit(chaincodeName, args...)
-}
-
 // SubmitAndWait submits on the named channel and blocks until the commit
 // event arrives (or timeout).
 func (m *MultiClient) SubmitAndWait(timeout time.Duration, channelID, chaincodeName string, args ...[]byte) (ledger.ValidationCode, error) {
@@ -87,16 +76,9 @@ func (m *MultiClient) rotate() *Client {
 	return m.byChannel[id]
 }
 
-// SubmitRoundRobin submits on the next channel in rotation — the sharding
-// helper for workloads whose transactions are independent of each other —
-// returning the chosen channel and the transaction ID.
-func (m *MultiClient) SubmitRoundRobin(chaincodeName string, args ...[]byte) (channelID, txID string, err error) {
-	c := m.rotate()
-	txID, err = c.Submit(chaincodeName, args...)
-	return c.ChannelID(), txID, err
-}
-
-// SubmitAndWaitRoundRobin is SubmitRoundRobin with a commit wait.
+// SubmitAndWaitRoundRobin submits on the next channel in rotation — the
+// sharding helper for workloads whose transactions are independent of each
+// other — and waits for the commit, returning the chosen channel.
 func (m *MultiClient) SubmitAndWaitRoundRobin(timeout time.Duration, chaincodeName string, args ...[]byte) (channelID string, code ledger.ValidationCode, err error) {
 	c := m.rotate()
 	code, err = c.SubmitAndWait(timeout, chaincodeName, args...)

@@ -2,7 +2,9 @@ package client
 
 import (
 	"testing"
+	"time"
 
+	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/rwset"
 )
 
@@ -19,12 +21,11 @@ func TestNewMultiClientValidation(t *testing.T) {
 }
 
 func TestMultiClientRoutesByChannel(t *testing.T) {
-	signer := testSigner(t)
-	orderers := map[string]*fakeOrderer{"ch1": {}, "ch2": {}}
+	orderers := map[string]*fakeOrderer{"ch1": {verdict: ledger.CodeValid}, "ch2": {verdict: ledger.CodeValid}}
 	endorser := &fakeEndorser{name: "p0", resp: respWith(rwset.ReadWriteSet{})}
 	m, err := NewMultiClient(
-		New(signer, "ch1", []Endorser{endorser}, orderers["ch1"]),
-		New(signer, "ch2", []Endorser{endorser}, orderers["ch2"]),
+		newTestClient(t, "ch1", orderers["ch1"], endorser),
+		newTestClient(t, "ch2", orderers["ch2"], endorser),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestMultiClientRoutesByChannel(t *testing.T) {
 	if got := m.Channels(); len(got) != 2 || got[0] != "ch1" || got[1] != "ch2" {
 		t.Fatalf("Channels = %v", got)
 	}
-	if _, err := m.Submit("ch2", "cc", []byte("x")); err != nil {
+	if _, err := m.SubmitAndWait(time.Second, "ch2", "cc", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if len(orderers["ch2"].txs) != 1 || len(orderers["ch1"].txs) != 0 {
@@ -41,14 +42,14 @@ func TestMultiClientRoutesByChannel(t *testing.T) {
 	if orderers["ch2"].txs[0].ChannelID != "ch2" {
 		t.Fatalf("tx channel = %q", orderers["ch2"].txs[0].ChannelID)
 	}
-	if _, err := m.Submit("nope", "cc"); err == nil {
+	if _, err := m.SubmitAndWait(time.Second, "nope", "cc"); err == nil {
 		t.Fatal("unknown channel accepted")
 	}
 
 	// Round-robin alternates channels deterministically.
 	seen := make(map[string]int)
 	for i := 0; i < 6; i++ {
-		ch, _, err := m.SubmitRoundRobin("cc", []byte("x"))
+		ch, _, err := m.SubmitAndWaitRoundRobin(time.Second, "cc", []byte("x"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -422,8 +422,8 @@ func (n *Network) TransportRetries() []error {
 
 // Stop stops every channel's orderer — each flushes its pending
 // transactions into its block log and closes it — waits for every deliver
-// loop to finish the log's tail, then closes peer event streams and
-// releases peer state backends (flushing disk-backed world states).
+// loop to finish the log's tail, then closes the peers: commit waits still
+// open are released and state backends flushed.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	if !n.started || n.stopped {
@@ -436,9 +436,6 @@ func (n *Network) Stop() {
 		n.services[id].Stop()
 	}
 	n.wg.Wait()
-	for _, p := range n.peers {
-		p.CloseEvents()
-	}
 	n.closePeers()
 }
 
@@ -460,84 +457,52 @@ func (n *Network) NewClient(mspID, name string, endorserOrgs []string) (*client.
 
 // NewClientOn issues a fresh client identity from the organization's CA,
 // bound to one channel, and wires it to endorsers satisfying the given
-// policy organizations. The client's commit listener is attached to the
-// organization's anchor peer (which filters events to the bound channel).
+// policy organizations. The client waits for commits on the
+// organization's anchor peer.
 func (n *Network) NewClientOn(channelID, mspID, name string, endorserOrgs []string) (*client.Client, error) {
-	c, anchor, err := n.newClient(channelID, mspID, name, endorserOrgs)
+	svc, err := n.OrdererOn(channelID)
 	if err != nil {
 		return nil, err
 	}
-	c.StartCommitListener(anchor.Events())
-	return c, nil
-}
-
-// newClient builds a channel-bound client without attaching its commit
-// listener, returning the organization's anchor peer for the caller to
-// wire events from.
-func (n *Network) newClient(channelID, mspID, name string, endorserOrgs []string) (*client.Client, *peer.Peer, error) {
-	svc, err := n.OrdererOn(channelID)
-	if err != nil {
-		return nil, nil, err
-	}
 	ca, ok := n.cas[mspID]
 	if !ok {
-		return nil, nil, fmt.Errorf("fabricnet: unknown org %q", mspID)
+		return nil, fmt.Errorf("fabricnet: unknown org %q", mspID)
 	}
 	signer, err := ca.Issue(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var endorsers []client.Endorser
 	for _, org := range endorserOrgs {
 		p, err := n.AnchorPeer(org)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		endorsers = append(endorsers, p)
 	}
 	anchor, err := n.AnchorPeer(mspID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return client.New(signer, channelID, endorsers, svc), anchor, nil
+	c := client.New(signer, channelID, endorsers, svc)
+	c.AttachCommitter(anchor)
+	return c, nil
 }
 
 // NewMultiClient issues one client per listed channel (all channels when
 // none are named) under a shared identity name and returns them bundled as
 // a multi-channel client with per-channel and round-robin submission.
-//
-// The bundle shares ONE event subscription on the organization's anchor
-// peer: a dispatcher goroutine routes each commit event to the client
-// bound to its channel, so a peer's event fan-out stays one enqueue per
-// multi-client instead of one per (client, channel).
 func (n *Network) NewMultiClient(mspID, name string, endorserOrgs []string, channelIDs ...string) (*client.MultiClient, error) {
 	if len(channelIDs) == 0 {
 		channelIDs = n.Channels()
 	}
 	clients := make([]*client.Client, 0, len(channelIDs))
-	routes := make(map[string]chan peer.CommitEvent, len(channelIDs))
-	var anchor *peer.Peer
 	for _, id := range channelIDs {
-		c, a, err := n.newClient(id, mspID, fmt.Sprintf("%s@%s", name, id), endorserOrgs)
+		c, err := n.NewClientOn(id, mspID, fmt.Sprintf("%s@%s", name, id), endorserOrgs)
 		if err != nil {
 			return nil, err
 		}
-		in := make(chan peer.CommitEvent, 1024)
-		c.StartCommitListener(in)
-		routes[id] = in
 		clients = append(clients, c)
-		anchor = a
 	}
-	events := anchor.Events()
-	go func() {
-		for ev := range events {
-			if in, ok := routes[ev.ChannelID]; ok {
-				in <- ev
-			}
-		}
-		for _, in := range routes {
-			close(in)
-		}
-	}()
 	return client.NewMultiClient(clients...)
 }

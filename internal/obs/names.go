@@ -10,12 +10,10 @@ package obs
 // docs/OBSERVABILITY.md for the full catalog with types and labels.
 const (
 	// Commit path (per-peer registries; labels peer, channel).
-	MetricCommitStageSeconds  = "fabriccrdt_commit_stage_seconds"   // histogram{peer,channel,stage}
-	MetricPeerBlockHeight     = "fabriccrdt_peer_block_height"      // gauge{peer,channel}
-	MetricPeerBlocksCommitted = "fabriccrdt_peer_blocks_total"      // counter{peer,channel}
-	MetricPeerTxsCommitted    = "fabriccrdt_peer_txs_total"         // counter{peer,channel,result}
-	MetricPeerEventQueueDepth = "fabriccrdt_peer_event_queue_depth" // gauge{peer}
-	MetricPeerEventListeners  = "fabriccrdt_peer_event_listeners"   // gauge{peer}
+	MetricCommitStageSeconds  = "fabriccrdt_commit_stage_seconds" // histogram{peer,channel,stage}
+	MetricPeerBlockHeight     = "fabriccrdt_peer_block_height"    // gauge{peer,channel}
+	MetricPeerBlocksCommitted = "fabriccrdt_peer_blocks_total"    // counter{peer,channel}
+	MetricPeerTxsCommitted    = "fabriccrdt_peer_txs_total"       // counter{peer,channel,result}
 
 	// Finalize scheduler (Peer.SchedulerCounters; label peer).
 	MetricSchedBlocks     = "fabriccrdt_sched_blocks_total"         // counter{peer}

@@ -109,7 +109,7 @@ func TestRenderMergesAndValidates(t *testing.T) {
 	b := NewRegistry()
 	a.Counter("fabriccrdt_wire_frames_total", "side", "client").Add(3)
 	b.Counter("fabriccrdt_wire_frames_total", "side", "server").Add(4)
-	a.GaugeFunc("fabriccrdt_peer_event_queue_depth", func() float64 { return 2 }, "peer", "p0")
+	a.GaugeFunc("fabriccrdt_peer_block_height", func() float64 { return 2 }, "peer", "p0")
 	h := b.Histogram("fabriccrdt_commit_stage_seconds", "stage", "apply")
 	h.Observe(3 * time.Millisecond)
 	var buf bytes.Buffer
@@ -121,7 +121,7 @@ func TestRenderMergesAndValidates(t *testing.T) {
 		"# TYPE fabriccrdt_wire_frames_total counter",
 		`fabriccrdt_wire_frames_total{side="client"} 3`,
 		`fabriccrdt_wire_frames_total{side="server"} 4`,
-		`fabriccrdt_peer_event_queue_depth{peer="p0"} 2`,
+		`fabriccrdt_peer_block_height{peer="p0"} 2`,
 		"# TYPE fabriccrdt_commit_stage_seconds histogram",
 		`fabriccrdt_commit_stage_seconds_bucket{stage="apply",le="+Inf"} 1`,
 		`fabriccrdt_commit_stage_seconds_count{stage="apply"} 1`,

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Queue high-water warnings: the unbounded handoff queues (peer event
-// listeners, wire call queues, History cursors) trade
+// Queue high-water warnings: the unbounded handoff queues (wire call
+// queues, History cursors) trade
 // backpressure for isolation — a stuck consumer must not stall the
 // producer — which means a stuck consumer grows memory silently. Push
 // paths report their depth here; past the high-water mark one structured

@@ -33,12 +33,20 @@
 // root. A restarted peer serves its full history to syncing peers
 // (SyncFrom) and can rebuild its world state from block 0 (RebuildState),
 // reproducing the pre-restart state byte for byte (DESIGN.md §8).
+//
+// A submission learns its outcome from the peer that commits it: each
+// channel keeps a waiter table keyed by transaction ID (AwaitCommit), and
+// the finalize stage hands each committed transaction's CommitEvent to the
+// waiters registered for it — a send into a one-slot buffer, so a waiter
+// that never reads cannot stall a commit. AwaitHeightOn waits for whole
+// blocks instead (DESIGN.md §9).
 package peer
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,7 +90,8 @@ type ProposalResponse struct {
 	Signature []byte
 }
 
-// CommitEvent notifies a listener of one transaction's commit outcome.
+// CommitEvent is one transaction's commit outcome, handed to the waiters
+// registered for it (AwaitCommit).
 type CommitEvent struct {
 	TxID string
 	// ChannelID names the channel the transaction committed on.
@@ -148,11 +157,11 @@ type Peer struct {
 	channels   map[string]*channel.Runtime
 
 	// reg is the peer's metrics registry: per-(channel,stage) commit
-	// histograms, block/transaction counters, height, store and
-	// event-queue gauges — everything the -metrics-addr endpoint serves
-	// for this peer, and the single source CommitTimings reads from. Each
-	// peer owns its registry so multi-peer processes (fabricnet, tests)
-	// keep their series apart; serve them merged via obs.Render.
+	// histograms, block/transaction counters, height and store gauges —
+	// everything the -metrics-addr endpoint serves for this peer, and the
+	// single source CommitTimings reads from. Each peer owns its registry
+	// so multi-peer processes (fabricnet, tests) keep their series apart;
+	// serve them merged via obs.Render.
 	reg *obs.Registry
 	// cm holds each channel's registered instruments; read-only after New,
 	// so the commit hot path observes without locks.
@@ -166,8 +175,9 @@ type Peer struct {
 	// merge key-groups and the finalize scheduler alike (commitWorkers).
 	workers int
 
-	eventMu   sync.RWMutex
-	listeners []*eventSub
+	// waiters maps each channel ID to its waiter table (AwaitCommit,
+	// AwaitHeightOn); read-only after New.
+	waiters map[string]*commitWaiters
 }
 
 // channelMetrics is one channel's registered commit instruments.
@@ -232,6 +242,7 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 		cm:         make(map[string]*channelMetrics, len(ids)),
 		sched:      make(map[string]*obs.Counter, len(schedCounters)),
 		workers:    commitWorkers(len(ids)),
+		waiters:    make(map[string]*commitWaiters, len(ids)),
 	}
 	for _, id := range ids {
 		rt, err := channel.NewRuntime(id, cfg.Committer)
@@ -240,6 +251,7 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 			return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
 		}
 		p.channels[id] = rt
+		p.waiters[id] = newCommitWaiters(rt.Height())
 	}
 	p.registerMetrics()
 	return p, nil
@@ -257,7 +269,7 @@ func commitWorkers(channels int) int {
 
 // registerMetrics builds the peer's registry: stage histograms and commit
 // counters per channel, scrape-time gauges over live state (heights, key
-// counts, store sizes, event-queue depth), and the scheduler tallies.
+// counts, store sizes), and the scheduler tallies.
 // Registration happens once here; afterwards the
 // registry is only read (scrapes) or updated through atomics.
 func (p *Peer) registerMetrics() {
@@ -326,13 +338,6 @@ func (p *Peer) registerMetrics() {
 				func() float64 { return float64(bs.Stats().Fsyncs) }, "peer", name, "channel", id)
 		}
 	}
-	p.reg.GaugeFunc(obs.MetricPeerEventQueueDepth,
-		func() float64 { return float64(p.EventBacklog()) }, "peer", name)
-	p.reg.GaugeFunc(obs.MetricPeerEventListeners, func() float64 {
-		p.eventMu.RLock()
-		defer p.eventMu.RUnlock()
-		return float64(len(p.listeners))
-	}, "peer", name)
 	for _, c := range schedCounters {
 		p.sched[c.name] = p.reg.Counter(c.metric, "peer", name)
 	}
@@ -342,21 +347,6 @@ func (p *Peer) registerMetrics() {
 // process Default registry) behind -metrics-addr and for test and
 // benchmark readouts.
 func (p *Peer) Metrics() *obs.Registry { return p.reg }
-
-// EventBacklog returns the total number of commit events queued across
-// all listeners' handoff queues — the scrape-time depth of the peer's
-// unbounded event fan-out.
-func (p *Peer) EventBacklog() int {
-	p.eventMu.RLock()
-	defer p.eventMu.RUnlock()
-	total := 0
-	for _, s := range p.listeners {
-		s.mu.Lock()
-		total += len(s.queue)
-		s.mu.Unlock()
-	}
-	return total
-}
 
 // closeRuntimes closes every opened channel runtime, keeping the first
 // error.
@@ -446,8 +436,12 @@ func (p *Peer) HeightOn(channelID string) (uint64, error) {
 // Close releases every channel's state backend (a no-op for in-memory
 // backends). With the disk backend it flushes each channel's log and
 // surfaces the first deferred write error; the peer must not commit
-// afterwards.
+// afterwards. Every commit wait still open is released first: its channel
+// closes without an event, and AwaitHeightOn returns.
 func (p *Peer) Close() error {
+	for _, id := range p.channelIDs {
+		p.waiters[id].release()
+	}
 	if err := p.closeRuntimes(); err != nil {
 		return fmt.Errorf("peer %s: %w", p.cfg.Name, err)
 	}
@@ -582,101 +576,148 @@ func endorsementPayload(prop Proposal, rw rwset.ReadWriteSet) ([]byte, error) {
 	return tx.EndorsementPayload()
 }
 
-// eventSub is one listener's commit-event feed: an unbounded handoff queue
-// drained into the listener's channel by a dedicated forwarder goroutine
-// (the same shape as the orderer's deliver subscriptions). The committer's
-// push only appends under the subscription's own lock — it never blocks on
-// the listener — so a slow (or absent) consumer can never stall the commit
-// path; its backlog just accumulates in the queue.
-type eventSub struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []CommitEvent
+// commitWaiters is one channel's waiter table: the submissions waiting
+// for a transaction's commit outcome, keyed by transaction ID, plus the
+// channel's committed height for AwaitHeightOn. The append stage of
+// FinalizeBlockOn resolves it once per block; nothing is queued for anyone
+// who is not waiting.
+type commitWaiters struct {
+	mu   sync.Mutex
+	byTx map[string][]chan CommitEvent
+	// height is the last block whose append stage ran; grew is closed and
+	// replaced each time it moves, waking every AwaitHeightOn caller.
+	height uint64
+	grew   chan struct{}
 	closed bool
-	out    chan CommitEvent
 }
 
-func newEventSub() *eventSub {
-	s := &eventSub{out: make(chan CommitEvent, 64)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+func newCommitWaiters(height uint64) *commitWaiters {
+	return &commitWaiters{byTx: make(map[string][]chan CommitEvent), height: height, grew: make(chan struct{})}
 }
 
-// push enqueues one event and returns the queue depth; never blocks.
-func (s *eventSub) push(ev CommitEvent) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
+// resolve publishes one committed block: every waiter registered for one
+// of its transactions receives that transaction's event, and the height
+// moves. Each waiter's channel has one slot and receives exactly one
+// event, so the hand-off never blocks the commit. A closed table (the
+// peer is closing) has nobody left to tell.
+func (w *commitWaiters) resolve(channelID string, block uint64, txs []*ledger.Transaction, codes []ledger.ValidationCode) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
 	}
-	s.queue = append(s.queue, ev)
-	s.cond.Signal()
-	return len(s.queue)
+	if len(w.byTx) > 0 {
+		for i, tx := range txs {
+			waiting, ok := w.byTx[tx.ID]
+			if !ok {
+				continue
+			}
+			delete(w.byTx, tx.ID)
+			ev := CommitEvent{TxID: tx.ID, ChannelID: channelID, BlockNum: block, Code: codes[i]}
+			for _, ch := range waiting {
+				select {
+				case ch <- ev:
+				default: // unreachable: one slot, one send
+				}
+			}
+		}
+	}
+	w.height = block
+	close(w.grew)
+	w.grew = make(chan struct{})
 }
 
-// close stops the feed; the forwarder drains what is queued, then closes
-// the listener's channel.
-func (s *eventSub) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	s.cond.Signal()
+// cancel withdraws one registration; a no-op once it was resolved.
+func (w *commitWaiters) cancel(txID string, ch chan CommitEvent) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	waiting := w.byTx[txID]
+	i := slices.Index(waiting, ch)
+	switch {
+	case i < 0:
+	case len(waiting) == 1:
+		delete(w.byTx, txID)
+	default:
+		w.byTx[txID] = slices.Delete(waiting, i, i+1)
+	}
 }
 
-// forward drains the queue into the out channel until closed and empty.
-func (s *eventSub) forward() {
+// release closes every open waiter's channel without an event and wakes
+// the height waiters for good; the peer is closing.
+func (w *commitWaiters) release() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
+	}
+	w.closed = true
+	//lint:sorted closing every channel is order-independent
+	for _, waiting := range w.byTx {
+		for _, ch := range waiting {
+			close(ch)
+		}
+	}
+	w.byTx = nil
+	close(w.grew)
+}
+
+// waitersFor resolves a channel ID (empty means default) to its waiter
+// table.
+func (p *Peer) waitersFor(channelID string) (*commitWaiters, error) {
+	rt, err := p.runtime(channelID)
+	if err != nil {
+		return nil, err
+	}
+	return p.waiters[rt.ID()], nil
+}
+
+// AwaitCommit registers a wait for one transaction's commit outcome on one
+// channel (empty means the default channel). The returned channel receives
+// the transaction's CommitEvent when this peer commits the block carrying
+// it; it is closed without an event if the peer closes first. Register
+// before broadcasting, so the commit cannot run ahead of the wait, and call
+// cancel once done waiting (a no-op after the event arrived). Every
+// registration for the same (channel, ID) receives the event; the same ID
+// on another channel is another transaction.
+func (p *Peer) AwaitCommit(channelID, txID string) (<-chan CommitEvent, func(), error) {
+	w, err := p.waitersFor(channelID)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch := make(chan CommitEvent, 1)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		close(ch)
+		return ch, func() {}, nil
+	}
+	w.byTx[txID] = append(w.byTx[txID], ch)
+	return ch, func() { w.cancel(txID, ch) }, nil
+}
+
+// AwaitHeightOn blocks until the channel has committed block n (its
+// committed height is at least n) and returns that height. ok is false
+// when stop closes, the peer closes or the channel is not joined first.
+func (p *Peer) AwaitHeightOn(channelID string, n uint64, stop <-chan struct{}) (height uint64, ok bool) {
+	w, err := p.waitersFor(channelID)
+	if err != nil {
+		return 0, false
+	}
 	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
+		w.mu.Lock()
+		height, grew, closed := w.height, w.grew, w.closed
+		w.mu.Unlock()
+		switch {
+		case height >= n:
+			return height, true
+		case closed:
+			return height, false
 		}
-		batch := s.queue
-		s.queue = nil
-		closed := s.closed
-		s.mu.Unlock()
-		for _, ev := range batch {
-			s.out <- ev
+		select {
+		case <-grew:
+		case <-stop:
+			return height, false
 		}
-		if closed {
-			close(s.out)
-			return
-		}
-	}
-}
-
-// Events returns a channel receiving one CommitEvent per transaction in
-// every block this peer commits — on any of its channels — from the time
-// of the call. Listeners interested in a single channel filter on
-// CommitEvent.ChannelID. Delivery is off the commit path: events are
-// handed to a per-listener forwarder through an unbounded queue, so a
-// listener that stops reading delays only itself, never a commit
-// (DESIGN.md §9).
-func (p *Peer) Events() <-chan CommitEvent {
-	p.eventMu.Lock()
-	defer p.eventMu.Unlock()
-	s := newEventSub()
-	p.listeners = append(p.listeners, s)
-	go s.forward()
-	return s.out
-}
-
-// CloseEvents stops all event feeds; call once no more blocks will be
-// committed. Each listener's channel closes after its queued events have
-// been delivered.
-func (p *Peer) CloseEvents() {
-	p.eventMu.Lock()
-	defer p.eventMu.Unlock()
-	for _, s := range p.listeners {
-		s.close()
-	}
-	p.listeners = nil
-}
-
-func (p *Peer) emit(ev CommitEvent) {
-	p.eventMu.RLock()
-	defer p.eventMu.RUnlock()
-	for _, s := range p.listeners {
-		obs.WarnQueueDepth("peer_events", p.cfg.Name, s.push(ev))
 	}
 }
 

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -405,20 +406,103 @@ func TestRebuildStateReproducesWorldState(t *testing.T) {
 	}
 }
 
+// TestCommitEvents: every waiter registered for a transaction receives its
+// event once the block commits, resolved waiters leave the table, and
+// Close releases the waits still open.
 func TestCommitEvents(t *testing.T) {
 	env := newEnv(t, true)
 	env.install(t, "iot", iotChaincode())
-	events := env.peer.Events()
+	first, cancel, err := env.peer.AwaitCommit("", "tx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	second, _, err := env.peer.AwaitCommit("ch1", "tx1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx := env.endorseTx(t, "tx1", "iot", "record", "dev1", "15")
 	if _, err := env.peer.CommitBlock(makeBlock(t, env.peer, []*ledger.Transaction{tx})); err != nil {
 		t.Fatal(err)
 	}
-	ev := <-events
-	if ev.TxID != "tx1" || ev.Code != ledger.CodeCRDTMerged || ev.BlockNum != 1 {
+	for _, wait := range []<-chan CommitEvent{first, second} {
+		ev := <-wait
+		if ev.TxID != "tx1" || ev.ChannelID != "ch1" || ev.Code != ledger.CodeCRDTMerged || ev.BlockNum != 1 {
+			t.Fatalf("event = %+v", ev)
+		}
+	}
+	if n := len(env.peer.waiters["ch1"].byTx); n != 0 {
+		t.Fatalf("%d resolved waiters left in the table", n)
+	}
+	if h, ok := env.peer.AwaitHeightOn("", 1, nil); !ok || h != 1 {
+		t.Fatalf("AwaitHeightOn = %d, %v; want 1, true", h, ok)
+	}
+	if _, _, err := env.peer.AwaitCommit("nope", "tx1"); !errors.Is(err, ErrUnknownChannel) {
+		t.Fatalf("unknown channel: err = %v", err)
+	}
+
+	open, _, err := env.peer.AwaitCommit("", "never")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	heightDone := make(chan bool, 1)
+	go func() {
+		_, ok := env.peer.AwaitHeightOn("", 2, stop)
+		heightDone <- ok
+	}()
+	if err := env.peer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := <-open; ok {
+		t.Fatal("Close delivered an event to an uncommitted waiter")
+	}
+	if ok := <-heightDone; ok {
+		t.Fatal("AwaitHeightOn reported height 2 after Close")
+	}
+	late, _, err := env.peer.AwaitCommit("", "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := <-late; ok {
+		t.Fatal("a wait registered after Close got an event")
+	}
+}
+
+// TestAwaitCommitCancelLeavesNoWaiter: cancelling withdraws exactly its
+// own registration, and cancelling after the event arrived is harmless.
+func TestAwaitCommitCancelLeavesNoWaiter(t *testing.T) {
+	env := newEnv(t, true)
+	env.install(t, "iot", iotChaincode())
+	_, cancelA, err := env.peer.AwaitCommit("", "tx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, cancelB, err := env.peer.AwaitCommit("", "tx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelA()
+	cancelA()
+	table := env.peer.waiters["ch1"]
+	if n := len(table.byTx["tx1"]); n != 1 {
+		t.Fatalf("%d registrations left for tx1, want 1", n)
+	}
+	tx := env.endorseTx(t, "tx1", "iot", "record", "dev1", "15")
+	if _, err := env.peer.CommitBlock(makeBlock(t, env.peer, []*ledger.Transaction{tx})); err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-kept; ev.TxID != "tx1" {
 		t.Fatalf("event = %+v", ev)
 	}
-	env.peer.CloseEvents()
-	if _, ok := <-events; ok {
-		t.Fatal("events channel not closed")
+	cancelB()
+	_, cancelC, err := env.peer.AwaitCommit("", "tx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelC()
+	if n := len(table.byTx); n != 0 {
+		t.Fatalf("%d waiters left behind", n)
 	}
 }

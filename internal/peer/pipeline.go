@@ -448,8 +448,8 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 					"block", strconv.FormatUint(view.Header.Number, 10),
 					"code", codes[i].String())
 			}
-			p.emit(CommitEvent{TxID: tx.ID, ChannelID: rt.ID(), BlockNum: view.Header.Number, Code: codes[i]})
 		}
+		p.waiters[rt.ID()].resolve(rt.ID(), view.Header.Number, view.Transactions, codes)
 	})
 	if err != nil {
 		return CommitResult{}, fmt.Errorf("peer %s: appending block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
@@ -545,8 +545,8 @@ func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes 
 // IDs are registered for duplicate screening. The block's metadata codes
 // are kept as delivered — a block re-delivered by the orderer carries
 // none; the authoritative codes live with peers that validated it and in
-// the durable state itself. No commit events are emitted (listeners
-// attached after a restart should not see historical commits replayed).
+// the durable state itself. No commit waiter is resolved: the block
+// committed before this peer restarted, so no submission here waits on it.
 //
 // A re-delivered block is never accepted unverified: the chain holds every
 // committed block (in memory, or in the durable block store behind a

@@ -13,6 +13,7 @@ import (
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
+	"fabriccrdt/internal/orderer"
 )
 
 // readOnlyChaincode reads a key and writes nothing.
@@ -309,46 +310,49 @@ func TestCrossChannelInvokeRejected(t *testing.T) {
 	}
 }
 
-// TestSlowEventSubscriberNeverBlocksCommit: the commit-side emit hands
-// events to per-listener unbounded queues — a subscriber that never reads
-// cannot stall it, and an attentive subscriber still sees every event in
-// order.
-func TestSlowEventSubscriberNeverBlocksCommit(t *testing.T) {
+// TestUnreadCommitWaiterNeverBlocksCommit: finalize hands each event to
+// a one-slot buffer — waiters that never read cannot stall it, however
+// many blocks commit, and a height waiter still sees every block.
+func TestUnreadCommitWaiterNeverBlocksCommit(t *testing.T) {
 	env := newEnv(t, true)
-	stuck := env.peer.Events() // not read until the very end
-	reader := env.peer.Events()
-
-	const n = 10000 // far beyond any fixed channel buffer
-	emitted := make(chan struct{})
+	env.install(t, "iot", iotChaincode())
+	const n, perBlock = 200, 10
+	txs := make([]*ledger.Transaction, n)
+	for i := range txs {
+		id := fmt.Sprintf("t%d", i)
+		txs[i] = env.endorseTx(t, id, "iot", "record", "dev1", "1")
+		for range 2 { // two registrations per transaction, neither ever read
+			if _, _, err := env.peer.AwaitCommit("", id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	committed := make(chan error, 1)
 	go func() {
-		defer close(emitted)
-		for i := 0; i < n; i++ {
-			env.peer.emit(CommitEvent{TxID: fmt.Sprintf("t%d", i)})
+		num, hash := env.peer.Chain().LastRef()
+		a := orderer.NewAssemblerAt(num, hash)
+		for i := 0; i < n; i += perBlock {
+			block, err := a.Assemble(orderer.Batch{Transactions: txs[i : i+perBlock], Reason: orderer.CutMaxMessages})
+			if err == nil {
+				_, err = env.peer.CommitBlock(block)
+			}
+			if err != nil {
+				committed <- err
+				return
+			}
 		}
+		committed <- nil
 	}()
+	if h, ok := env.peer.AwaitHeightOn("", n/perBlock, nil); !ok || h != n/perBlock {
+		t.Fatalf("AwaitHeightOn = %d, %v; want %d, true", h, ok, n/perBlock)
+	}
 	select {
-	case <-emitted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("emit blocked on an unread subscriber")
-	}
-	env.peer.CloseEvents()
-
-	i := 0
-	for ev := range reader {
-		if want := fmt.Sprintf("t%d", i); ev.TxID != want {
-			t.Fatalf("event %d = %q, want %q (order lost)", i, ev.TxID, want)
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-	}
-	if i != n {
-		t.Fatalf("reader saw %d events, want %d", i, n)
-	}
-	got := 0
-	for range stuck {
-		got++
-	}
-	if got != n {
-		t.Fatalf("stuck subscriber drained %d events, want %d", got, n)
+	case <-time.After(30 * time.Second):
+		t.Fatal("finalize blocked on an unread waiter")
 	}
 }
 

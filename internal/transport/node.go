@@ -136,69 +136,49 @@ func (n *Node) Close() error {
 
 // Gateway is the server half of the Submit stream: it fronts one peer,
 // broadcasting endorsed envelopes to the ordering service and completing
-// each submission with the commit event the peer emits — Fabric's gateway
-// service collapsed to its essence. One Gateway consumes one event
-// subscription on its peer regardless of how many submissions are in
-// flight.
+// each submission with the commit event of the peer it fronts — Fabric's
+// gateway service collapsed to its essence. It runs no goroutine: each
+// Submit registers its own wait with the peer (keyed by channel and
+// transaction ID) before broadcasting.
 type Gateway struct {
-	peer    *peer.Peer
+	peer    committer
 	orderer Broadcaster
 	timeout time.Duration
-
-	mu      sync.Mutex
-	waiters map[string]chan peer.CommitEvent
-	done    chan struct{}
 }
 
-// NewGateway starts a gateway fronting p, broadcasting through b, failing
-// submissions that see no commit event within timeout. The gateway's event
-// listener ends when the peer closes its event streams (peer.CloseEvents).
-func NewGateway(p *peer.Peer, b Broadcaster, timeout time.Duration) *Gateway {
-	g := &Gateway{
-		peer:    p,
-		orderer: b,
-		timeout: timeout,
-		waiters: make(map[string]chan peer.CommitEvent),
-		done:    make(chan struct{}),
-	}
-	events := p.Events()
-	go func() {
-		defer close(g.done)
-		for ev := range events {
-			g.mu.Lock()
-			ch, ok := g.waiters[ev.TxID]
-			if ok {
-				delete(g.waiters, ev.TxID)
-			}
-			g.mu.Unlock()
-			if ok {
-				ch <- ev
-			}
-		}
-	}()
-	return g
+// committer is the peer surface a Gateway waits on — *peer.Peer.
+type committer interface {
+	AwaitCommit(channelID, txID string) (<-chan peer.CommitEvent, func(), error)
+	Name() string
+}
+
+// NewGateway returns a gateway fronting p, broadcasting through b, failing
+// submissions that see no commit event within timeout.
+func NewGateway(p committer, b Broadcaster, timeout time.Duration) *Gateway {
+	return &Gateway{peer: p, orderer: b, timeout: timeout}
 }
 
 // Submit broadcasts the envelope and blocks until the fronted peer commits
-// it (any validation code — the code is the caller's answer) or the
-// gateway timeout passes.
+// it on the envelope's channel (any validation code — the code is the
+// caller's answer) or the gateway timeout passes. A peer that closes first
+// fails the submission retryably; a timeout is final.
 func (g *Gateway) Submit(tx *ledger.Transaction) (peer.CommitEvent, error) {
 	start := time.Now()
-	wait := make(chan peer.CommitEvent, 1)
-	g.mu.Lock()
-	g.waiters[tx.ID] = wait
-	g.mu.Unlock()
-	release := func() {
-		g.mu.Lock()
-		delete(g.waiters, tx.ID)
-		g.mu.Unlock()
+	wait, cancel, err := g.peer.AwaitCommit(tx.ChannelID, tx.ID)
+	if err != nil {
+		return peer.CommitEvent{}, Errorf("submit", false, "gateway %s: %v", g.peer.Name(), err)
 	}
+	defer cancel()
 	if err := g.orderer.Broadcast(tx); err != nil {
-		release()
 		return peer.CommitEvent{}, fmt.Errorf("gateway %s: broadcasting %s: %w", g.peer.Name(), tx.ID, err)
 	}
+	timer := time.NewTimer(g.timeout)
+	defer timer.Stop()
 	select {
-	case ev := <-wait:
+	case ev, ok := <-wait:
+		if !ok {
+			return peer.CommitEvent{}, Errorf("submit", true, "gateway %s: peer closed before %s committed", g.peer.Name(), tx.ID)
+		}
 		// Recorded on the peer's process clock, after the peer's commit
 		// span (which starts at finalize entry) — so in the trace view the
 		// gateway.submit span encloses the peer.commit span of its block.
@@ -206,11 +186,7 @@ func (g *Gateway) Submit(tx *ledger.Transaction) (peer.CommitEvent, error) {
 			"peer", g.peer.Name(), "txID", tx.ID, "channel", tx.ChannelID,
 			"code", ev.Code.String())
 		return ev, nil
-	case <-g.done:
-		release()
-		return peer.CommitEvent{}, Errorf("submit", true, "gateway %s: peer event stream closed before %s committed", g.peer.Name(), tx.ID)
-	case <-time.After(g.timeout):
-		release()
+	case <-timer.C:
 		return peer.CommitEvent{}, Errorf("submit", false, "gateway %s: timed out waiting for commit of %s", g.peer.Name(), tx.ID)
 	}
 }

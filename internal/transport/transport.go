@@ -15,8 +15,9 @@
 //     side of every Deliver stream, giving each consumer an unbounded
 //     cursor instead of a bounded queue (the orderer fan-out deadlock of
 //     DESIGN.md §7 is structurally impossible here).
-//   - Gateway (node.go): the Submit server half — broadcast an endorsed
-//     envelope, wait for the local peer's commit event.
+//   - Gateway (node.go): the Submit server half — register a commit wait
+//     with the local peer, broadcast the endorsed envelope, return the
+//     transaction's commit event.
 //   - Chaos (chaos.go): fault-injecting middleware wrapping any Transport —
 //     delayed, duplicated, dropped, reordered and tampered blocks plus
 //     mid-stream disconnects — used by the conformance suite and the
