@@ -37,11 +37,13 @@ race: vet lint
 	$(GO) -C bench test -race ./...
 
 # Wire-transport gate: the transport conformance suite against BOTH
-# implementations (in-process Node and TCP wire client/server) under
-# -race, Chaos fault modes included; the network-level wire + Err-split
-# regressions; and the multi-process tests (real orderer/peer/client
-# processes over loopback sockets, kill -9 recovery to byte-identical
-# state).
+# implementations (in-process Node and TCP wire client/server, where each
+# deliver stream runs on its own connection and the unary calls share
+# one) under -race, Chaos fault modes included, plus the wire package's
+# torn-frame, slow-consumer and clean-close tests; the network-level
+# wire + Err-split regressions; and the multi-process tests (real
+# orderer/peer/client processes over loopback sockets, kill -9 recovery
+# to byte-identical state).
 test-wire: vet
 	$(GO) test -race ./internal/transport/... ./internal/wire/...
 	$(GO) test -race -run 'TestWire|TestGateway|TestDeliverLoopHealsSeveredStream|TestCommitErrorIsFatalNotRetried' ./internal/fabricnet

@@ -55,7 +55,7 @@ func TestWireSlowRemoteConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A live remote consumer on the same connection sees the full chain.
+	// A live remote consumer on the same client sees the full chain.
 	height, err := n.Peers()[0].HeightOn(n.DefaultChannel())
 	if err != nil {
 		t.Fatal(err)

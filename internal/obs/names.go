@@ -38,10 +38,10 @@ const (
 	MetricBlockstoreAppends  = "fabriccrdt_blockstore_appends_total"   // counter{peer,channel}
 	MetricBlockstoreFsyncs   = "fabriccrdt_blockstore_fsyncs_total"    // counter{peer,channel}
 
-	// Unbounded handoff queues (scrape-time depth gauges).
-	MetricHistoryLagBlocks   = "fabriccrdt_history_lag_blocks"    // gauge{channel}
-	MetricHistoryStreams     = "fabriccrdt_history_streams"       // gauge{channel}
-	MetricWireCallQueueDepth = "fabriccrdt_wire_call_queue_depth" // gauge (client side)
+	// History cursors, the one unbounded handoff queue family
+	// (scrape-time gauges).
+	MetricHistoryLagBlocks = "fabriccrdt_history_lag_blocks" // gauge{channel}
+	MetricHistoryStreams   = "fabriccrdt_history_streams"    // gauge{channel}
 
 	// Wire transport (process-global Default registry).
 	MetricWireFrames      = "fabriccrdt_wire_frames_total"       // counter{side,dir}

@@ -258,7 +258,7 @@ func TestWarnQueueDepthRateLimited(t *testing.T) {
 	if got := strings.Count(buf.String(), "high-water"); got != 1 {
 		t.Fatalf("got %d warnings, want 1 (rate-limited): %s", got, buf.String())
 	}
-	WarnQueueDepth("wire_call", "127.0.0.1:9", 50) // different queue: warns
+	WarnQueueDepth("history_lag", "channel2", 50) // different label: warns
 	if got := strings.Count(buf.String(), "high-water"); got != 2 {
 		t.Fatalf("got %d warnings, want 2: %s", got, buf.String())
 	}

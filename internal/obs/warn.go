@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Queue high-water warnings: the unbounded handoff queues (wire call
-// queues, History cursors) trade
-// backpressure for isolation — a stuck consumer must not stall the
-// producer — which means a stuck consumer grows memory silently. Push
-// paths report their depth here; past the high-water mark one structured
-// slog warning per (queue, label) is emitted per warnEvery, so a wedged
-// consumer is named in the log without flooding it.
+// Queue high-water warnings: the one unbounded handoff queue family left,
+// History cursors, trades backpressure for isolation — a stuck consumer
+// must not stall the producer — which means a stuck consumer's lag grows
+// silently. Push paths report their depth here; past the high-water mark
+// one structured slog warning per (queue, label) is emitted per
+// warnEvery, so a wedged consumer is named in the log without flooding
+// it.
 
 // warnEvery rate-limits repeated warnings for the same queue.
 const warnEvery = 10 * time.Second

@@ -258,7 +258,7 @@ func testStreamCloseIsLocal(t *testing.T, factory Factory) {
 	defer b.Close()
 	recvN(t, a, 1, 1)
 	// Closing one stream must unblock its reader and leave the other
-	// stream (and the shared connection, for wire) fully usable.
+	// stream (and, for wire, the client) fully usable.
 	waiting := make(chan error, 1)
 	go func() {
 		for {

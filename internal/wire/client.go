@@ -1,66 +1,50 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/peer"
 	"fabriccrdt/internal/transport"
 )
 
-// ClientConfig tunes a wire client's connection handling.
-type ClientConfig struct {
-	// DialTimeout bounds each dial attempt (default 3s).
-	DialTimeout time.Duration
-	// DialRetries is how many times a lazy reconnect re-dials, with
-	// exponential backoff from DialBackoff, before the call fails
-	// retryable (default 3 retries from 25ms).
-	DialRetries int
-	DialBackoff time.Duration
-	// CallTimeout bounds each unary request (default 30s).
-	CallTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
-}
+// ClientConfig has no fields; Dial keeps the parameter so existing callers
+// compile unchanged.
+type ClientConfig struct{}
 
-func (c *ClientConfig) fill() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.DialRetries <= 0 {
-		c.DialRetries = 3
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 25 * time.Millisecond
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-}
+// Connection handling. A lazy reconnect of the unary connection re-dials
+// dialRetries times with exponential backoff from dialBackoff before the
+// call fails retryable.
+const (
+	dialTimeout  = 3 * time.Second // each dial and its Hello
+	dialRetries  = 3               // re-dials per lazy reconnect
+	dialBackoff  = 25 * time.Millisecond
+	callTimeout  = 30 * time.Second // each unary request
+	writeTimeout = 10 * time.Second // each frame write
+)
 
-// Client is the dialing side of the wire transport: one TCP connection per
-// endpoint, all four streams multiplexed over it by client-assigned stream
-// ids. When the connection dies, every in-flight call and stream fails with
-// a RETRYABLE transport.Error, and the next call re-dials with exponential
-// backoff — the deliver loop's reconnect discipline composes on top. Client
-// implements transport.Transport.
+// Client is the dialing side of the wire transport. Unary calls
+// (Broadcast, Endorse, Submit) share one TCP connection, routed by
+// client-assigned stream ids; when it dies every in-flight call fails with
+// a RETRYABLE transport.Error and the next call re-dials with exponential
+// backoff. Each Deliver stream dials a connection of its own and reads its
+// frames straight off that socket, so a slow consumer is bounded by TCP
+// flow control — and, past the server's write timeout, disconnected —
+// without stalling anyone else; the deliver loop's reconnect discipline
+// composes on top. Client implements transport.Transport.
 type Client struct {
 	addr string
-	cfg  ClientConfig
 
 	mu      sync.Mutex
-	conn    net.Conn             // nil when disconnected
-	writeMu *sync.Mutex          // per-connection write lock
-	calls   map[uint64]*wireCall // in-flight, routed by the read loop
+	conn    net.Conn               // unary connection; nil when disconnected
+	writeMu *sync.Mutex            // per-connection write lock
+	calls   map[uint64]chan reply  // in-flight unary calls, routed by the read loop
+	streams map[*clientStream]bool // open deliver streams, closed by Close
 	nextID  uint64
 	info    transport.Info
 	closed  bool
@@ -69,86 +53,22 @@ type Client struct {
 	everConnected bool
 }
 
-// wireCall is one in-flight request or open stream: the read loop pushes
-// frames, the caller pops them. The queue is unbounded so a slow deliver
-// consumer never stalls the read loop (and with it every other stream on
-// the connection) — lag costs this client memory, nothing else.
-type wireCall struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []frame
-	err    error // terminal: connection torn down
-	closed bool
-}
-
-func newWireCall() *wireCall {
-	c := &wireCall{}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-func (w *wireCall) push(f frame) {
-	w.mu.Lock()
-	w.queue = append(w.queue, f)
-	depth := len(w.queue)
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	obs.WarnQueueDepth("wire_call", "", depth)
-}
-
-func (w *wireCall) fail(err error) {
-	w.mu.Lock()
-	w.err = err
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-func (w *wireCall) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// pop waits for the next frame. A deadline of zero waits forever.
-func (w *wireCall) pop(deadline time.Time) (frame, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		timer = time.AfterFunc(time.Until(deadline), w.cond.Broadcast)
-		defer timer.Stop()
-	}
-	for {
-		if len(w.queue) > 0 {
-			f := w.queue[0]
-			w.queue = w.queue[1:]
-			return f, nil
-		}
-		if w.closed {
-			return frame{}, transport.ErrClosed
-		}
-		if w.err != nil {
-			return frame{}, w.err
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return frame{}, transport.Errorf("call", false, "wire: call timed out")
-		}
-		w.cond.Wait()
-	}
+// reply is what an in-flight unary call receives, exactly once: its
+// response frame or the failure of its connection.
+type reply struct {
+	f   frame
+	err error
 }
 
 // Dial connects to a wire server and reads its Hello. The returned client
 // lazily reconnects after failures.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
-	c := &Client{addr: addr, cfg: cfg, calls: make(map[uint64]*wireCall)}
+func Dial(addr string, _ ClientConfig) (*Client, error) {
+	c := &Client{addr: addr, calls: make(map[uint64]chan reply), streams: make(map[*clientStream]bool)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.connectLocked(); err != nil {
 		return nil, err
 	}
-	trackClient(c)
 	return c, nil
 }
 
@@ -159,26 +79,36 @@ func (c *Client) Info() transport.Info {
 	return c.info
 }
 
-// connectLocked dials once and completes the Hello handshake. c.mu held.
-func (c *Client) connectLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+// handshake dials once and reads the server's Hello.
+func (c *Client) handshake() (net.Conn, transport.Info, error) {
+	var info transport.Info
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
-		return transport.Errorf("dial", true, "wire: %v", err)
+		return nil, info, transport.Errorf("dial", true, "wire: %v", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	hello, err := readFrame(conn)
 	if err != nil || hello.Type != ftHello {
 		conn.Close()
-		return transport.Errorf("dial", true, "wire: bad hello from %s: %v", c.addr, err)
+		return nil, info, transport.Errorf("dial", true, "wire: bad hello from %s: %v", c.addr, err)
 	}
-	var info transport.Info
 	if err := unmarshalBody(hello.Body, &info); err != nil {
 		conn.Close()
-		return transport.Errorf("dial", true, "wire: bad hello body from %s: %v", c.addr, err)
+		return nil, info, transport.Errorf("dial", true, "wire: bad hello body from %s: %v", c.addr, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	framesClientIn.Inc()
 	bytesClientIn.Add(frameBytes(hello))
+	return conn, info, nil
+}
+
+// connectLocked dials the unary connection and starts its read loop. c.mu
+// held.
+func (c *Client) connectLocked() error {
+	conn, info, err := c.handshake()
+	if err != nil {
+		return err
+	}
 	if c.everConnected {
 		reconnects.Inc()
 	}
@@ -190,8 +120,8 @@ func (c *Client) connectLocked() error {
 	return nil
 }
 
-// ensure returns the live connection and its write lock, reconnecting with
-// exponential backoff when the previous connection died.
+// ensure returns the live unary connection and its write lock,
+// reconnecting with exponential backoff when the previous one died.
 func (c *Client) ensure() (net.Conn, *sync.Mutex, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -201,9 +131,9 @@ func (c *Client) ensure() (net.Conn, *sync.Mutex, error) {
 	if c.conn != nil {
 		return c.conn, c.writeMu, nil
 	}
-	backoff := c.cfg.DialBackoff
+	backoff := dialBackoff
 	var err error
-	for attempt := 0; attempt <= c.cfg.DialRetries; attempt++ {
+	for attempt := 0; attempt <= dialRetries; attempt++ {
 		if attempt > 0 {
 			c.mu.Unlock()
 			time.Sleep(backoff)
@@ -223,15 +153,13 @@ func (c *Client) ensure() (net.Conn, *sync.Mutex, error) {
 	return nil, nil, err
 }
 
-// readLoop routes incoming frames to their calls until the connection dies,
-// then fails every in-flight call retryably.
+// readLoop hands each response frame to the call waiting for it until the
+// connection dies, then fails every in-flight call retryably.
 func (c *Client) readLoop(conn net.Conn) {
 	for {
 		f, err := readFrame(conn)
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				frameErrsClient.Inc()
-			}
+			countFrameErr(frameErrsClient, err)
 			c.teardown(conn, err)
 			return
 		}
@@ -239,14 +167,15 @@ func (c *Client) readLoop(conn net.Conn) {
 		bytesClientIn.Add(frameBytes(f))
 		c.mu.Lock()
 		call := c.calls[f.Stream]
+		delete(c.calls, f.Stream)
 		c.mu.Unlock()
 		if call != nil {
-			call.push(f)
+			call <- reply{f: f} // one slot, one sender: whoever removed it
 		}
 	}
 }
 
-// teardown clears a dead connection and fails its in-flight calls.
+// teardown clears a dead unary connection and fails its in-flight calls.
 func (c *Client) teardown(conn net.Conn, cause error) {
 	conn.Close()
 	c.mu.Lock()
@@ -256,25 +185,20 @@ func (c *Client) teardown(conn net.Conn, cause error) {
 	}
 	c.conn = nil
 	calls := c.calls
-	c.calls = make(map[uint64]*wireCall)
+	c.calls = make(map[uint64]chan reply)
+	closed := c.closed
 	c.mu.Unlock()
 	err := transport.Errorf("conn", true, "wire: connection to %s lost: %v", c.addr, cause)
-	if c.isClosed() {
+	if closed {
 		err = &transport.Error{Op: "conn", Retryable: false, Err: transport.ErrClosed}
 	}
 	for _, call := range calls {
-		call.fail(err)
+		call <- reply{err: err}
 	}
 }
 
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
 // register allocates a stream id on the given connection.
-func (c *Client) register(conn net.Conn) (uint64, *wireCall, bool) {
+func (c *Client) register(conn net.Conn) (uint64, chan reply, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != conn { // torn down between ensure and register
@@ -282,7 +206,7 @@ func (c *Client) register(conn net.Conn) (uint64, *wireCall, bool) {
 	}
 	c.nextID++
 	id := c.nextID
-	call := newWireCall()
+	call := make(chan reply, 1)
 	c.calls[id] = call
 	return id, call, true
 }
@@ -293,17 +217,16 @@ func (c *Client) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// send writes one frame under the connection's write lock.
+// send writes one frame on the unary connection under its write lock. A
+// failed write may have left a torn frame behind, so it tears the
+// connection down.
 func (c *Client) send(conn net.Conn, writeMu *sync.Mutex, f frame) error {
 	writeMu.Lock()
 	defer writeMu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err := writeFrame(conn, f); err != nil {
-		frameErrsClient.Inc()
+	if err := writeFrameCounted(conn, f); err != nil {
+		c.teardown(conn, err)
 		return transport.Errorf("conn", true, "wire: writing to %s: %v", c.addr, err)
 	}
-	framesClientOut.Inc()
-	bytesClientOut.Add(frameBytes(f))
 	return nil
 }
 
@@ -321,17 +244,24 @@ func (c *Client) unary(ft frameType, op string, body []byte) ([]byte, error) {
 	if err := c.send(conn, writeMu, frame{Type: ft, Stream: id, Body: body}); err != nil {
 		return nil, err
 	}
-	f, err := call.pop(time.Now().Add(c.cfg.CallTimeout))
-	if err != nil {
-		return nil, err
+	timer := time.NewTimer(callTimeout)
+	defer timer.Stop()
+	var r reply
+	select {
+	case r = <-call:
+	case <-timer.C:
+		return nil, transport.Errorf("call", false, "wire: call timed out")
 	}
-	switch f.Type {
+	if r.err != nil {
+		return nil, r.err
+	}
+	switch r.f.Type {
 	case ftMsg:
-		return f.Body, nil
+		return r.f.Body, nil
 	case ftErr:
-		return nil, decodeWireError(op, f.Body)
+		return nil, decodeWireError(op, r.f.Body)
 	default:
-		return nil, transport.Errorf(op, false, "wire: unexpected frame type %d in response", f.Type)
+		return nil, transport.Errorf(op, false, "wire: unexpected frame type %d in response", r.f.Type)
 	}
 }
 
@@ -348,27 +278,54 @@ func decodeWireError(op string, body []byte) error {
 	return transport.Errorf(we.Op, we.Retryable, "%s", we.Msg)
 }
 
-// Deliver opens a block stream over the wire. The returned stream verifies
-// per-stream sequence contiguity: a skipped or repeated wire frame is a
-// medium failure and surfaces as a retryable error.
+// Deliver opens a block stream on a connection of its own. The returned
+// stream verifies per-stream sequence contiguity: a skipped or repeated
+// wire frame is a medium failure and surfaces as a retryable error.
 func (c *Client) Deliver(channelID string, from uint64) (transport.BlockStream, error) {
-	conn, writeMu, err := c.ensure()
-	if err != nil {
-		return nil, err
-	}
 	body, err := marshalBody(deliverOpen{Channel: channelID, From: from})
 	if err != nil {
 		return nil, err
 	}
-	id, call, ok := c.register(conn)
-	if !ok {
-		return nil, transport.Errorf("deliver", true, "wire: connection to %s lost", c.addr)
+	if c.isClosed() {
+		return nil, transport.ErrClosed
 	}
-	if err := c.send(conn, writeMu, frame{Type: ftOpenDeliver, Stream: id, Body: body}); err != nil {
-		c.unregister(id)
+	conn, _, err := c.handshake()
+	if err != nil {
 		return nil, err
 	}
-	return &clientStream{c: c, conn: conn, writeMu: writeMu, id: id, call: call}, nil
+	s := &clientStream{c: c, conn: conn}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		conn.Close()
+		return nil, transport.ErrClosed
+	}
+	c.streams[s] = true
+	c.mu.Unlock()
+	if err := writeFrameCounted(conn, frame{Type: ftOpenDeliver, Stream: 1, Body: body}); err != nil {
+		s.Close()
+		return nil, transport.Errorf("deliver", true, "wire: writing to %s: %v", c.addr, err)
+	}
+	return s, nil
+}
+
+func (c *Client) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// writeFrameCounted writes one frame under the client's write deadline and
+// counts it in the client's traffic or frame-error counters.
+func writeFrameCounted(conn net.Conn, f frame) error {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err := writeFrame(conn, f); err != nil {
+		countFrameErr(frameErrsClient, err)
+		return err
+	}
+	framesClientOut.Inc()
+	bytesClientOut.Add(frameBytes(f))
+	return nil
 }
 
 // Broadcast submits one envelope for ordering.
@@ -415,67 +372,54 @@ func (c *Client) Submit(tx *ledger.Transaction) (peer.CommitEvent, error) {
 	return ev, nil
 }
 
-// Close severs the connection and fails all in-flight calls with ErrClosed.
+// Close severs the unary connection, failing its in-flight calls with
+// ErrClosed, and closes every open stream, whose Recv then returns io.EOF.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn
+	streams := make([]*clientStream, 0, len(c.streams))
+	for s := range c.streams {
+		streams = append(streams, s)
+	}
 	c.mu.Unlock()
-	untrackClient(c)
 	if conn != nil {
 		c.teardown(conn, transport.ErrClosed)
+	}
+	for _, s := range streams {
+		s.Close()
 	}
 	return nil
 }
 
-// queueDepth is the total number of frames parked in this client's
-// in-flight call queues — the scrape-time gauge input.
-func (c *Client) queueDepth() int {
-	c.mu.Lock()
-	calls := make([]*wireCall, 0, len(c.calls))
-	for _, w := range c.calls {
-		calls = append(calls, w)
-	}
-	c.mu.Unlock()
-	total := 0
-	for _, w := range calls {
-		w.mu.Lock()
-		total += len(w.queue)
-		w.mu.Unlock()
-	}
-	return total
-}
-
-// clientStream is one open wire deliver session.
+// clientStream is one open wire deliver session: its own connection,
+// carrying one stream.
 type clientStream struct {
-	c       *Client
-	conn    net.Conn
-	writeMu *sync.Mutex
-	id      uint64
-	call    *wireCall
+	c    *Client
+	conn net.Conn
 
 	seq    uint64 // last verified wire sequence number
-	closed bool
-	mu     sync.Mutex
+	closed atomic.Bool
 }
 
-// Recv returns the next block, verifying wire-level sequence contiguity.
-// One goroutine consumes a stream (the BlockStream contract); Close from
-// another goroutine unblocks it.
+// Recv reads the next block off the stream's connection, verifying
+// wire-level sequence contiguity. One goroutine consumes a stream (the
+// BlockStream contract); Close from another goroutine unblocks it.
 func (s *clientStream) Recv() (*ledger.Block, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed.Load() {
 		return nil, io.EOF
 	}
-	f, err := s.call.pop(time.Time{})
+	f, err := readFrame(s.conn)
 	if err != nil {
-		if errors.Is(err, transport.ErrClosed) {
+		if s.closed.Load() {
 			return nil, io.EOF
 		}
-		return nil, err
+		countFrameErr(frameErrsClient, err)
+		s.conn.Close()
+		return nil, transport.Errorf("deliver", true, "wire: connection to %s lost: %v", s.c.addr, err)
 	}
+	framesClientIn.Inc()
+	bytesClientIn.Add(frameBytes(f))
 	switch f.Type {
 	case ftMsg:
 		if f.Seq != s.seq+1 {
@@ -497,18 +441,16 @@ func (s *clientStream) Recv() (*ledger.Block, error) {
 	}
 }
 
-// Close cancels the session server-side (best effort) and releases it.
+// Close closes the stream's connection; the server sees the disconnect
+// and releases its cursor.
 func (s *clientStream) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.c.unregister(s.id)
-	s.call.close()
-	s.c.send(s.conn, s.writeMu, frame{Type: ftCancel, Stream: s.id})
+	s.c.mu.Lock()
+	delete(s.c.streams, s)
+	s.c.mu.Unlock()
+	s.conn.Close()
 	return nil
 }
 

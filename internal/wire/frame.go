@@ -1,14 +1,15 @@
 // Package wire is the framed-TCP implementation of transport.Transport: the
-// four FabricCRDT streams (Deliver, Broadcast, Endorse, Submit) multiplexed
-// over one TCP connection as version-tagged JSON messages inside
-// internal/framing frames — the record discipline of the durable stores
-// (docs/PERSISTENCE.md, "Record format and recovery"), lifted onto a
-// socket. Serve exposes a
+// four FabricCRDT streams (Deliver, Broadcast, Endorse, Submit) as
+// version-tagged JSON messages inside internal/framing frames — the record
+// discipline of the durable stores (docs/PERSISTENCE.md, "Record format
+// and recovery"), lifted onto a socket. NewServer exposes a
 // transport.Transport (usually a *transport.Node) on a listener; Dial
-// returns a client Transport that lazily connects, multiplexes concurrent
-// calls by stream id, verifies per-stream sequence numbers, and reports
-// every medium failure as a retryable transport.Error so deliver loops
-// reconnect with backoff instead of wedging.
+// returns a client Transport whose unary calls share one lazily
+// reconnecting connection, multiplexed by stream id, while each Deliver
+// stream owns a connection of its own, so TCP flow control bounds it. The
+// client verifies per-stream sequence numbers and reports every medium
+// failure as a retryable transport.Error so deliver loops reconnect with
+// backoff instead of wedging.
 package wire
 
 import (
@@ -61,8 +62,6 @@ const (
 	ftEnd
 	// ftErr fails a stream or request (body: wireError).
 	ftErr
-	// ftCancel asks the server to tear down a deliver stream (no body).
-	ftCancel
 )
 
 // frame is one decoded frame.

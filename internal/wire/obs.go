@@ -1,7 +1,10 @@
 package wire
 
 import (
-	"sync"
+	"errors"
+	"io"
+	"net"
+	"syscall"
 
 	"fabriccrdt/internal/framing"
 	"fabriccrdt/internal/obs"
@@ -33,38 +36,15 @@ func frameBytes(f frame) int64 {
 	return int64(framing.HeaderLen + headerLen + len(f.Body))
 }
 
-// liveClients tracks every open Client so one scrape-time gauge can report
-// the total frames parked in their unbounded per-call queues — the wire
-// layer's only unbounded buffers.
-var (
-	liveClientsMu sync.Mutex
-	liveClients   = make(map[*Client]struct{})
-)
-
-func init() {
-	obs.Default().GaugeFunc(obs.MetricWireCallQueueDepth, func() float64 {
-		liveClientsMu.Lock()
-		clients := make([]*Client, 0, len(liveClients))
-		for c := range liveClients {
-			clients = append(clients, c)
-		}
-		liveClientsMu.Unlock()
-		total := 0
-		for _, c := range clients {
-			total += c.queueDepth()
-		}
-		return float64(total)
-	})
-}
-
-func trackClient(c *Client) {
-	liveClientsMu.Lock()
-	liveClients[c] = struct{}{}
-	liveClientsMu.Unlock()
-}
-
-func untrackClient(c *Client) {
-	liveClientsMu.Lock()
-	delete(liveClients, c)
-	liveClientsMu.Unlock()
+// countFrameErr counts a failed frame read or write as a frame error
+// unless all it reports is that one side closed the connection: a clean
+// EOF, a socket closed locally, or a reset or broken pipe from the remote
+// end. What remains are received bytes that fail to decode and writes that
+// fail on a connection both sides still hold open.
+func countFrameErr(c *obs.Counter, err error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		return
+	}
+	c.Inc()
 }

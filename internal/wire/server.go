@@ -15,17 +15,22 @@ import (
 
 // Server exposes a transport.Transport (usually a *transport.Node) on a TCP
 // listener. Each accepted connection is greeted with a Hello frame carrying
-// the endpoint's Info, then serves multiplexed streams: deliver sessions
+// the endpoint's Info, then serves streams by stream id: deliver sessions
 // stream blocks with per-stream sequence numbers; unary requests (broadcast,
 // endorse, submit) each get one response frame. Every handler runs in its
-// own goroutine, writes serialized per connection — one slow stream applies
-// TCP backpressure to its connection only, never to the transport behind
-// the server (whose History cursors absorb lag without queues).
+// own goroutine, writes serialized per connection. The Client gives each
+// deliver stream a connection of its own, so a slow consumer's TCP
+// backpressure holds up only its own stream — never the transport behind
+// the server, whose History cursors absorb lag without queues — and a
+// consumer that stops reading for WriteTimeout is disconnected, to re-open
+// at its next block. A failed write closes its connection: a partly
+// written frame cannot be resumed, and the reader must see the break
+// rather than wait inside a torn frame.
 type Server struct {
 	tr   transport.Transport
 	info transport.Info
 	// WriteTimeout bounds each frame write (default 10s): a peer that
-	// stops reading eventually sheds its connection instead of pinning
+	// stops reading that long loses its connection instead of pinning
 	// server goroutines forever.
 	WriteTimeout time.Duration
 
@@ -111,7 +116,7 @@ func (s *Server) Close() error {
 }
 
 // serverConn is the per-connection state: the write lock serializing frames
-// and the open deliver sessions (for ftCancel and teardown).
+// and the open deliver sessions, closed at teardown.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
@@ -146,9 +151,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		f, err := readFrame(conn)
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				frameErrsServer.Inc()
-			}
+			countFrameErr(frameErrsServer, err)
 			return // disconnect or garbage: drop the connection
 		}
 		framesServerIn.Inc()
@@ -160,14 +163,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				defer handlers.Done()
 				sc.handleDeliver(f)
 			}()
-		case ftCancel:
-			sc.mu.Lock()
-			st, ok := sc.streams[f.Stream]
-			delete(sc.streams, f.Stream)
-			sc.mu.Unlock()
-			if ok {
-				st.Close()
-			}
 		case ftBroadcast, ftEndorse, ftSubmit:
 			handlers.Add(1)
 			go func() {
@@ -181,7 +176,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// write sends one frame under the connection write lock and deadline.
+// write sends one frame under the connection write lock and deadline. A
+// failed write may have left a torn frame behind, so it closes the
+// connection; the read loop then tears the rest down.
 func (sc *serverConn) write(f frame) error {
 	sc.writeMu.Lock()
 	defer sc.writeMu.Unlock()
@@ -189,7 +186,8 @@ func (sc *serverConn) write(f frame) error {
 		sc.conn.SetWriteDeadline(time.Now().Add(t))
 	}
 	if err := writeFrame(sc.conn, f); err != nil {
-		frameErrsServer.Inc()
+		sc.conn.Close()
+		countFrameErr(frameErrsServer, err)
 		return err
 	}
 	framesServerOut.Inc()
