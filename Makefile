@@ -104,9 +104,15 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 	$(GO) test -run xxx -fuzz FuzzDocStateRoundTrip -fuzztime 10s ./internal/jsoncrdt
 
-# One short live-network run with durable peers — state store and block
-# store — against a throwaway datadir: proves the -backend disk path end
-# to end (CI runs this).
+# Two short live-network runs with durable peers — state store and block
+# store — over one throwaway datadir: proves the -backend disk path end to
+# end, and fails unless the second run resumes every channel from the
+# state the first persisted (CI runs this).
+DEMO_PERSIST := $(GO) run ./cmd/fabricnet -txs 60 -rate 600 -block 10 -clients 2 -backend disk
 demo-persist:
-	$(GO) run ./cmd/fabricnet -txs 60 -rate 600 -block 10 -clients 2 \
-		-backend disk -datadir $$(mktemp -d)
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(DEMO_PERSIST) -datadir "$$dir"; \
+	$(DEMO_PERSIST) -datadir "$$dir" > "$$dir/run2.log" || { cat "$$dir/run2.log"; exit 1; }; \
+	cat "$$dir/run2.log"; \
+	grep -q 'resumed .* persisted state at block height' "$$dir/run2.log" || \
+		{ echo "demo-persist: the second run did not resume from the persisted state"; exit 1; }

@@ -43,7 +43,6 @@ import (
 	"fabriccrdt"
 
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/workload"
 )
 
@@ -57,8 +56,8 @@ func main() {
 		channelList = flag.String("channels", "channel1,channel2", "comma-separated channel list; each channel gets its own orderer and per-peer commit pipeline")
 		conflict    = flag.Int("conflict", 100, "percentage of transactions targeting each channel's shared hot key (paper Table 5)")
 		backend     = flag.String("backend", fabriccrdt.BackendMemory, "state backend per peer: memory|sharded|disk|lsm")
-		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel, holding the state store and the block store)")
-		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only): closes the power-loss window; the async pipeline hides the added latency")
+		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel, holding the state store and the block store); with -role orderer, where the per-channel block logs persist")
+		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only; with -role orderer, its block logs): closes the power-loss window; the async pipeline hides the added latency")
 		stateCache  = flag.Int("state-cache", 0, "LSM block cache size in MiB per peer per channel (-backend lsm only; 0 = the 32 MiB default): bounds the memory spent caching sorted-run blocks for reads")
 		timings     = flag.Bool("timings", false, "print per-stage commit latencies per peer")
 
@@ -66,7 +65,6 @@ func main() {
 		// the in-process benchmark.
 		metricsAddr = flag.String("metrics-addr", "", "HTTP listen address serving /metrics (Prometheus text), /healthz, /readyz and /debug/pprof (e.g. 127.0.0.1:9090; empty = disabled)")
 		traceOut    = flag.String("trace-out", "", "enable transaction tracing and write a Chrome trace-event JSON file here on shutdown (load it at chrome://tracing or https://ui.perfetto.dev)")
-		queueWarn   = flag.Int("queue-warn", obs.DefaultQueueWarnDepth, "log a rate-limited warning when any unbounded handoff queue exceeds this depth (0 disables)")
 
 		// Multi-process roles (see roles.go): split the network into
 		// separate OS processes over the wire transport.
@@ -85,26 +83,8 @@ func main() {
 		fatal(err)
 	}
 
-	switch *backend {
-	case fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
-		if *datadir != "" {
-			fatal(fmt.Errorf("-datadir is only used with -backend disk or lsm; nothing would be persisted"))
-		}
-		if *fsync {
-			fatal(fmt.Errorf("-fsync is only used with -backend disk or lsm; there is no log to sync"))
-		}
-	case fabriccrdt.BackendDisk, fabriccrdt.BackendLSM:
-		if *datadir == "" {
-			fatal(fmt.Errorf("-backend %s requires -datadir", *backend))
-		}
-	default:
-		fatal(fmt.Errorf("unknown -backend %q (want memory, sharded, disk or lsm)", *backend))
-	}
-	if *stateCache < 0 {
-		fatal(fmt.Errorf("-state-cache must be >= 0 MiB (got %d)", *stateCache))
-	}
-	if *stateCache > 0 && *backend != fabriccrdt.BackendLSM {
-		fatal(fmt.Errorf("-state-cache is only used with -backend lsm; the other backends have no block cache"))
+	if err := checkRoleFlags(*role, *backend, *datadir, *fsync, *stateCache); err != nil {
+		fatal(err)
 	}
 	committer := fabriccrdt.CommitterConfig{
 		Backend:         *backend,
@@ -140,7 +120,6 @@ func main() {
 			gen:          gen,
 			metricsAddr:  *metricsAddr,
 			traceOut:     *traceOut,
-			queueWarn:    *queueWarn,
 			committer:    committer,
 		})
 		if err != nil {
@@ -157,7 +136,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ob, err := startObs("fabricnet", *metricsAddr, *traceOut, *queueWarn, net.Registries()...)
+	ob, err := startObs("fabricnet", *metricsAddr, *traceOut, net.Registries()...)
 	if err != nil {
 		fatal(err)
 	}
@@ -234,6 +213,19 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// Verify before Stop: Stop closes the peers, and with them a durable
+	// peer's block store — its chain.
+	for _, p := range net.Peers() {
+		for _, ch := range channels {
+			chain, err := p.ChainOn(ch)
+			if err != nil {
+				fatal(err)
+			}
+			if err := chain.Verify(); err != nil {
+				fatal(fmt.Errorf("chain verification on %s/%s: %w", p.Name(), ch, err))
+			}
+		}
+	}
 	net.Stop()
 	if err := net.Err(); err != nil {
 		fatal(err)
@@ -281,17 +273,6 @@ func main() {
 			}
 		}
 		fmt.Println(line)
-	}
-	for _, p := range net.Peers() {
-		for _, ch := range channels {
-			chain, err := p.ChainOn(ch)
-			if err != nil {
-				fatal(err)
-			}
-			if err := chain.Verify(); err != nil {
-				fatal(fmt.Errorf("chain verification on %s/%s: %w", p.Name(), ch, err))
-			}
-		}
 	}
 	fmt.Printf("all %d peer chains verified on all %d channel(s)\n", len(net.Peers()), len(channels))
 
@@ -349,6 +330,50 @@ func parseChannels(list string) ([]string, error) {
 		return nil, fmt.Errorf("bad -channels %q: %w", list, err)
 	}
 	return channels, nil
+}
+
+// checkRoleFlags refuses flag combinations that would be silently ignored.
+// The state backend flags (-backend, -state-cache) belong to peers and the
+// in-process network; an orderer persists only its block logs, under
+// -datadir (with -fsync), and a client persists nothing.
+func checkRoleFlags(role, backend, datadir string, fsync bool, stateCache int) error {
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if role == "orderer" || role == "client" {
+		for _, name := range []string{"backend", "state-cache"} {
+			if set[name] {
+				return fmt.Errorf("-%s is not used by -role %s: it keeps no world state", name, role)
+			}
+		}
+	}
+	if role == "orderer" {
+		if fsync && datadir == "" {
+			return fmt.Errorf("-fsync on -role orderer requires -datadir; an in-memory block log has nothing to sync")
+		}
+		return nil
+	}
+	switch backend {
+	case fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
+		if datadir != "" {
+			return fmt.Errorf("-datadir is only used with -backend disk or lsm; nothing would be persisted")
+		}
+		if fsync {
+			return fmt.Errorf("-fsync is only used with -backend disk or lsm; there is no log to sync")
+		}
+	case fabriccrdt.BackendDisk, fabriccrdt.BackendLSM:
+		if datadir == "" {
+			return fmt.Errorf("-backend %s requires -datadir", backend)
+		}
+	default:
+		return fmt.Errorf("unknown -backend %q (want memory, sharded, disk or lsm)", backend)
+	}
+	if stateCache < 0 {
+		return fmt.Errorf("-state-cache must be >= 0 MiB (got %d)", stateCache)
+	}
+	if stateCache > 0 && backend != fabriccrdt.BackendLSM {
+		return fmt.Errorf("-state-cache is only used with -backend lsm; the other backends have no block cache")
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -186,6 +186,14 @@ func startPeer(t *testing.T, name, org, ordAddr string, extra ...string) (*proc,
 // and returns the final block height the client observed.
 func clientSubmit(t *testing.T, peerAddrs string, txs int, extra ...string) uint64 {
 	t.Helper()
+	h, _ := clientCommit(t, peerAddrs, txs, extra...)
+	return h
+}
+
+// clientCommit is clientSubmit also returning how many transactions the
+// client saw committed.
+func clientCommit(t *testing.T, peerAddrs string, txs int, extra ...string) (height uint64, committed int) {
+	t.Helper()
 	args := append([]string{
 		"-role", "client", "-org", "Org1", "-connect", peerAddrs,
 		"-channels", "channel1", "-txs", strconv.Itoa(txs)}, extra...)
@@ -196,7 +204,11 @@ func clientSubmit(t *testing.T, peerAddrs string, txs int, extra ...string) uint
 	if err != nil || h == 0 {
 		t.Fatalf("client reported height %q (err %v); output:\n%s", m[1], err, cl.output())
 	}
-	return h
+	committed, err = strconv.Atoi(cl.waitFor(`client done: (\d+)/\d+ committed`, time.Second)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, committed
 }
 
 // TestMultiProcessSmoke is the CI smoke: spawn orderer + peer binaries,
@@ -402,9 +414,15 @@ func TestMultiProcessKillRestartStateIdentical(t *testing.T) {
 	}
 }
 
-// reopenPeer opens a finished peer process's data directory in-process so
-// the test can read its recovered world state.
+// reopenPeer opens a finished disk-backend peer process's data directory
+// in-process so the test can read its recovered world state.
 func reopenPeer(t *testing.T, name, org, dir string) *peer.Peer {
+	t.Helper()
+	return reopenPeerOn(t, name, org, dir, peer.BackendDisk)
+}
+
+// reopenPeerOn is reopenPeer for a peer that ran on the given backend.
+func reopenPeerOn(t *testing.T, name, org, dir, backend string) *peer.Peer {
 	t.Helper()
 	msp := cryptoid.NewMSP()
 	for _, o := range demoOrgs {
@@ -416,10 +434,130 @@ func reopenPeer(t *testing.T, name, org, dir string) *peer.Peer {
 	}
 	p, err := peer.New(peer.Config{
 		Name: name, MSPID: org, Channels: []string{"channel1"}, EnableCRDT: true,
-		Committer: peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir},
+		Committer: peer.CommitterConfig{Backend: backend, DataDir: dir},
 	}, signer, msp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestMultiProcessOrdererRestart: an orderer with -datadir keeps each
+// channel's block log on disk. SIGKILLed and restarted on the same address
+// and data directory, it resumes at its log's tip — new blocks continue
+// the chain instead of restarting at block 1 — and a peer that joins only
+// after the restart catches up from block 1 through it.
+func TestMultiProcessOrdererRestart(t *testing.T) {
+	dirO := filepath.Join(t.TempDir(), "orderer")
+	dirs := map[string]string{
+		"Org1.peer0": filepath.Join(t.TempDir(), "peerA"),
+		"Org2.peer0": filepath.Join(t.TempDir(), "peerB"),
+		"Org3.peer0": filepath.Join(t.TempDir(), "peerC"),
+	}
+	lsm := func(name string) []string { return []string{"-backend", "lsm", "-datadir", dirs[name]} }
+	ord, ordAddr := startOrderer(t, "-datadir", dirO)
+	peerA, addrA := startPeer(t, "Org1.peer0", "Org1", ordAddr, lsm("Org1.peer0")...)
+	peerB, _ := startPeer(t, "Org2.peer0", "Org2", ordAddr, lsm("Org2.peer0")...)
+
+	h1, c1 := clientCommit(t, addrA, 10)
+	peerA.waitFor(fmt.Sprintf(`committed block %d on channel1`, h1), 15*time.Second)
+	peerB.waitFor(fmt.Sprintf(`committed block %d on channel1`, h1), 15*time.Second)
+
+	// Kill the orderer and restart it over its log: it resumes at the tip.
+	ord.kill()
+	ord2, _ := startOrderer(t, "-listen", ordAddr, "-datadir", dirO)
+	tip, err := strconv.ParseUint(ord2.waitFor(`orderer resumed channel1 at block (\d+)`, 15*time.Second)[1], 10, 64)
+	if err != nil || tip < h1 {
+		t.Fatalf("restarted orderer resumed at block %d (err %v), want >= %d", tip, err, h1)
+	}
+
+	// The second batch continues the chain from the pre-kill tip.
+	h2, c2 := clientCommit(t, addrA, 10)
+	if h2 <= tip {
+		t.Fatalf("second batch ended at block %d, not past the pre-kill tip %d", h2, tip)
+	}
+	peerA.waitFor(fmt.Sprintf(`committed block %d on channel1`, tip+1), 15*time.Second)
+	peerB.waitFor(fmt.Sprintf(`committed block %d on channel1`, h2), 15*time.Second)
+
+	// A fresh peer started after the restart catches up from block 1.
+	peerC, _ := startPeer(t, "Org3.peer0", "Org3", ordAddr, lsm("Org3.peer0")...)
+	peerC.waitFor(`committed block 1 on channel1`, 15*time.Second)
+	peerC.waitFor(fmt.Sprintf(`committed block %d on channel1`, h2), 20*time.Second)
+
+	for _, p := range []*proc{peerA, peerB, peerC, ord2} {
+		p.term(15 * time.Second)
+	}
+
+	// Every chain verifies, the world states are byte-identical, and every
+	// transaction the client saw committed is on the chain exactly once.
+	var ref *peer.Peer
+	for _, name := range []string{"Org1.peer0", "Org2.peer0", "Org3.peer0"} {
+		p := reopenPeerOn(t, name, name[:4], dirs[name], peer.BackendLSM)
+		defer p.Close()
+		chain, err := p.ChainOn("channel1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Verify(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := make(map[string]bool)
+		for n := uint64(1); n < chain.Height(); n++ {
+			b, err := chain.Get(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tx := range b.Transactions {
+				if !b.Metadata.ValidationCodes[i].Committed() {
+					continue
+				}
+				if seen[tx.ID] {
+					t.Fatalf("%s: transaction %s committed twice", name, tx.ID)
+				}
+				seen[tx.ID] = true
+			}
+		}
+		if len(seen) != c1+c2 {
+			t.Fatalf("%s: %d committed transactions on the chain, the client saw %d", name, len(seen), c1+c2)
+		}
+		if ref == nil {
+			ref = p
+			continue
+		}
+		if ref.Height() != p.Height() {
+			t.Fatalf("%s at height %d, %s at %d", ref.Name(), ref.Height(), name, p.Height())
+		}
+		if !reflect.DeepEqual(ref.DB().GetRange("", ""), p.DB().GetRange("", "")) {
+			t.Fatalf("%s world state differs from %s", name, ref.Name())
+		}
+	}
+}
+
+// TestRoleFlagValidation: a flag a role would silently ignore is refused —
+// the process exits non-zero, names the reason, and creates nothing.
+func TestRoleFlagValidation(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	orderer := []string{"-role", "orderer", "-listen", "127.0.0.1:0"}
+	client := []string{"-role", "client", "-connect", "127.0.0.1:1"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append(orderer, "-backend", "lsm", "-datadir", dir), "-backend is not used by -role orderer"},
+		{append(orderer, "-state-cache", "8"), "-state-cache is not used by -role orderer"},
+		{append(orderer, "-fsync"), "-fsync on -role orderer requires -datadir"},
+		{append(client, "-backend", "disk", "-datadir", dir), "-backend is not used by -role client"},
+		{append(client, "-state-cache", "4"), "-state-cache is not used by -role client"},
+	} {
+		out, err := exec.Command(binPath, tc.args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v: exited 0; output:\n%s", tc.args, out)
+		}
+		if !bytes.Contains(out, []byte(tc.want)) {
+			t.Fatalf("%v: output does not say %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused command created %s (stat: %v)", dir, err)
+	}
 }

@@ -1,8 +1,7 @@
 // Observability plumbing shared by every role (and the in-process
 // benchmark): -metrics-addr serves /metrics, /healthz, /readyz and
 // /debug/pprof; -trace-out enables transaction tracing and dumps a Chrome
-// trace-event JSON file on shutdown; -queue-warn tunes the handoff-queue
-// high-water warnings.
+// trace-event JSON file on shutdown.
 
 package main
 
@@ -24,8 +23,7 @@ type obsRuntime struct {
 // startObs wires the observability flags for one role. Call it BEFORE
 // serving traffic: tracing must be enabled before the first transaction or
 // its spans are silently dropped. The returned runtime is nil-safe.
-func startObs(process, metricsAddr, traceOut string, queueWarn int, regs ...*obs.Registry) (*obsRuntime, error) {
-	obs.SetQueueWarnDepth(queueWarn)
+func startObs(process, metricsAddr, traceOut string, regs ...*obs.Registry) (*obsRuntime, error) {
 	rt := &obsRuntime{traceOut: traceOut}
 	if traceOut != "" {
 		rt.tracer = obs.EnableTracing(process)

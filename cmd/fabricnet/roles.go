@@ -13,12 +13,14 @@
 // from it (cryptoid.NewDeterministicCA), standing in for distributed cert
 // files. Member keys stay random per process.
 //
-// The orderer role is in-memory: it chains after each channel's genesis
-// block and retains every block it cuts, so peers (fresh or restarted from
-// a -datadir checkpoint) catch up over the wire from any height. Restarting
-// the ORDERER resets block numbering — pair a fresh orderer with fresh peer
-// data directories. Restarting a PEER against a running orderer is the
-// supported recovery path: it resumes from its durable checkpoint,
+// The orderer role keeps one block log per channel: in memory by default,
+// or with -datadir a durable block store under <datadir>/<channel>/blocks
+// (-fsync syncs it per block). A durable orderer killed and restarted over
+// the same -datadir resumes each channel at its log's tip, so block
+// numbering continues and peers — fresh or restarted — catch up over the
+// wire from block 1. An in-memory orderer restarts at block 1: pair it
+// with fresh peer data directories. Restarting a PEER against a running
+// orderer is always supported: it resumes from its durable checkpoint,
 // reconnects, and the deliver loop fast-forwards it to the tail.
 package main
 
@@ -26,11 +28,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"fabriccrdt/internal/blockstore"
 	"fabriccrdt/internal/client"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
@@ -68,7 +72,6 @@ type roleOpts struct {
 	committer    peer.CommitterConfig
 	metricsAddr  string
 	traceOut     string
-	queueWarn    int
 }
 
 // runRole dispatches to the named role runner.
@@ -106,11 +109,12 @@ func awaitSignal() os.Signal {
 }
 
 // runOrderer serves the ordering side of every channel over one listener:
-// each channel gets its own ordering service appending to an in-memory
-// History (the channel's block log), and the wire server exposes Deliver
-// (the histories) and Broadcast (the services) to any number of peer and
-// client processes. Stop on a service flushes into its history and closes
-// it, so open Deliver streams end after the last block.
+// each channel gets its own ordering service appending to a History over
+// the channel's block log, and the wire server exposes Deliver (the
+// histories) and Broadcast (the services) to any number of peer and client
+// processes. Stop on a service flushes into its history and closes it, so
+// open Deliver streams end after the last block; the block stores close
+// after the wire server.
 func runOrderer(o roleOpts) error {
 	if o.listen == "" {
 		return fmt.Errorf("-role orderer requires -listen")
@@ -121,15 +125,34 @@ func runOrderer(o roleOpts) error {
 	histories := make(map[string]*transport.History, len(o.channels))
 	broadcasts := make(map[string]transport.Broadcaster, len(o.channels))
 	services := make([]*orderer.Service, 0, len(o.channels))
+	var stores []*blockstore.Store
+	defer func() {
+		for _, bs := range stores {
+			bs.Close()
+		}
+	}()
 	reg := obs.NewRegistry()
 	for _, id := range o.channels {
-		genesis, err := ledger.NewChain(id).Get(0)
-		if err != nil {
-			return err
+		var store ledger.BlockStore = ledger.NewMemStore(0)
+		if o.committer.DataDir != "" {
+			bs, err := blockstore.Open(filepath.Join(o.committer.DataDir, id, "blocks"),
+				blockstore.Options{SyncEveryAppend: o.committer.SyncEveryApply})
+			if err != nil {
+				return fmt.Errorf("channel %s: %w", id, err)
+			}
+			stores = append(stores, bs)
+			store = bs
 		}
-		h := transport.NewHistory(1)
-		h.SetLabel(id)
-		svc := orderer.NewService(cfg, genesis, h)
+		chain, err := ledger.OpenChain(id, store)
+		if err != nil {
+			return fmt.Errorf("channel %s: %w", id, err)
+		}
+		num, hash := chain.LastRef()
+		if num > 0 {
+			fmt.Printf("fabricnet: orderer resumed %s at block %d\n", id, num)
+		}
+		h := transport.NewStoreHistory(store)
+		svc := orderer.NewServiceAt(cfg, num, hash, h)
 		svc.SetLabel(id)
 		services = append(services, svc)
 		histories[id] = h
@@ -145,7 +168,7 @@ func runOrderer(o roleOpts) error {
 		Histories:  histories,
 		Broadcasts: broadcasts,
 	}
-	ob, err := startObs("orderer", o.metricsAddr, o.traceOut, o.queueWarn, obs.Default(), reg)
+	ob, err := startObs("orderer", o.metricsAddr, o.traceOut, obs.Default(), reg)
 	if err != nil {
 		return err
 	}
@@ -163,7 +186,16 @@ func runOrderer(o roleOpts) error {
 		svc.Stop()
 	}
 	srv.Close()
+	var closeErr error
+	for _, bs := range stores {
+		if err := bs.Close(); err != nil && closeErr == nil {
+			closeErr = err
+		}
+	}
 	ob.shutdown()
+	if closeErr != nil {
+		return closeErr
+	}
 	fmt.Println("fabricnet: orderer shut down cleanly")
 	return nil
 }
@@ -243,8 +275,7 @@ func runPeer(o roleOpts) error {
 		if err != nil {
 			return err
 		}
-		h := transport.NewSourceHistory(chain)
-		h.SetLabel(id)
+		h := transport.NewStoreHistory(chain)
 		histories[id] = h
 		broadcasts[id] = oc
 		reg.GaugeFunc(obs.MetricHistoryLagBlocks,
@@ -260,7 +291,7 @@ func runPeer(o roleOpts) error {
 		Endorser:   p,
 		Submitter:  gw,
 	}
-	ob, err := startObs(name, o.metricsAddr, o.traceOut, o.queueWarn, obs.Default(), p.Metrics(), reg)
+	ob, err := startObs(name, o.metricsAddr, o.traceOut, obs.Default(), p.Metrics(), reg)
 	if err != nil {
 		return err
 	}
@@ -378,7 +409,7 @@ func runClient(o roleOpts) error {
 	if err != nil {
 		return err
 	}
-	ob, err := startObs(name, o.metricsAddr, o.traceOut, o.queueWarn, obs.Default())
+	ob, err := startObs(name, o.metricsAddr, o.traceOut, obs.Default())
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
-// Package blockstore implements the peer's durable block store: an
-// append-only log of committed block bodies, one per (peer, channel),
-// making the ledger — not just the state database — the recovery root.
+// Package blockstore implements the durable block store: an append-only
+// log of block bodies, one per (node, channel) — the ledger.BlockStore
+// behind a durable peer's chain and a durable orderer's History — making
+// the ledger, not just the state database, the recovery root.
 // In Fabric the blockchain is the source of truth and the world state a
 // rebuildable cache (Androulaki et al., §2.1); with this store a restarted
 // peer can serve its full history to lagging peers (Peer.SyncFrom) and
@@ -8,7 +9,7 @@
 // which a state checkpoint alone allows.
 //
 // On-disk layout inside the store directory (DataDir/<channel-ID>/blocks
-// through the channel runtime):
+// on a peer through the channel runtime, and on an orderer):
 //
 //	blocks.log   framed block records, appended one per committed block
 //	blocks.idx   offset sidecar: where each block's frame starts
@@ -245,23 +246,6 @@ func (s *Store) Get(n uint64) (*ledger.Block, error) {
 		return nil, fmt.Errorf("blockstore: record at offset %d holds block %d, want %d", s.offsets[n], b.Header.Number, n)
 	}
 	return b, nil
-}
-
-// Iterate calls fn for every stored block numbered from and up, in order,
-// stopping at the first error and returning it. Blocks appended after the
-// call starts are not visited.
-func (s *Store) Iterate(from uint64, fn func(*ledger.Block) error) error {
-	height := s.Height()
-	for n := from; n < height; n++ {
-		b, err := s.Get(n)
-		if err != nil {
-			return err
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sync flushes the log to stable storage. The channel runtime calls it

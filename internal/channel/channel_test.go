@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
 )
@@ -140,9 +141,9 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	}
 }
 
-// TestRuntimeDedupIsChannelLocal: the duplicate-screening set (in-memory
-// and durable markers) belongs to one runtime; the same ID on another
-// channel is a different transaction.
+// TestRuntimeDedupIsChannelLocal: the duplicate-screening markers belong
+// to one runtime's state; the same ID on another channel is a different
+// transaction.
 func TestRuntimeDedupIsChannelLocal(t *testing.T) {
 	dir := t.TempDir()
 	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
@@ -157,28 +158,18 @@ func TestRuntimeDedupIsChannelLocal(t *testing.T) {
 	}
 	defer rt2.Close()
 
-	rt1.Lock()
-	rt1.MarkCommitted("tx-shared")
-	seen1 := rt1.WasCommitted("tx-shared")
-	rt1.Unlock()
-	rt2.Lock()
-	seen2 := rt2.WasCommitted("tx-shared")
-	rt2.Unlock()
-	if !seen1 || seen2 {
-		t.Fatalf("dedup leaked across channels: ch1=%v ch2=%v", seen1, seen2)
-	}
-
-	// Durable markers are channel-local too.
+	// A commit stages the seen-transaction marker into its channel's
+	// state only.
 	batch := statedb.NewUpdateBatch()
-	batch.PutMeta(MetaTxSeen("tx-durable"), []byte{1})
+	StageTxSeen(batch, []*ledger.Transaction{{ID: "tx-shared"}})
 	rt1.DB().Apply(batch, rwset.Version{BlockNum: 1})
 	rt1.Lock()
-	d1 := rt1.WasCommitted("tx-durable")
+	d1 := rt1.WasCommitted("tx-shared")
 	rt1.Unlock()
 	rt2.Lock()
-	d2 := rt2.WasCommitted("tx-durable")
+	d2 := rt2.WasCommitted("tx-shared")
 	rt2.Unlock()
 	if !d1 || d2 {
-		t.Fatalf("durable dedup leaked across channels: ch1=%v ch2=%v", d1, d2)
+		t.Fatalf("dedup leaked across channels: ch1=%v ch2=%v", d1, d2)
 	}
 }

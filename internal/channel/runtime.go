@@ -3,9 +3,9 @@
 // ordering service, block numbering, world state and commit pipeline
 // (Androulaki et al., "Hyperledger Fabric: A Distributed Operating System
 // for Permissioned Blockchains"). Runtime is the peer-side per-channel
-// committer state — statedb backend, hash chain (genesis or
-// checkpoint-resumed), MVCC validator, CRDT merge engine, duplicate
-// screening and the commit mutex. A peer owns one Runtime per joined
+// committer state — statedb backend, hash chain over the channel's one
+// block log, MVCC validator, CRDT merge engine, duplicate screening and
+// the commit mutex. A peer owns one Runtime per joined
 // channel; runtimes share nothing, so N channels commit fully in parallel.
 // ValidateIDs (ids.go) is the one rule for what a channel list may name.
 // The ordering side of a channel (its orderer.Service and block log) lives
@@ -67,16 +67,16 @@ type chainCheckpoint struct {
 //
 // Commits on a Runtime are serialized by its commit mutex (Lock/Unlock) —
 // mirroring Fabric's one commit pipeline per channel — while reads
-// (endorsement simulation) stay concurrent. The dedup set accessors
-// (WasCommitted, MarkCommitted, ResetCommitted) must be called with the
-// commit mutex held.
+// (endorsement simulation) stay concurrent. WasCommitted must be called
+// with the commit mutex held.
 type Runtime struct {
-	id    string
-	db    *statedb.DB
+	id string
+	db *statedb.DB
+	// chain verifies and writes every committed block to the channel's
+	// block log, in finalize just before the state apply.
 	chain *ledger.Chain
-	// blocks is the durable block store (nil on the in-memory backends):
-	// every committed block's body, appended in finalize just before the
-	// state apply.
+	// blocks is that log when it is durable (nil on the in-memory
+	// backends, whose chain keeps the bodies in a ledger.MemStore).
 	blocks    *blockstore.Store
 	validator *mvcc.Validator
 	engine    *core.Engine
@@ -85,8 +85,7 @@ type Runtime struct {
 	// installation is per channel, so cross-channel invokes are rejected.
 	cc ccRegistry
 
-	mu           sync.Mutex
-	committedIDs map[string]struct{}
+	mu sync.Mutex
 }
 
 // NewRuntime opens one channel's world state, block store and chain. It
@@ -96,17 +95,14 @@ type Runtime struct {
 //
 // With a durable backend (disk or lsm), a runtime constructed over a
 // previously used directory resumes from the persisted state: Height
-// reports the last durably committed block, and the chain restarts from
-// the recorded checkpoint instead of genesis, backed by the block store so
-// the pre-restart history stays servable. Opening cross-checks the block
+// reports the last durably committed block, and the chain reopens at the
+// block store's tip, so the pre-restart history stays servable. Opening
+// cross-checks the block
 // log against the state checkpoint and replays any blocks the log durably
 // holds beyond it (a crash window the append-first commit order makes
 // possible; DESIGN.md §8).
 func NewRuntime(id string, committer CommitterConfig) (*Runtime, error) {
-	rt := &Runtime{
-		id:           id,
-		committedIDs: make(map[string]struct{}),
-	}
+	rt := &Runtime{id: id}
 	// The state must never become durable beyond the block log (DESIGN.md
 	// §8), so a durable state backend syncs the block store before every
 	// flush or compaction. The hook only fires after a commit, by which
@@ -147,21 +143,19 @@ func NewRuntime(id string, committer CommitterConfig) (*Runtime, error) {
 	return rt, nil
 }
 
-// recoverChain derives the channel's chain from the durable state,
-// reconciling the block log with the state checkpoint: a log durably ahead
-// of the checkpoint (the crash window the append-block-then-apply-state
-// commit order leaves open) is replayed into the state; a log behind it
-// means committed bodies are missing and is refused. The recovery root is
-// the ledger — the world state is a rebuildable cache of it (DESIGN.md §8,
-// docs/PERSISTENCE.md).
+// recoverChain opens the channel's chain over its block log — the durable
+// block store, or a fresh in-memory one — and reconciles the log with the
+// state checkpoint: a log durably ahead of the checkpoint (the crash
+// window the append-block-then-apply-state commit order leaves open) is
+// replayed into the state; a log behind it means committed bodies are
+// missing and is refused. The recovery root is the ledger — the world
+// state is a rebuildable cache of it (DESIGN.md §8, docs/PERSISTENCE.md).
 func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 	// A durable state that already committed blocks carries a chain
-	// checkpoint (last block number + header hash): resume the chain from
-	// it, so newly delivered blocks are hash-verified against the recorded
-	// history instead of restarting at genesis. A store with height but no
-	// matching checkpoint is damaged — refuse it rather than start a
-	// genesis chain whose fast-forward would silently swallow new blocks
-	// numbered at or below the stale height.
+	// checkpoint (last block number + header hash), which must name a
+	// block of the log. A store with height but no matching checkpoint is
+	// damaged — refuse it rather than let a fast-forward silently swallow
+	// new blocks numbered at or below the stale height.
 	h := rt.db.Height().BlockNum
 	var cpHash []byte
 	if h > 0 {
@@ -171,64 +165,32 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 		}
 		cpHash = hash
 	}
-	genesisChain := ledger.NewChain(rt.id)
-	if rt.blocks == nil {
-		return genesisChain, nil
+	var store ledger.BlockStore = ledger.NewMemStore(0)
+	if rt.blocks != nil {
+		store = rt.blocks
 	}
-
-	bh := rt.blocks.Height()
-	if h > 0 && bh <= h {
+	if bh := store.Height(); h > 0 && bh <= h {
 		return nil, fmt.Errorf("block log holds blocks [0, %d) but the state checkpoint is at block %d: durably committed block bodies are missing (emptied, truncated or foreign block log); restore the log, or move the store aside and re-sync from a peer holding the history", bh, h)
 	}
-	if bh == 0 {
-		// Fresh store: persist the (deterministic) genesis block so the
-		// durable history starts at block 0 like the in-memory chain.
-		genesis, err := genesisChain.Get(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := rt.blocks.Append(genesis); err != nil {
-			return nil, err
-		}
-		return genesisChain, nil
-	}
-
-	// The stored genesis must be this channel's — a cheap guard against a
-	// block log copied in from another channel or network.
-	storedGenesis, err := rt.blocks.Get(0)
+	chain, err := ledger.OpenChain(rt.id, store)
 	if err != nil {
 		return nil, err
-	}
-	wantGenesis, err := genesisChain.Get(0)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(storedGenesis.HeaderHash(), wantGenesis.HeaderHash()) {
-		return nil, fmt.Errorf("block log genesis does not match channel %s: the block store belongs to a different channel or network", rt.id)
-	}
-	if h == 0 && bh == 1 {
-		// Restarted before any commit: only the genesis is stored and the
-		// fresh in-memory chain already covers it.
-		return genesisChain, nil
 	}
 
 	// Cross-check the checkpoint block against the log, then replay the
 	// gap: blocks the log committed durably before the crash cut off the
 	// state apply. Each replayed block must chain onto its predecessor —
 	// a log that diverges from the recorded checkpoint is foreign.
-	prevHash := wantGenesis.HeaderHash()
-	if h > 0 {
-		cp, err := rt.blocks.Get(h)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(cp.HeaderHash(), cpHash) {
-			return nil, fmt.Errorf("block %d in the block log does not match the state's chain checkpoint: the block store and state store are from different histories", h)
-		}
-		prevHash = cpHash
+	cp, err := chain.Get(h)
+	if err != nil {
+		return nil, err
 	}
-	for n := h + 1; n < bh; n++ {
-		b, err := rt.blocks.Get(n)
+	prevHash := cp.HeaderHash()
+	if h > 0 && !bytes.Equal(prevHash, cpHash) {
+		return nil, fmt.Errorf("block %d in the block log does not match the state's chain checkpoint: the block store and state store are from different histories", h)
+	}
+	for n := h + 1; n < chain.Height(); n++ {
+		b, err := chain.Get(n)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +202,7 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 			return nil, fmt.Errorf("replaying block %d from the block log: %w", n, err)
 		}
 	}
-	return ledger.NewChainCheckpointed(bh-1, prevHash, rt.blocks), nil
+	return chain, nil
 }
 
 // ReplayBlock re-applies one committed block — carrying its commit-time
@@ -309,9 +271,6 @@ func (rt *Runtime) replayBlock(stored, view *ledger.Block) error {
 		return err
 	}
 	rt.db.Apply(batch, rwset.Version{BlockNum: view.Header.Number})
-	for _, tx := range view.Transactions {
-		rt.MarkCommitted(tx.ID)
-	}
 	return nil
 }
 
@@ -340,12 +299,12 @@ func (rt *Runtime) ID() string { return rt.id }
 // DB returns the channel's world state.
 func (rt *Runtime) DB() *statedb.DB { return rt.db }
 
-// Chain returns the channel's blockchain.
+// Chain returns the channel's blockchain: the hash-chain tip over its one
+// block log.
 func (rt *Runtime) Chain() *ledger.Chain { return rt.chain }
 
 // Blocks returns the channel's durable block store, or nil on an in-memory
-// backend. When non-nil it covers the contiguous range
-// [0, Chain().Height()) — the full history, across restarts.
+// backend. When non-nil it is the store behind Chain().
 func (rt *Runtime) Blocks() *blockstore.Store { return rt.blocks }
 
 // Validator returns the channel's MVCC validator.
@@ -385,26 +344,11 @@ func (rt *Runtime) Lock() { rt.mu.Lock() }
 func (rt *Runtime) Unlock() { rt.mu.Unlock() }
 
 // WasCommitted reports whether the transaction ID was already committed on
-// this channel — in this process (in-memory set) or before a restart
-// (durable seen-transaction marker). Call with the commit mutex held.
+// this channel: its durable seen-transaction marker, which every commit
+// stages with the block's writes, is in the state. Call with the commit
+// mutex held.
 func (rt *Runtime) WasCommitted(txID string) bool {
-	if _, ok := rt.committedIDs[txID]; ok {
-		return true
-	}
 	return rt.db.GetMeta(MetaTxSeen(txID)) != nil
-}
-
-// MarkCommitted registers a transaction ID in the channel's in-memory
-// duplicate-screening set. Call with the commit mutex held.
-func (rt *Runtime) MarkCommitted(txID string) {
-	rt.committedIDs[txID] = struct{}{}
-}
-
-// ResetCommitted clears the in-memory duplicate-screening set (state
-// rebuild replays the chain and re-registers every ID). Call with the
-// commit mutex held.
-func (rt *Runtime) ResetCommitted() {
-	rt.committedIDs = make(map[string]struct{})
 }
 
 // StageTxSeen adds every transaction ID of the block to its commit batch,

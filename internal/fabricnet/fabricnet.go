@@ -222,7 +222,6 @@ func New(cfg Config) (*Network, error) {
 		// point. The log is the channel's only fan-out: the orderer appends
 		// to it and every deliver stream reads it through its own cursor.
 		h := transport.NewHistory(lastNum + 1)
-		h.SetLabel(id)
 		svc := orderer.NewServiceAt(cfg.Orderer, lastNum, lastHash, h)
 		svc.SetLabel(id)
 		histories[id] = h

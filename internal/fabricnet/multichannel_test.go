@@ -313,6 +313,13 @@ func TestTwoChannelNetworkRestart(t *testing.T) {
 			if got <= heights[ch] {
 				t.Fatalf("peer %s channel %s did not advance past %d", p.Name(), ch, heights[ch])
 			}
+		}
+	}
+	// Stop closed the peers' block stores; reopen them to verify the
+	// chains.
+	n3 := newMultiNet(t, 10, committer, "ch1", "ch2")
+	for _, p := range n3.Peers() {
+		for _, ch := range []string{"ch1", "ch2"} {
 			chain, err := p.ChainOn(ch)
 			if err != nil {
 				t.Fatal(err)
@@ -322,6 +329,8 @@ func TestTwoChannelNetworkRestart(t *testing.T) {
 			}
 		}
 	}
+	n3.Start()
+	n3.Stop()
 	// No update loss on either channel across the restart.
 	for ch, before := range map[string]int{"ch1": 30, "ch2": 10} {
 		db, err := n2.Peers()[0].DBOn(ch)

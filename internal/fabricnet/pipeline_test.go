@@ -25,7 +25,8 @@ func poisonChannel(t *testing.T, p *peer.Peer, channelID string) {
 		t.Fatal(err)
 	}
 	forged := &ledger.Transaction{ID: "forged-poison", ChannelID: channelID, Chaincode: "iot"}
-	a := orderer.NewAssembler(chain.Last())
+	num, hash := chain.LastRef()
+	a := orderer.NewAssemblerAt(num, hash)
 	block, err := a.Assemble(orderer.Batch{Transactions: []*ledger.Transaction{forged}, Reason: orderer.CutFlush})
 	if err != nil {
 		t.Fatal(err)

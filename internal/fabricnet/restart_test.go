@@ -111,10 +111,17 @@ func TestNetworkRestartFromDisk(t *testing.T) {
 		if got := p.Height(); got <= heightBefore {
 			t.Fatalf("peer %s did not advance past %d", p.Name(), heightBefore)
 		}
+	}
+	// Stop closed the peers' block stores; reopen them to verify the
+	// chains.
+	n3 := newDiskNet(t, dir)
+	for _, p := range n3.Peers() {
 		if err := p.Chain().Verify(); err != nil {
 			t.Fatalf("peer %s chain after restart: %v", p.Name(), err)
 		}
 	}
+	n3.Start()
+	n3.Stop()
 	vv, _ := n2.Peers()[0].DB().Get("dev1")
 	var doc map[string]any
 	if err := json.Unmarshal(vv.Value, &doc); err != nil {

@@ -3,14 +3,12 @@
 // append-only block chain (paper §2.1: "the peer's ledger consists of an
 // append-only blockchain and a world state database").
 //
-// A Chain normally grows from the channel genesis block. A peer restored
-// from a durable state checkpoint instead resumes an empty chain after a
-// recorded (block number, header hash) pair (NewChainCheckpointed), with
-// every later append still hash-verified against it; the chain is backed
-// by the peer's durable block store (internal/blockstore) and keeps
-// answering Get(n) for the pre-checkpoint history — so a restarted peer
-// serves old blocks to syncing peers and can replay its ledger from block
-// 0.
+// Each (node, channel) keeps one block log, a BlockStore: the durable
+// internal/blockstore on a peer with a durable backend, a MemStore
+// otherwise. A Chain holds no block bodies of its own; it verifies every
+// append against the tip and writes through to the store, so a restarted
+// peer reopens its chain at the store's tip and still serves (and can
+// replay) its history from block 0.
 package ledger
 
 import (
@@ -231,51 +229,66 @@ var (
 	ErrBlockNotFound = errors.New("ledger: block not found")
 )
 
-// BlockSource serves committed block bodies by number — the read side of
-// a durable block store backing a checkpointed chain. A source must cover
-// the contiguous range [0, Height()) and be safe for concurrent use.
-type BlockSource interface {
+// BlockStore is one (node, channel) block log: the only copy of the
+// channel's block bodies on that node. Appends are strictly sequential —
+// a block must carry Height() — and reads may run concurrently with
+// appends. blockstore.Store is the durable implementation; MemStore is
+// the in-memory one.
+type BlockStore interface {
+	// Append stores the next block in sequence.
+	Append(*Block) error
 	// Get returns block n, or an error wrapping ErrBlockNotFound when the
-	// source does not hold it.
+	// store does not hold it.
 	Get(n uint64) (*Block, error)
-	// Height returns the number of stored blocks.
+	// Height returns the number the next appended block must carry.
 	Height() uint64
 }
 
-// Chain is an append-only block chain with hash-chain verification on
-// append. It is safe for concurrent use.
-//
-// A chain normally starts at the genesis block. A chain restored from a
-// checkpoint (NewChainCheckpointed) starts empty after a known (number,
-// header hash) pair instead: block bodies before the checkpoint are not
-// held in memory — the durable world state already reflects them — but
-// every later append is still hash-verified against the checkpoint, and
-// the chain's BlockSource serves the pre-checkpoint bodies, so Get works
-// over the full history.
-type Chain struct {
+// MemStore is an in-memory BlockStore: it keeps every appended block and
+// checks only the numbering. It is the block log of the in-memory state
+// backends and of an ordering node without a data directory.
+type MemStore struct {
 	mu     sync.RWMutex
+	base   uint64
 	blocks []*Block
-	// base is the number of blocks[0] (0 for a genesis chain).
-	base uint64
-	// nextNumber/nextPrevHash are what the next appended block must carry.
-	nextNumber   uint64
-	nextPrevHash []byte
-	// checkpointHash is the header hash of block base-1 when the chain was
-	// restored from a checkpoint (base > 0).
-	checkpointHash []byte
-	// source serves pre-checkpoint block bodies (numbers below base); nil
-	// for a genesis chain, which has none.
-	source BlockSource
-	// verifiedNext is the block pointer that passed the most recent
-	// CheckNext, letting a subsequent Append of the same (unmodified)
-	// block skip recomputing the data hash — the expensive half of the
-	// verification. Cleared whenever the chain advances.
-	verifiedNext *Block
 }
 
-// NewChain returns a chain containing only the genesis block for the given
-// channel.
-func NewChain(channelID string) *Chain {
+// NewMemStore returns an empty store whose first block will be numbered
+// base.
+func NewMemStore(base uint64) *MemStore { return &MemStore{base: base} }
+
+// Append stores b, which must carry the next number.
+func (s *MemStore) Append(b *Block) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if next := s.base + uint64(len(s.blocks)); b.Header.Number != next {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadNumber, b.Header.Number, next)
+	}
+	s.blocks = append(s.blocks, b)
+	return nil
+}
+
+// Get returns block n; the block pointer is shared with every reader.
+func (s *MemStore) Get(n uint64) (*Block, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if n < s.base || n-s.base >= uint64(len(s.blocks)) {
+		return nil, fmt.Errorf("%w: %d (stored range [%d, %d))", ErrBlockNotFound, n, s.base, s.base+uint64(len(s.blocks)))
+	}
+	return s.blocks[n-s.base], nil
+}
+
+// Height returns the number the next appended block must carry.
+func (s *MemStore) Height() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.base + uint64(len(s.blocks))
+}
+
+// Genesis returns the channel's genesis block (block 0). It is
+// deterministic: every node of the channel constructs the same one, so it
+// is never delivered.
+func Genesis(channelID string) *Block {
 	genesis := &Block{
 		Header: BlockHeader{Number: 0, PrevHash: nil},
 		Transactions: []*Transaction{{
@@ -286,87 +299,95 @@ func NewChain(channelID string) *Chain {
 		Metadata: BlockMetadata{ValidationCodes: []ValidationCode{CodeValid}},
 	}
 	genesis.Header.DataHash, _ = ComputeDataHash(genesis.Transactions)
-	return &Chain{
-		blocks:       []*Block{genesis},
-		nextNumber:   1,
-		nextPrevHash: genesis.HeaderHash(),
-	}
+	return genesis
 }
 
-// NewChainCheckpointed returns a chain resuming after block lastNumber,
-// whose header hash the next block's PrevHash must match. It holds no
-// pre-checkpoint bodies in memory: src, the peer's durable block store,
-// must cover [0, lastNumber], and the chain serves Get for the whole
-// history — pre-checkpoint numbers from src, later ones from memory.
-func NewChainCheckpointed(lastNumber uint64, lastHash []byte, src BlockSource) *Chain {
-	return &Chain{
-		base:           lastNumber + 1,
-		nextNumber:     lastNumber + 1,
-		nextPrevHash:   lastHash,
-		checkpointHash: lastHash,
-		source:         src,
-	}
+// Chain is hash-chain verification over one block store: it remembers the
+// tip (the number and header hash the next block must chain onto) and
+// writes every verified block to the store, which holds the bodies. It is
+// safe for concurrent use.
+type Chain struct {
+	store BlockStore
+
+	mu sync.Mutex
+	// nextNumber/nextPrevHash are what the next appended block must carry.
+	nextNumber   uint64
+	nextPrevHash []byte
+	// verifiedNext is the block pointer that passed the most recent
+	// CheckNext, letting a subsequent Append of the same (unmodified)
+	// block skip recomputing the data hash — the expensive half of the
+	// verification. Cleared whenever the chain advances.
+	verifiedNext *Block
 }
 
-// Height returns the number of blocks committed to the chain, genesis and
-// any pre-checkpoint history included — i.e. the next expected block
-// number.
+// NewChain returns a chain over a fresh in-memory store holding only the
+// channel's genesis block.
+func NewChain(channelID string) *Chain {
+	c, err := OpenChain(channelID, NewMemStore(0))
+	if err != nil {
+		panic("ledger: opening a chain over an empty memory store: " + err.Error())
+	}
+	return c
+}
+
+// OpenChain returns the channel's chain over store, resuming at the
+// store's tip. An empty store gets the genesis block; a non-empty one must
+// hold this channel's genesis at 0 — a cheap guard against a block log
+// copied in from another channel or network. Blocks already in the store
+// are not re-verified here (Verify walks them).
+func OpenChain(channelID string, store BlockStore) (*Chain, error) {
+	genesis := Genesis(channelID)
+	if store.Height() == 0 {
+		if err := store.Append(genesis); err != nil {
+			return nil, err
+		}
+	}
+	stored, err := store.Get(0)
+	if err != nil {
+		return nil, err
+	}
+	if !hashEqual(stored.HeaderHash(), genesis.HeaderHash()) {
+		return nil, fmt.Errorf("ledger: the block log's genesis does not match channel %s: the log belongs to a different channel or network", channelID)
+	}
+	height := store.Height()
+	tip, err := store.Get(height - 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Chain{store: store, nextNumber: height, nextPrevHash: tip.HeaderHash()}, nil
+}
+
+// Height returns the number of blocks in the chain, genesis included —
+// i.e. the next expected block number.
 func (c *Chain) Height() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.nextNumber
 }
 
-// Last returns the most recent block, or nil for a checkpointed chain that
-// has not appended any block yet.
-func (c *Chain) Last() *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.blocks) == 0 {
-		return nil
-	}
-	return c.blocks[len(c.blocks)-1]
-}
-
 // LastRef returns the (number, header hash) pair the next appended block
-// must chain onto. Unlike Last it works on an empty checkpointed chain,
-// where it returns the checkpoint itself.
+// must chain onto.
 func (c *Chain) LastRef() (number uint64, headerHash []byte) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.nextNumber - 1, c.nextPrevHash
 }
 
-// Get returns block number n. On a checkpointed chain, numbers before the
-// checkpoint are served from the backing block source.
-func (c *Chain) Get(n uint64) (*Block, error) {
-	c.mu.RLock()
-	base, next, src := c.base, c.nextNumber, c.source
-	var b *Block
-	if n >= base && n < next {
-		b = c.blocks[n-base]
-	}
-	c.mu.RUnlock()
-	if b != nil {
-		return b, nil
-	}
-	if n < base {
-		// Outside the chain lock: the source does its own disk I/O and
-		// synchronization, and a history read must not stall appenders
-		// (base and source never change after construction).
-		return src.Get(n)
-	}
-	return nil, fmt.Errorf("%w: %d (stored range [%d, %d))", ErrBlockNotFound, n, base, next)
-}
+// Get returns block number n from the store. It takes no chain lock: the
+// store synchronizes its own reads, and a history read must not stall
+// appenders.
+func (c *Chain) Get(n uint64) (*Block, error) { return c.store.Get(n) }
 
-// Append verifies the hash chain and appends the block.
+// Append verifies the hash chain and writes the block to the store.
 func (c *Chain) Append(b *Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkNextLocked(b); err != nil {
 		return err
 	}
-	c.blocks = append(c.blocks, b)
+	if err := c.store.Append(b); err != nil {
+		return err
+	}
 	c.nextNumber++
 	c.nextPrevHash = b.HeaderHash()
 	c.verifiedNext = nil
@@ -375,10 +396,8 @@ func (c *Chain) Append(b *Block) error {
 
 // CheckNext verifies that b is the block this chain expects next — the
 // right number, prev-hash linkage and data hash — without appending it.
-// Committers run it before applying the block's writes: Append re-verifies
-// at the end of the commit, but by then the writes (and, on a durable
-// backend, the chain checkpoint) would already be applied — a
-// chain-invalid block must be rejected while the state is still untouched.
+// Committers run it before applying the block's writes: a chain-invalid
+// block must be rejected while the state is still untouched.
 //
 // A block that passes is remembered by pointer: appending that same block
 // — unmodified, transactions included — skips the data-hash recompute
@@ -404,6 +423,35 @@ func (c *Chain) checkNextLocked(b *Block) error {
 	if b == c.verifiedNext {
 		return nil
 	}
+	return checkDataHash(b)
+}
+
+// Verify re-checks the whole stored hash chain, block 0 to the tip — each
+// block's number, prev-hash link and data hash — returning the first
+// inconsistency.
+func (c *Chain) Verify() error {
+	height := c.Height()
+	var prevHash []byte
+	for n := uint64(0); n < height; n++ {
+		b, err := c.store.Get(n)
+		if err != nil {
+			return err
+		}
+		if b.Header.Number != n {
+			return fmt.Errorf("%w: stored block %d is numbered %d", ErrBadNumber, n, b.Header.Number)
+		}
+		if !hashEqual(b.Header.PrevHash, prevHash) {
+			return fmt.Errorf("%w: block %d", ErrBadPrevHash, n)
+		}
+		if err := checkDataHash(b); err != nil {
+			return err
+		}
+		prevHash = b.HeaderHash()
+	}
+	return nil
+}
+
+func checkDataHash(b *Block) error {
 	dataHash, err := ComputeDataHash(b.Transactions)
 	if err != nil {
 		return err
@@ -412,61 +460,6 @@ func (c *Chain) checkNextLocked(b *Block) error {
 		return fmt.Errorf("%w: block %d", ErrBadDataHash, b.Header.Number)
 	}
 	return nil
-}
-
-// Verify re-checks the whole locally stored hash chain — including the
-// first stored block's number and, on a checkpointed chain, its linkage to
-// the recorded checkpoint hash — returning the first inconsistency.
-// Pre-checkpoint history is not re-checkable (it is not stored) but every
-// stored block was append-time-verified against the checkpoint.
-func (c *Chain) Verify() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.blocks) > 0 {
-		first := c.blocks[0]
-		if first.Header.Number != c.base {
-			return fmt.Errorf("%w: first stored block is %d, want %d", ErrBadNumber, first.Header.Number, c.base)
-		}
-		if c.base > 0 && !hashEqual(first.Header.PrevHash, c.checkpointHash) {
-			return fmt.Errorf("%w: block %d does not chain onto the checkpoint", ErrBadPrevHash, first.Header.Number)
-		}
-		dataHash, err := ComputeDataHash(first.Transactions)
-		if err != nil {
-			return err
-		}
-		if !hashEqual(first.Header.DataHash, dataHash) {
-			return fmt.Errorf("%w: block %d", ErrBadDataHash, first.Header.Number)
-		}
-	}
-	for i := 1; i < len(c.blocks); i++ {
-		b, prev := c.blocks[i], c.blocks[i-1]
-		if b.Header.Number != prev.Header.Number+1 {
-			return fmt.Errorf("%w: index %d", ErrBadNumber, i)
-		}
-		if !hashEqual(b.Header.PrevHash, prev.HeaderHash()) {
-			return fmt.Errorf("%w: block %d", ErrBadPrevHash, b.Header.Number)
-		}
-		dataHash, err := ComputeDataHash(b.Transactions)
-		if err != nil {
-			return err
-		}
-		if !hashEqual(b.Header.DataHash, dataHash) {
-			return fmt.Errorf("%w: block %d", ErrBadDataHash, b.Header.Number)
-		}
-	}
-	return nil
-}
-
-// Blocks returns a snapshot of all in-memory blocks in order (genesis
-// first, unless the chain was restored from a checkpoint — a backing block
-// source's pre-checkpoint history is not included; iterate the source for
-// that); the slice is fresh, the block pointers are shared.
-func (c *Chain) Blocks() []*Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Block, len(c.blocks))
-	copy(out, c.blocks)
-	return out
 }
 
 func hashEqual(a, b []byte) bool {

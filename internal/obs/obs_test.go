@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"io"
-	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -238,32 +237,5 @@ func TestGlobalTracerGating(t *testing.T) {
 	}
 	if id := NewTraceID(); len(id) != 16 {
 		t.Fatalf("trace ID %q, want 16 hex chars", id)
-	}
-}
-
-func TestWarnQueueDepthRateLimited(t *testing.T) {
-	var buf bytes.Buffer
-	old := slog.Default()
-	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
-	t.Cleanup(func() { slog.SetDefault(old) })
-	SetQueueWarnDepth(10)
-	t.Cleanup(func() { SetQueueWarnDepth(DefaultQueueWarnDepth) })
-
-	WarnQueueDepth("history_lag", "channel1", 5) // below: silent
-	if buf.Len() != 0 {
-		t.Fatalf("warned below high-water mark: %s", buf.String())
-	}
-	WarnQueueDepth("history_lag", "channel1", 50)
-	WarnQueueDepth("history_lag", "channel1", 60) // rate-limited
-	if got := strings.Count(buf.String(), "high-water"); got != 1 {
-		t.Fatalf("got %d warnings, want 1 (rate-limited): %s", got, buf.String())
-	}
-	WarnQueueDepth("history_lag", "channel2", 50) // different label: warns
-	if got := strings.Count(buf.String(), "high-water"); got != 2 {
-		t.Fatalf("got %d warnings, want 2: %s", got, buf.String())
-	}
-	if !strings.Contains(buf.String(), "queue=history_lag") ||
-		!strings.Contains(buf.String(), "label=channel1") {
-		t.Fatalf("warning missing structured fields: %s", buf.String())
 	}
 }

@@ -3,7 +3,7 @@
 // histograms) rendered in Prometheus text exposition format, an HTTP
 // operations server (/metrics, /debug/pprof/*, /healthz, /readyz), a
 // lightweight cross-process transaction tracer dumping Chrome trace-event
-// JSON, and rate-limited high-water warnings for unbounded handoff queues.
+// JSON.
 //
 // The package imports nothing from the rest of the module, so every layer
 // (wire, transport, orderer, peer, client, fabricnet, cmd) may instrument

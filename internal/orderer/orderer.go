@@ -6,9 +6,9 @@
 // of transactions, the maximum total size … and a timeout period").
 //
 // A service normally chains blocks after the channel genesis block
-// (NewService); a network resuming from durable peer state instead chains
-// after the recorded checkpoint (NewServiceAt), continuing the committed
-// block numbering rather than restarting at 1. Either way the service
+// (NewService); one resuming from a durable block log or from durable peer
+// state instead chains after the recorded tip (NewServiceAt), continuing
+// the committed block numbering rather than restarting at 1. Either way the service
 // appends each cut block to the channel's block log (BlockLog), which is
 // the only fan-out: peers read it through their own cursors.
 package orderer

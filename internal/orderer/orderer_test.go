@@ -164,7 +164,7 @@ func itoa(n int) string {
 
 func TestAssemblerChainsBlocks(t *testing.T) {
 	chain := ledger.NewChain("ch1")
-	a := NewAssembler(chain.Last())
+	a := NewAssembler(ledger.Genesis("ch1"))
 	for i := 0; i < 3; i++ {
 		block, err := a.Assemble(Batch{
 			Transactions: []*ledger.Transaction{smallTx("t" + itoa(i))},
@@ -189,7 +189,7 @@ func TestAssemblerChainsBlocks(t *testing.T) {
 // log the network wires it to.
 func newService(cfg Config) (*Service, *transport.History) {
 	h := transport.NewHistory(1)
-	return NewService(cfg, ledger.NewChain("ch1").Last(), h), h
+	return NewService(cfg, ledger.Genesis("ch1"), h), h
 }
 
 // openStream opens a cursor into the log at block 1.
@@ -298,7 +298,7 @@ func TestServiceStopFlushesAndCloses(t *testing.T) {
 // Broadcast that cut it.
 func TestBroadcastReturnsLogError(t *testing.T) {
 	h := transport.NewHistory(2) // expects block 2; the service cuts block 1
-	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, ledger.NewChain("ch1").Last(), h)
+	s := NewService(Config{MaxMessageCount: 1, BatchTimeout: time.Hour}, ledger.Genesis("ch1"), h)
 	defer s.Stop()
 	if err := s.Broadcast(smallTx("t0")); err == nil {
 		t.Fatal("broadcast succeeded although the log refused its block")

@@ -58,8 +58,8 @@ func TestRestartedPeerServesSyncFrom(t *testing.T) {
 	restarted := env.newPeerSharing(t, "Org1.peer0", committer)
 	defer restarted.Close()
 
-	// The restarted peer's chain is checkpointed but backed by the block
-	// store: the full pre-restart history, genesis included, is servable.
+	// The restarted peer's chain reads its block store: the full
+	// pre-restart history, genesis included, is servable.
 	if g := restarted.Genesis(); g == nil || g.Header.Number != 0 {
 		t.Fatal("restarted peer cannot serve its genesis block")
 	}

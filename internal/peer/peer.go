@@ -460,8 +460,8 @@ func (p *Peer) ChainOn(channelID string) (*ledger.Chain, error) {
 	return rt.Chain(), nil
 }
 
-// Genesis returns the default channel's genesis block (after a restart,
-// from the durable block store behind the checkpointed chain).
+// Genesis returns the default channel's genesis block, read from the
+// chain's block log.
 func (p *Peer) Genesis() *ledger.Block {
 	g, err := p.Chain().Get(0)
 	if err != nil {
@@ -757,10 +757,9 @@ func (p *Peer) validateEndorsements(rt *channel.Runtime, tx *ledger.Transaction)
 // committing, channel by channel, every block this peer is missing — the
 // state-transfer path a freshly joined or restarted peer runs before
 // serving endorsements. The source must have every channel this peer
-// joined; a restarted disk-backed source serves its pre-restart history
-// from its durable block store (its checkpointed chains answer Get for
-// the whole range [0, height)), so syncing from block 0 works across the
-// source's restarts. Blocks are re-validated from scratch (endorsements,
+// joined; a restarted durable source's chains read their durable block
+// stores, which cover [0, height), so syncing from block 0 works across
+// the source's restarts. Blocks are re-validated from scratch (endorsements,
 // merge, MVCC), so a lying source cannot inject invalid state; only the
 // hash-chained block contents are trusted as delivered.
 func (p *Peer) SyncFrom(source *Peer) error {
@@ -795,9 +794,8 @@ func (p *Peer) SyncFrom(source *Peer) error {
 // recorded outcomes and reproduces the live state byte for byte
 // (channel.Runtime.ReplayBlock). Channels rebuild independently.
 //
-// On a durable backend the block store covers the full history even across
-// restarts, so a restarted peer rebuilds from block 0; an in-memory peer
-// replays the chain it holds.
+// The chain's block log covers the full history — across restarts on a
+// durable backend — so every peer rebuilds from block 0.
 func (p *Peer) RebuildState() error {
 	for _, id := range p.channelIDs {
 		if err := p.rebuildChannel(p.channels[id]); err != nil {
@@ -810,22 +808,15 @@ func (p *Peer) RebuildState() error {
 func (p *Peer) rebuildChannel(rt *channel.Runtime) error {
 	rt.Lock()
 	defer rt.Unlock()
-	if bs := rt.Blocks(); bs != nil {
-		// The persisted chain covers [0, height): replay it from scratch.
-		// Each iterated block is a fresh private decode, so the owned
-		// (copy-free) replay applies.
-		rt.DB().Reset()
-		rt.ResetCommitted()
-		if err := bs.Iterate(1, rt.ReplayOwnedBlock); err != nil {
-			return fmt.Errorf("peer %s: rebuilding channel %s from its block store: %w", p.cfg.Name, rt.ID(), err)
-		}
-		return nil
-	}
 	rt.DB().Reset()
-	rt.ResetCommitted()
-	for _, block := range rt.Chain().Blocks() {
+	chain := rt.Chain()
+	for n := uint64(1); n < chain.Height(); n++ {
+		block, err := chain.Get(n)
+		if err != nil {
+			return fmt.Errorf("peer %s: rebuilding channel %s: %w", p.cfg.Name, rt.ID(), err)
+		}
 		if err := rt.ReplayBlock(block); err != nil {
-			return fmt.Errorf("peer %s: replaying block %d of channel %s: %w", p.cfg.Name, block.Header.Number, rt.ID(), err)
+			return fmt.Errorf("peer %s: replaying block %d of channel %s: %w", p.cfg.Name, n, rt.ID(), err)
 		}
 	}
 	return nil

@@ -402,18 +402,17 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 	}
 
 	// Atomic commit: the pristine block body (now carrying its validation
-	// codes) goes to the durable block store FIRST, then the state writes +
-	// CRDT document states + the chain checkpoint a restarted peer resumes
-	// from. The order is the recovery invariant: the block log is never
-	// behind the durable state, so a crash between the two leaves a
-	// log-ahead gap the next open replays (DESIGN.md §8) — the reverse
-	// order could checkpoint state whose block body is lost forever.
+	// codes) goes to the chain — the channel's one block log — FIRST, then
+	// the state writes + CRDT document states + the chain checkpoint a
+	// restarted peer resumes from. The order is the recovery invariant: the
+	// block log is never behind the durable state, so a crash between the
+	// two leaves a log-ahead gap the next open replays (DESIGN.md §8) — the
+	// reverse order could checkpoint state whose block body is lost
+	// forever.
 	cm.time(StageApply, func() {
 		stored.Metadata.ValidationCodes = codes
-		if bs := rt.Blocks(); bs != nil {
-			if err = bs.Append(stored); err != nil {
-				return
-			}
+		if err = rt.Chain().Append(stored); err != nil {
+			return
 		}
 		var batch *statedb.UpdateBatch
 		if batch, err = rt.StageCommit(view, stored, mergeRes, codes); err != nil {
@@ -427,9 +426,6 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 
 	committed := 0
 	cm.time(StageAppend, func() {
-		if err = rt.Chain().Append(stored); err != nil {
-			return
-		}
 		tracing := obs.TracingEnabled()
 		for i, tx := range view.Transactions {
 			if codes[i].Committed() {
@@ -438,7 +434,6 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 			} else {
 				cm.txRejected.Inc()
 			}
-			rt.MarkCommitted(tx.ID)
 			if tracing && tx.TraceID != "" {
 				// The commit span starts at finalize entry, so within this
 				// process it nests inside any span that observed the whole
@@ -451,9 +446,6 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 		}
 		p.waiters[rt.ID()].resolve(rt.ID(), view.Header.Number, view.Transactions, codes)
 	})
-	if err != nil {
-		return CommitResult{}, fmt.Errorf("peer %s: appending block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
-	}
 	cm.blocks.Inc()
 	cm.observe(StageFinalize, time.Since(finStart))
 	return CommitResult{
@@ -540,46 +532,25 @@ func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes 
 }
 
 // fastForward records an already-committed block (state height at or above
-// its number) without re-running validation or touching the state: the
-// block is appended to the channel's chain if missing, and its transaction
-// IDs are registered for duplicate screening. The block's metadata codes
-// are kept as delivered — a block re-delivered by the orderer carries
-// none; the authoritative codes live with peers that validated it and in
-// the durable state itself. No commit waiter is resolved: the block
-// committed before this peer restarted, so no submission here waits on it.
+// its number) without re-running validation or touching the state. The
+// block's metadata codes are kept as delivered — a block re-delivered by
+// the orderer carries none; the authoritative codes live with peers that
+// validated it and in the durable state itself. No commit waiter is
+// resolved: the block committed before this peer restarted, so no
+// submission here waits on it.
 //
-// A re-delivered block is never accepted unverified: the chain holds every
-// committed block (in memory, or in the durable block store behind a
-// checkpointed chain), and the copy must match it header-for-header, so a
-// forged "old" block cannot poison the duplicate-screening set or
+// A re-delivered block is never accepted unverified: the chain's block log
+// holds every committed block (it is appended before the state), and the
+// copy must match it header-for-header, so a forged "old" block cannot
 // masquerade as committed history.
 func (p *Peer) fastForward(rt *channel.Runtime, stored *ledger.Block) (CommitResult, error) {
 	num := stored.Header.Number
-	if num >= rt.Chain().Height() {
-		// Missing from the chain (e.g. a checkpointed chain receiving the
-		// block right after its checkpoint): Append hash-verifies it. Keep
-		// the block store in step so it stays a contiguous [0, height)
-		// image of the chain.
-		if err := rt.Chain().Append(stored); err != nil {
-			return CommitResult{}, fmt.Errorf("peer %s: fast-forwarding block %d on %s: %w", p.cfg.Name, num, rt.ID(), err)
-		}
-		if bs := rt.Blocks(); bs != nil && bs.Height() == num {
-			if err := bs.Append(stored); err != nil {
-				return CommitResult{}, fmt.Errorf("peer %s: fast-forwarding block %d on %s: %w", p.cfg.Name, num, rt.ID(), err)
-			}
-		}
-	} else {
-		// Locally stored: the re-delivered copy must be the same block.
-		local, err := rt.Chain().Get(num)
-		if err != nil {
-			return CommitResult{}, fmt.Errorf("peer %s: fast-forwarding block %d on %s: %w", p.cfg.Name, num, rt.ID(), err)
-		}
-		if !bytes.Equal(local.HeaderHash(), stored.HeaderHash()) {
-			return CommitResult{}, fmt.Errorf("peer %s: re-delivered block %d on %s does not match the committed block", p.cfg.Name, num, rt.ID())
-		}
+	local, err := rt.Chain().Get(num)
+	if err != nil {
+		return CommitResult{}, fmt.Errorf("peer %s: fast-forwarding block %d on %s: %w", p.cfg.Name, num, rt.ID(), err)
 	}
-	for _, tx := range stored.Transactions {
-		rt.MarkCommitted(tx.ID)
+	if !bytes.Equal(local.HeaderHash(), stored.HeaderHash()) {
+		return CommitResult{}, fmt.Errorf("peer %s: re-delivered block %d on %s does not match the committed block", p.cfg.Name, num, rt.ID())
 	}
 	return CommitResult{
 		ChannelID:     rt.ID(),
@@ -625,8 +596,8 @@ func markWrongChannel(channelID string, view *ledger.Block, codes []ledger.Valid
 
 // markDuplicates fails transactions whose ID was already committed on this
 // channel or appeared earlier in the same block (the paper's system model
-// relies on peers to identify duplicates; first occurrence wins). Besides
-// the in-memory set, the channel's durable seen-transaction markers are
+// relies on peers to identify duplicates; first occurrence wins). The
+// channel's seen-transaction markers, written with every commit, are
 // consulted, so screening covers history committed before a restart.
 // Screening is channel-local: the same ID on another channel is a
 // different transaction (Fabric's ledgers are independent per channel).

@@ -199,7 +199,7 @@ func Run(cfg Config) (Result, error) {
 		submitTimes: make(map[string]time.Duration, cfg.TotalTx),
 		mergedKeys:  make(map[string]struct{}),
 	}
-	r.asm = orderer.NewAssembler(ledger.NewChain("sim").Last())
+	r.asm = orderer.NewAssembler(ledger.Genesis("sim"))
 	r.populate()
 
 	// Schedule all submissions: TotalTx transactions at the aggregate

@@ -6,28 +6,25 @@ import (
 	"sync"
 
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/obs"
 )
 
-// History is one channel's retained block sequence plus its live tail —
-// the server side of every Deliver stream. Producers append (or advance)
-// exactly once per block; each consumer streams through its own cursor, so
-// a slow or stuck consumer lags behind without ever applying backpressure
-// to the producer or to other consumers (DESIGN.md §7: a shared log +
-// cursors, no per-subscriber queues).
+// History is one channel's block log as served to Deliver streams:
+// cursors over a block store plus its live tail. Producers append (or
+// advance) exactly once per block; each consumer streams through its own
+// cursor, so a slow or stuck consumer lags behind without ever applying
+// backpressure to the producer or to other consumers (DESIGN.md §7: a
+// shared log + cursors, no per-subscriber queues).
 //
-// Two backings exist:
-//
-//   - NewHistory(base): in-memory — Append retains every block. This is
-//     a channel's block log on the ordering node (orderer.Service appends
-//     to it directly, as its orderer.BlockLog); the process lifetime bounds
-//     the memory.
-//   - NewSourceHistory(src): backed by a ledger.BlockSource (a peer's
-//     chain over its durable block store) — blocks are fetched on demand
-//     and Advance publishes each newly committed height. A restarted peer
-//     therefore serves its FULL history over the wire (SyncFrom's source
-//     path) without holding it in memory twice.
+// The store holds the bodies; the History only records how far it has
+// published. Append writes a block through to the store and publishes it
+// (the ordering node's log: orderer.Service appends to it directly, as its
+// orderer.BlockLog). Advance publishes what another writer appended — a
+// peer's chain, which writes the peer's store itself. Reads go to the
+// store outside the History's mutex, so a reader waiting on a disk read
+// never stalls Append or Advance.
 type History struct {
+	store ledger.BlockStore
+
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -36,47 +33,36 @@ type History struct {
 	// next is the number the next published block will carry; blocks in
 	// [base, next) are readable.
 	next uint64
-	// mem holds the retained blocks (mem[i] is block base+i) for the
-	// in-memory backing; nil when src serves reads.
-	mem []*ledger.Block
-	src ledger.BlockSource
 
 	// streams tracks open cursors so scrape-time gauges can report how
 	// many consumers follow this history and how far the slowest lags.
 	streams map[*historyStream]struct{}
-	// label names the history (its channel ID) in queue high-water
-	// warnings; set by SetLabel.
-	label string
 
 	closed bool
 }
 
-// NewHistory returns an empty in-memory history whose first block will be
-// numbered base (base = checkpoint+1 on a resumed channel, 1 on a fresh
-// one — the genesis block is constructed locally by every peer, never
-// delivered).
+// NewHistory returns an empty history over a fresh in-memory store whose
+// first block will be numbered base. It checks only the numbering of what
+// is appended.
 func NewHistory(base uint64) *History {
-	h := &History{base: base, next: base}
+	return newHistory(ledger.NewMemStore(base), base)
+}
+
+// NewStoreHistory returns a history serving blocks [1, store.Height())
+// from store — a channel's block log, genesis at 0. The genesis block is
+// constructed locally by every node, never delivered.
+func NewStoreHistory(store ledger.BlockStore) *History {
+	return newHistory(store, 1)
+}
+
+func newHistory(store ledger.BlockStore, base uint64) *History {
+	h := &History{store: store, base: base, next: max(base, store.Height())}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-// NewSourceHistory returns a history serving blocks [1, src.Height()) from
-// the given source — a peer's chain backed by its durable block store.
-// Advance (or Append) publishes later blocks as they commit; reads always
-// go through the source, which must cover every published number.
-func NewSourceHistory(src ledger.BlockSource) *History {
-	h := &History{base: 1, next: src.Height(), src: src}
-	if h.next < 1 {
-		h.next = 1
-	}
-	h.cond = sync.NewCond(&h.mu)
-	return h
-}
-
-// Append publishes the next block. It never blocks on consumers. The block
-// must carry the next number in sequence; with a source backing, only the
-// number is recorded (the source already holds the body by commit time).
+// Append writes the next block to the store and publishes it. It never
+// waits on consumers. The block must carry the next number in sequence.
 func (h *History) Append(b *ledger.Block) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -86,21 +72,12 @@ func (h *History) Append(b *ledger.Block) error {
 	if b.Header.Number != h.next {
 		return fmt.Errorf("transport: history append out of sequence: block %d, next is %d", b.Header.Number, h.next)
 	}
-	if h.src == nil {
-		h.mem = append(h.mem, b)
+	if err := h.store.Append(b); err != nil {
+		return err
 	}
 	h.next++
 	h.cond.Broadcast()
-	obs.WarnQueueDepth("history_lag", h.label, int(h.maxLagLocked()))
 	return nil
-}
-
-// SetLabel names the history (normally its channel ID) in lag high-water
-// warnings. Call before serving traffic.
-func (h *History) SetLabel(label string) {
-	h.mu.Lock()
-	h.label = label
-	h.mu.Unlock()
 }
 
 // Streams returns the number of open cursors. Intended as a scrape-time
@@ -132,9 +109,9 @@ func (h *History) maxLagLocked() uint64 {
 	return max
 }
 
-// Advance publishes every block below height+1 (source backing): after
-// Advance(n), Stream consumers can read through block n. A no-op when the
-// history already covers it.
+// Advance publishes every block below height+1, which another writer has
+// already put in the store: after Advance(n), Stream consumers can read
+// through block n. A no-op when the history already covers it.
 func (h *History) Advance(height uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -170,7 +147,7 @@ func (h *History) Close() {
 
 // Stream opens a cursor at block number from. Opening below the retained
 // base is an error (that history is gone — a peer that far behind syncs
-// from a peer's source-backed history instead); opening beyond the tail is
+// from a node whose log reaches back further); opening beyond the tail is
 // fine, the stream waits for the tail to reach it.
 func (h *History) Stream(from uint64) (BlockStream, error) {
 	h.mu.Lock()
@@ -187,8 +164,7 @@ func (h *History) Stream(from uint64) (BlockStream, error) {
 }
 
 // historyStream is one consumer's cursor into a History. Its fields are
-// guarded by the history's mutex (Recv already holds it to wait on the
-// tail).
+// guarded by the history's mutex.
 type historyStream struct {
 	h      *History
 	cursor uint64
@@ -198,33 +174,25 @@ type historyStream struct {
 // Recv returns the block at the cursor, waiting for the tail when the
 // cursor has caught up. io.EOF after the history closes and the cursor
 // passes the last published block, or after Close on the stream itself.
+// The store read runs after the history's mutex is released.
 func (s *historyStream) Recv() (*ledger.Block, error) {
 	h := s.h
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for {
-		if s.closed {
-			return nil, io.EOF
-		}
-		if s.cursor < h.next {
-			var b *ledger.Block
-			if h.src != nil {
-				var err error
-				b, err = h.src.Get(s.cursor)
-				if err != nil {
-					return nil, Errorf("deliver", false, "history source: block %d: %v", s.cursor, err)
-				}
-			} else {
-				b = h.mem[s.cursor-h.base]
-			}
-			s.cursor++
-			return b, nil
-		}
-		if h.closed {
-			return nil, io.EOF
-		}
+	for !s.closed && s.cursor >= h.next && !h.closed {
 		h.cond.Wait()
 	}
+	if s.closed || s.cursor >= h.next {
+		h.mu.Unlock()
+		return nil, io.EOF
+	}
+	n := s.cursor
+	s.cursor++
+	h.mu.Unlock()
+	b, err := h.store.Get(n)
+	if err != nil {
+		return nil, Errorf("deliver", false, "history store: block %d: %v", n, err)
+	}
+	return b, nil
 }
 
 // Close releases the cursor; a blocked Recv returns io.EOF.
