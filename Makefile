@@ -95,14 +95,17 @@ bench-gate:
 
 # Short-budget coverage-guided fuzzing of the binary decoders — the
 # record framing every store and the wire share, the wire-frame header
-# decoder, the LSM sorted-run block decoder and the persisted JSON CRDT
-# document state — enough for CI to catch a decoder regression without a
-# long fuzz run.
+# decoder, the LSM sorted-run block decoder, the persisted JSON CRDT
+# document state and a key's snapshot-plus-delta record log (replayed
+# against a long-lived engine; its inputs run for milliseconds, so
+# minimizing one is capped at 2s to leave the budget to fuzzing) — enough
+# for CI to catch a decoder regression without a long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime 10s ./internal/framing
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 	$(GO) test -run xxx -fuzz FuzzDocStateRoundTrip -fuzztime 10s ./internal/jsoncrdt
+	$(GO) test -run xxx -fuzz FuzzPersistedKeyReplay -fuzztime 10s -fuzzminimizetime 2s ./internal/core
 
 # Two short live-network runs with durable peers — state store and block
 # store — over one throwaway datadir: proves the -backend disk path end to

@@ -197,8 +197,9 @@ const (
 )
 
 // LoadMergedDoc returns the persisted CRDT document (with merge metadata)
-// behind a ledger key on a FabricCRDT peer's default channel, or nil if
-// the key was never CRDT-written. The plain converged value is the peer's
+// behind a ledger key on a FabricCRDT peer's default channel — its last
+// snapshot with the later delta records replayed — or nil if the key was
+// never CRDT-written. The plain converged value is the peer's
 // world-state value.
 func LoadMergedDoc(p *Peer, key string) (*JSONDoc, error) {
 	return core.LoadDoc(p.DB(), key)

@@ -18,10 +18,14 @@
 // is persisted in the state database's metadata space and seeds the merge
 // of later blocks, so deltas merge against the key's complete history
 // (DESIGN.md §3 records this clarification of the paper's delta semantics;
-// Options.PaperLiteral restores the algorithm as printed). The engine keeps
+// Options.PaperLiteral restores the algorithm as printed). The state
+// persists as a snapshot plus one delta record per later block — the raw
+// writes the block merged into the key — and a new snapshot only once the
+// deltas add up to the last one's size (persist.go), so a block's persist
+// cost is O(its deltas), not O(the document), amortized. The engine keeps
 // the states of the last merged block resident and resumes one instead of
-// decoding it whenever the database still holds exactly the bytes it was
-// persisted as, so a key every block touches is decoded once per process
+// loading it whenever the database still holds exactly the record it last
+// persisted, so a key every block touches is loaded once per process
 // (DESIGN.md §5).
 //
 // The merge is organized as independent per-key groups: all CRDT writes to
@@ -70,18 +74,20 @@ type Engine struct {
 	db   *statedb.DB
 	opts Options
 
-	// resident holds, by metadata key, each state the last successful
+	// resident holds, by snapshot key, each state the last successful
 	// merge persisted, so the next block resumes it instead of decoding it
 	// (state.go, resume). Key-groups take entries concurrently.
 	mu       sync.Mutex
 	resident map[string]residentState
 }
 
-// residentState is a merged key state kept between blocks, with the exact
-// bytes it was persisted as.
+// residentState is a merged key state kept between blocks, with its log
+// position and the one record it last persisted.
 type residentState struct {
-	state     keyState
-	persisted []byte
+	state  keyState
+	log    keyLog
+	recKey string
+	rec    []byte
 }
 
 // NewEngine returns a merge engine reading and persisting CRDT state
@@ -95,9 +101,11 @@ type Result struct {
 	// MergedKeys lists the distinct ledger keys whose states were
 	// extended, in first-touch order.
 	MergedKeys []string
-	// States holds each merged key's serialized post-merge state by
-	// metadata key (MetaPrefix or TypedMetaPrefix + ledger key), to be
-	// written to the metadata space by the commit batch.
+	// States holds, by metadata key, the one record each merged key's
+	// persisted log gains this block, to be written to the metadata space
+	// by the commit batch: a snapshot of the post-merge state under
+	// MetaPrefix or TypedMetaPrefix + ledger key, or a delta record of the
+	// block's writes under a DeltaPrefix slot (persist.go).
 	States map[string][]byte
 }
 
@@ -118,15 +126,20 @@ type keyGroup struct {
 	key string
 	ops []*mergeOp
 
-	// state is seeded by the group's first write that seeds cleanly.
+	// state is seeded by the group's first write that seeds cleanly, log
+	// with it.
 	state keyState
+	log   keyLog
+	// entries encodes the writes passed to state.merge, when this block
+	// persists them as a delta record.
+	entries []byte
 	// err is a hard failure (corrupt persisted state, unserializable
 	// state), not a bad delta.
 	err error
 
-	// Output of the finish pass: the state to persist, if any.
-	metaKey   string
-	metaState []byte
+	// Output of the finish pass: the record to persist, if any.
+	metaKey string
+	metaRec []byte
 }
 
 // MergeBlock implements Algorithm 1 (ValidateMergeBlock). codes[i] must be
@@ -225,8 +238,8 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 			return Result{}, g.err
 		}
 		if g.metaKey != "" {
-			res.States[g.metaKey] = g.metaState
-			resident[g.metaKey] = residentState{state: g.state, persisted: g.metaState}
+			res.States[g.metaKey] = g.metaRec
+			resident[g.log.snapKey] = residentState{state: g.state, log: g.log, recKey: g.metaKey, rec: g.metaRec}
 		}
 	}
 	// Exactly this block's persisted states stay resident: a key every
@@ -295,11 +308,14 @@ func (e *Engine) runGroup(g *keyGroup) {
 // first if no earlier write did.
 func (e *Engine) mergeWrite(g *keyGroup, w *rwset.Write) error {
 	if g.state == nil {
-		st, err := e.seed(w)
+		st, log, err := e.seed(w)
 		if err != nil {
 			return err
 		}
-		g.state = st
+		g.state, g.log = st, log
+	}
+	if g.log.snapKey != "" && !g.log.snapshotDue() {
+		g.entries = appendEntry(g.entries, w)
 	}
 	return g.state.merge(w)
 }
@@ -317,7 +333,7 @@ func firstMergeError(flat []flatOp) error {
 }
 
 // finishGroup serializes one group's converged value into every merged
-// transaction's write set and marshals the post-merge state to persist.
+// transaction's write set and builds the record to persist.
 // Options.PaperLiteral re-serializes the value for every transaction, as
 // Algorithm 1 prints it; otherwise all of them share one serialization.
 func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
@@ -339,12 +355,15 @@ func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
 		}
 		op.w.Value = converged
 	}
-	metaKey, state, err := g.state.persisted()
+	if g.log.snapKey == "" {
+		return // not persisted
+	}
+	metaKey, rec, err := g.log.appendRecord(g.key, g.state, g.entries)
 	if err != nil {
 		g.err = fmt.Errorf("core: persisting state for %q: %w", g.key, err)
 		return
 	}
-	g.metaKey, g.metaState = metaKey, state
+	g.metaKey, g.metaRec = metaKey, rec
 }
 
 // errInvalidDelta marks merge failures attributable to the transaction's
@@ -352,8 +371,8 @@ func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
 // fails with CodeInvalidCRDT while the block commit proceeds.
 var errInvalidDelta = errors.New("core: invalid CRDT delta")
 
-// StageDocStates writes the merged CRDT states into a commit batch's
-// metadata space.
+// StageDocStates writes the merged keys' state records into a commit
+// batch's metadata space.
 func StageDocStates(batch *statedb.UpdateBatch, res Result) {
 	//lint:sorted map-to-map staging; UpdateBatch is keyed, insertion order invisible
 	for metaKey, state := range res.States {

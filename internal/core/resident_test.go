@@ -126,10 +126,12 @@ func TestTypedStateRoundTrip(t *testing.T) {
 	}
 }
 
-// decodeTyped persists st into a fresh database and loads it back.
+// decodeTyped persists st as a snapshot into a fresh database and loads it
+// back.
 func decodeTyped(t *testing.T, st *typedState) *typedState {
 	t.Helper()
-	metaKey, state, err := st.persisted()
+	log := keyLog{snapKey: TypedMetaPrefix + st.key}
+	metaKey, state, err := log.appendRecord(st.key, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +148,11 @@ func decodeTyped(t *testing.T, st *typedState) *typedState {
 
 func requireSameState(t *testing.T, name string, want, got keyState) {
 	t.Helper()
-	_, wantState, err := want.persisted()
+	wantState, err := want.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotState, err := got.persisted()
+	gotState, err := got.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,12 @@ import (
 	"fabriccrdt/internal/statedb"
 )
 
-// MetaPrefix namespaces persisted JSON CRDT documents in the state
-// database's metadata space.
+// MetaPrefix namespaces the snapshot records of JSON CRDT documents in the
+// state database's metadata space (persist.go).
 const MetaPrefix = "crdt/"
 
-// TypedMetaPrefix namespaces persisted classic-CRDT states in the state
-// database's metadata space, separate from JSON CRDT documents.
+// TypedMetaPrefix namespaces the snapshot records of classic-CRDT states in
+// the state database's metadata space, separate from JSON CRDT documents.
 const TypedMetaPrefix = "crdtt/"
 
 // types resolves the classic-CRDT datatypes a write's CRDTType names.
@@ -27,80 +27,94 @@ var types = crdt.NewRegistry()
 // another kind or datatype are errInvalidDelta.
 type keyState interface {
 	// merge joins one write's delta into the state. A delta the state
-	// cannot take is errInvalidDelta; the state is left as it was.
+	// cannot take is errInvalidDelta; the state is left as it was, or as
+	// far as the delta applied — replaying the same write reproduces it.
 	merge(w *rwset.Write) error
 	// value returns the converged world-state value.
 	value() ([]byte, error)
-	// persisted returns the metadata key and bytes carrying the state to
-	// later blocks, or an empty key when nothing is persisted.
-	persisted() (metaKey string, state []byte, err error)
+	// snapshot returns the full state, the body of a snapshot record.
+	snapshot() ([]byte, error)
 }
 
-// seed creates the state of the key w writes, loading what earlier blocks
-// persisted under the prefix of w's kind (InitEmptyCRDT in Algorithm 1,
-// extended with cross-block continuity). A key never changes kind: when it
-// has no state of w's kind, the other kind's prefix is probed and a hit
-// refuses the write.
-func (e *Engine) seed(w *rwset.Write) (keyState, error) {
+// seed creates the state of the key w writes and the position of its
+// persisted log, loading what earlier blocks persisted under the prefix of
+// w's kind (InitEmptyCRDT in Algorithm 1, extended with cross-block
+// continuity). A key never changes kind: when it has no state of w's kind,
+// the other kind's prefix is probed and a hit refuses the write.
+func (e *Engine) seed(w *rwset.Write) (keyState, keyLog, error) {
 	if w.CRDTType == "" {
 		return e.seedDoc(w.Key)
 	}
 	return e.seedTyped(w.Key, w.CRDTType)
 }
 
-// resume takes the resident state persisted under metaKey out of the
-// engine and returns it if the database still holds exactly the bytes it
-// was persisted as, else nil. That byte comparison is the whole coherence
-// rule: a block merged but never applied, a reset or rebuilt state, a
-// replayed block and a restart all leave other bytes (or no entry) behind,
-// and equal bytes decode to a state that behaves exactly like the resident
-// one (FuzzDocStateRoundTrip, TestTypedStateRoundTrip).
-func (e *Engine) resume(metaKey string) keyState {
+// resume takes the resident state of the key whose snapshot lives at
+// snapKey out of the engine and returns it if the database still holds
+// exactly the record it last persisted, else nil. That byte comparison is
+// the whole coherence rule. The engine is the only writer of its key logs,
+// so the database is never ahead of a resident state, only equal to it or
+// behind it: a block merged but never applied, a reset or rebuilt state, a
+// replayed block and a restart all leave another record (or none) under
+// that key — a stale slot carries an older generation — and a delta
+// record's running hash makes equal bytes mean an equal history. A state
+// decoded from that history behaves exactly like the resident one
+// (FuzzDocStateRoundTrip, TestTypedStateRoundTrip, FuzzPersistedKeyReplay).
+func (e *Engine) resume(snapKey string) (keyState, keyLog) {
 	e.mu.Lock()
-	r, ok := e.resident[metaKey]
-	delete(e.resident, metaKey)
+	r, ok := e.resident[snapKey]
+	delete(e.resident, snapKey)
 	e.mu.Unlock()
-	if !ok || !bytes.Equal(r.persisted, e.db.GetMeta(metaKey)) {
-		return nil
+	if !ok || !bytes.Equal(r.rec, e.db.GetMeta(r.recKey)) {
+		return nil, keyLog{}
 	}
-	return r.state
+	return r.state, r.log
 }
 
 // refuseOtherKind fails the write when key holds state under prefix.
 func refuseOtherKind(db *statedb.DB, prefix, key string) error {
-	if db.GetMeta(prefix+key) != nil {
-		return fmt.Errorf("%w: key %q already holds a %s state", errInvalidDelta, key, prefix)
+	rec := db.GetMeta(prefix + key)
+	if rec == nil {
+		return nil
 	}
-	return nil
+	if _, _, err := parseSnapshot(prefix+key, key, rec); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: key %q already holds a %s state", errInvalidDelta, key, prefix)
 }
 
 // docState is a key merged as a JSON CRDT document.
 type docState struct {
 	key string
 	doc *jsoncrdt.Doc
-	// fresh is Options.PaperLiteral: the document started empty this block
-	// and is not persisted.
-	fresh bool
 }
 
-func (e *Engine) seedDoc(key string) (keyState, error) {
-	fresh := e.opts.PaperLiteral
-	if !fresh {
-		if st := e.resume(MetaPrefix + key); st != nil {
-			return st, nil
+// seedDoc seeds a JSON key. Under Options.PaperLiteral the document starts
+// empty every block and is not persisted: its log has no snapshot key.
+func (e *Engine) seedDoc(key string) (keyState, keyLog, error) {
+	snapKey := MetaPrefix + key
+	if e.opts.PaperLiteral {
+		snapKey = ""
+	} else {
+		if st, log := e.resume(snapKey); st != nil {
+			return st, log, nil
 		}
-		doc, err := LoadDoc(e.db, key)
-		if err != nil {
-			return nil, err // corrupt persisted state: hard failure
-		}
-		if doc != nil {
-			return &docState{key: key, doc: doc}, nil
+		st, log, err := loadState(e.db, snapKey, key, docFromSnapshot)
+		if err != nil || st != nil {
+			return st, log, err // an error is corrupt persisted state: hard failure
 		}
 	}
 	if err := refuseOtherKind(e.db, TypedMetaPrefix, key); err != nil {
+		return nil, keyLog{}, err
+	}
+	return &docState{key: key, doc: jsoncrdt.NewDoc(MergeReplica)}, keyLog{snapKey: snapKey}, nil
+}
+
+func docFromSnapshot(key string, body []byte) (keyState, error) {
+	doc := jsoncrdt.NewDoc(MergeReplica)
+	if err := doc.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}
-	return &docState{key: key, doc: jsoncrdt.NewDoc(MergeReplica), fresh: fresh}, nil
+	return &docState{key: key, doc: doc}, nil
 }
 
 func (s *docState) merge(w *rwset.Write) error {
@@ -119,13 +133,7 @@ func (s *docState) merge(w *rwset.Write) error {
 
 func (s *docState) value() ([]byte, error) { return json.Marshal(s.doc.ToJSON()) }
 
-func (s *docState) persisted() (string, []byte, error) {
-	if s.fresh {
-		return "", nil, nil
-	}
-	state, err := s.doc.MarshalBinary()
-	return MetaPrefix + s.key, state, err
-}
+func (s *docState) snapshot() ([]byte, error) { return s.doc.MarshalBinary() }
 
 // typedState is a key merged as a classic CRDT. Typed states are seeded and
 // persisted even under Options.PaperLiteral: a state-based join is cheap,
@@ -135,27 +143,38 @@ type typedState struct {
 	acc crdt.CRDT
 }
 
-func (e *Engine) seedTyped(key, typeName string) (keyState, error) {
-	st, _ := e.resume(TypedMetaPrefix + key).(*typedState)
+func (e *Engine) seedTyped(key, typeName string) (keyState, keyLog, error) {
+	snapKey := TypedMetaPrefix + key
+	st, log := e.resume(snapKey)
 	if st == nil {
-		acc, err := LoadTypedCRDT(e.db, key)
+		var err error
+		st, log, err = loadState(e.db, snapKey, key, typedFromSnapshot)
 		if err != nil {
-			return nil, fmt.Errorf("core: loading persisted %s state for %q: %w", typeName, key, err)
+			return nil, keyLog{}, err // corrupt persisted state: hard failure
 		}
-		if acc == nil {
+		if st == nil {
 			if err := refuseOtherKind(e.db, MetaPrefix, key); err != nil {
-				return nil, err
+				return nil, keyLog{}, err
 			}
-			if acc, err = types.New(typeName); err != nil {
-				return nil, fmt.Errorf("%w: %v", errInvalidDelta, err)
+			acc, err := types.New(typeName)
+			if err != nil {
+				return nil, keyLog{}, fmt.Errorf("%w: %v", errInvalidDelta, err)
 			}
+			st = &typedState{key: key, acc: acc}
 		}
-		st = &typedState{key: key, acc: acc}
 	}
-	if st.acc.TypeName() != typeName {
-		return nil, fmt.Errorf("%w: key %q persisted as %s, written as %s", errInvalidDelta, key, st.acc.TypeName(), typeName)
+	if have := st.(*typedState).acc.TypeName(); have != typeName {
+		return nil, keyLog{}, fmt.Errorf("%w: key %q persisted as %s, written as %s", errInvalidDelta, key, have, typeName)
 	}
-	return st, nil
+	return st, log, nil
+}
+
+func typedFromSnapshot(key string, body []byte) (keyState, error) {
+	acc, err := types.Unmarshal(body)
+	if err != nil {
+		return nil, err
+	}
+	return &typedState{key: key, acc: acc}, nil
 }
 
 func (s *typedState) merge(w *rwset.Write) error {
@@ -179,32 +198,27 @@ func (s *typedState) merge(w *rwset.Write) error {
 // number, a set as a sorted array, ...).
 func (s *typedState) value() ([]byte, error) { return json.Marshal(s.acc.Value()) }
 
-func (s *typedState) persisted() (string, []byte, error) {
-	state, err := crdt.Marshal(s.acc)
-	return TypedMetaPrefix + s.key, state, err
-}
+func (s *typedState) snapshot() ([]byte, error) { return crdt.Marshal(s.acc) }
 
-// LoadDoc returns the persisted CRDT document for a ledger key, or nil when
-// the key has never been merged as a JSON CRDT. Read-side helpers (clients,
-// examples) use it to inspect merge metadata.
+// LoadDoc returns the persisted CRDT document for a ledger key — its
+// snapshot with the later delta records replayed — or nil when the key has
+// never been merged as a JSON CRDT. Read-side helpers (clients, examples)
+// use it to inspect merge metadata.
 func LoadDoc(db *statedb.DB, key string) (*jsoncrdt.Doc, error) {
-	persisted := db.GetMeta(MetaPrefix + key)
-	if persisted == nil {
-		return nil, nil
+	st, _, err := loadState(db, MetaPrefix+key, key, docFromSnapshot)
+	if st == nil {
+		return nil, err
 	}
-	doc := jsoncrdt.NewDoc(MergeReplica)
-	if err := doc.UnmarshalBinary(persisted); err != nil {
-		return nil, fmt.Errorf("core: loading persisted document for %q: %w", key, err)
-	}
-	return doc, nil
+	return st.(*docState).doc, nil
 }
 
 // LoadTypedCRDT returns the persisted classic-CRDT state behind a ledger
-// key, or nil when the key was never merged as a typed CRDT.
+// key — its snapshot with the later delta records replayed — or nil when
+// the key was never merged as a typed CRDT.
 func LoadTypedCRDT(db *statedb.DB, key string) (crdt.CRDT, error) {
-	persisted := db.GetMeta(TypedMetaPrefix + key)
-	if persisted == nil {
-		return nil, nil
+	st, _, err := loadState(db, TypedMetaPrefix+key, key, typedFromSnapshot)
+	if st == nil {
+		return nil, err
 	}
-	return types.Unmarshal(persisted)
+	return st.(*typedState).acc, nil
 }
