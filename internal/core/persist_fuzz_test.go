@@ -92,6 +92,8 @@ func FuzzPersistedKeyReplay(f *testing.F) {
 		"\x05\x00\x02\x00\x03\x00\x05\x00\x00\x01\x07\x00\x02\x04\x00\x06\x00\x03\x04\x00\x04\x00\x03",
 		"\x04\x04\x05\x04\x24\x06\x00\x04\x04\x07\x01\x04\x04\x08\x00\x02\x04\x24\x09\x00\x03",
 		"\x05\x03\x00\x0b\x05\x00\x04\x03\x00\x00\x04\x0b\x05\x00\x03\x02\x04\x03\x00\x00\x03",
+		// A block merged but never applied, then one more into its key.
+		"\x04\x00\x07\x00\x04\x00\x17\x01\x04\x00\x27\x00\x03",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -126,8 +125,8 @@ func TestDeltaSlotsKeepKeysApart(t *testing.T) {
 	for _, k := range keys {
 		want[k] = jsoncrdt.NewDoc(MergeReplica)
 	}
-	snapshots := make(map[string]int)
-	maxSlot := make(map[string]int)
+	staged := make(map[string]bool) // every metadata key a block wrote
+	snapshotsOfA := 0
 	for n := uint64(1); n <= 120; n++ {
 		var txs []*ledger.Transaction
 		for i, k := range keys {
@@ -144,17 +143,9 @@ func TestDeltaSlotsKeepKeysApart(t *testing.T) {
 		}
 		res := mergeAndApply(t, db, e, blockOf(txs...))
 		for metaKey := range res.States {
-			for _, k := range keys {
-				if metaKey == MetaPrefix+k {
-					snapshots[k]++
-				}
-				if slot, ok := strings.CutSuffix(metaKey, "/"+k); ok && strings.HasPrefix(slot, DeltaPrefix) {
-					s, err := strconv.Atoi(strings.TrimPrefix(slot, DeltaPrefix))
-					if err != nil {
-						continue // a longer key's slot, e.g. "1/a" under key "a"
-					}
-					maxSlot[k] = max(maxSlot[k], s)
-				}
+			staged[metaKey] = true
+			if metaKey == MetaPrefix+"a" {
+				snapshotsOfA++
 			}
 		}
 		if n%7 == 0 {
@@ -174,8 +165,13 @@ func TestDeltaSlotsKeepKeysApart(t *testing.T) {
 			}
 		}
 	}
-	if snapshots["a"] < 2 || maxSlot["a"] < 12 || maxSlot["a1"] < 12 {
-		t.Fatalf("stream too short to collide: snapshots %v, highest slots %v", snapshots, maxSlot)
+	if snapshotsOfA < 2 {
+		t.Fatalf("stream too short: %d snapshots of a", snapshotsOfA)
+	}
+	for _, slot := range []string{deltaKey("a", 12), deltaKey("a1", 2)} {
+		if !staged[slot] {
+			t.Fatalf("stream too short to collide: %s never staged", slot)
+		}
 	}
 }
 
