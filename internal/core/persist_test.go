@@ -62,7 +62,7 @@ func mergeAndApply(tb testing.TB, db *statedb.DB, e *Engine, block *ledger.Block
 func TestHotKeyPersistIsODelta(t *testing.T) {
 	const (
 		blocks = 2000
-		writes = 1
+		writes = 1  // the property holds per block at any size; 1 keeps value() cheap
 		window = 20 // non-snapshot blocks averaged at each depth
 	)
 	gen := workload.NewIoT(workload.IoTParams{ConflictPct: 100})
