@@ -10,7 +10,8 @@ import (
 )
 
 // fastModel keeps virtual costs small so tests run instantly; shape
-// assertions don't depend on the calibrated constants.
+// assertions other than Figure 3's decline don't depend on the calibrated
+// constants.
 func fastModel() *LatencyModel {
 	return &LatencyModel{
 		Endorse:          5 * time.Millisecond,
@@ -113,13 +114,23 @@ func TestDeterministicRuns(t *testing.T) {
 // comes from the paper-literal per-transaction re-serialization: the
 // converged document costs O(txs) to serialize and is serialized once per
 // transaction, so merge cost per block grows with the block squared.
-// Serializing once per key leaves the two throughputs within a few percent
-// of each other, which the ratio bound rejects.
+// Serializing once per key leaves the two throughputs within ~12% of each
+// other, which the ratio bound rejects.
+//
+// The runs use the latency model calibrated on Figure 3 (DESIGN.md S18),
+// not fastModel: at fastModel's CPUScale of 10 the measured merge CPU of a
+// 500-transaction block stays below the modeled fixed costs on a fast
+// host, where the ratio fell to ~1.25 (2-core Xeon). At the calibrated
+// scale the literal pass gives ~6 on that host, and still ~1.65 with the
+// scale cut fivefold, as on a host five times faster.
 func TestThroughputDeclinesWithBlockSize(t *testing.T) {
+	lm := DefaultLatencyModel()
 	small := crdtConfig(1500)
 	small.BlockSize = 25
+	small.Latency = &lm
 	big := crdtConfig(1500)
 	big.BlockSize = 500
+	big.Latency = &lm
 	rSmall, err := Run(small)
 	if err != nil {
 		t.Fatal(err)
