@@ -68,7 +68,7 @@ bench:
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
-# The regression gate CI runs on pull requests (ROADMAP 1(d)): check BASE
+# The regression gate CI runs on pull requests: check BASE
 # out into a worktree, run iot_cold (the cold-key commit path), iot_hot
 # (the paper's all-conflicting workload, where the merge path dominates),
 # iot_mixed_durable (the merge path reading its state through the LSM

@@ -285,21 +285,14 @@ func main() {
 			}
 			fmt.Println()
 		}
-		// Wall-clock vs CPU-time rollup: stages overlap (async pipeline,
-		// merge beside MVCC), so CPU above Wall measures the concurrency won.
+		// Wall-clock vs CPU-time rollup: the async pipeline prepares a block
+		// behind the previous one's finalize, so CPU above Wall measures the
+		// overlap won.
 		fmt.Println("commit totals (wall = elapsed pipeline time, cpu = summed stage work):")
 		for _, p := range net.Peers() {
 			agg := p.CommitAggregate()
 			fmt.Printf("  %-12s wall=%v cpu=%v\n", p.Name(),
 				agg.Wall.Round(time.Microsecond), agg.CPU.Round(time.Microsecond))
-		}
-		fmt.Println("finalize scheduler (dependency-graph stats over scheduled blocks):")
-		for _, p := range net.Peers() {
-			fmt.Printf("  %-12s", p.Name())
-			for _, c := range p.SchedulerCounters() {
-				fmt.Printf(" %s=%d", c.Name, c.Value)
-			}
-			fmt.Println()
 		}
 	}
 }

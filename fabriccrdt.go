@@ -51,21 +51,18 @@ type (
 	// always keeps its block bodies in a durable block store beside the
 	// state: the ledger is its recovery root (docs/PERSISTENCE.md). One
 	// configuration applies per channel.
-	// Commit parallelism is not configured: each peer derives it from
-	// GOMAXPROCS divided across its channels, and commit results are
-	// identical at every value.
+	// Commit parallelism is not configured: each peer sizes its
+	// endorsement-validation pool from GOMAXPROCS divided across its
+	// channels, and commit results are identical at every value.
 	CommitterConfig = peer.CommitterConfig
 	// CommitStageSummary aggregates one commit-pipeline stage's latencies,
 	// as returned by Peer.CommitTimings.
 	CommitStageSummary = peer.StageSummary
 	// CommitAggregate is a peer's skew-free commit-latency rollup
 	// (Peer.CommitAggregate): Wall is elapsed pipeline time, CPU sums the
-	// work done inside it — concurrent stages make CPU exceed Wall.
+	// work done inside it — a block prepared behind the previous one's
+	// finalize makes CPU exceed Wall.
 	CommitAggregate = peer.CommitAggregate
-	// SchedulerCounter is one finalize-scheduler statistic, as returned by
-	// Peer.SchedulerCounters (scheduled blocks/transactions, conflict
-	// groups, dependency edges, wavefront counts).
-	SchedulerCounter = peer.SchedulerCounter
 )
 
 // World-state backend names for CommitterConfig.Backend.

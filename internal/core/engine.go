@@ -28,20 +28,17 @@
 // persisted, so a key every block touches is loaded once per process
 // (DESIGN.md §5).
 //
-// The merge is organized as independent per-key groups: all CRDT writes to
-// one key, in block order, form one group, and distinct groups share no
-// state. MergeCandidates merges groups concurrently over the worker count
-// its caller passes; because the per-key write order never changes, results
-// are byte-identical at every worker count (DESIGN.md §5).
+// The merge is organized as per-key groups: all CRDT writes to one key, in
+// block order, form one group, and distinct groups share no state.
+// MergeBlock merges the groups one after another in first-touch order;
+// the peer then runs MVCC over the remaining transactions (DESIGN.md §5).
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
 )
@@ -69,15 +66,15 @@ type Options struct {
 	PaperLiteral bool
 }
 
-// Engine merges the CRDT transactions of blocks for one peer.
+// Engine merges the CRDT transactions of blocks for one peer, one block at
+// a time: its callers serialize MergeBlock (the channel's commit mutex).
 type Engine struct {
 	db   *statedb.DB
 	opts Options
 
 	// resident holds, by snapshot key, each state the last successful
 	// merge persisted, so the next block resumes it instead of decoding it
-	// (state.go, resume). Key-groups take entries concurrently.
-	mu       sync.Mutex
+	// (state.go, resume).
 	resident map[string]residentState
 }
 
@@ -109,9 +106,8 @@ type Result struct {
 	States map[string][]byte
 }
 
-// mergeOp is one CRDT-flagged write scheduled into a key-group: the write
-// plus its position in the block (for validation codes and deterministic
-// ordering).
+// mergeOp is one CRDT-flagged write of a key-group: the write plus its
+// transaction's position in the block (for validation codes).
 type mergeOp struct {
 	txIdx int
 	w     *rwset.Write
@@ -119,9 +115,8 @@ type mergeOp struct {
 	ok bool
 }
 
-// keyGroup is the unit of merge parallelism: every CRDT write to one key,
-// in block order. Groups share no mutable state, so they run concurrently
-// without synchronization; per-op outputs land in disjoint slots.
+// keyGroup is every CRDT write to one key, in block order, merged into the
+// key's one state.
 type keyGroup struct {
 	key string
 	ops []*mergeOp
@@ -133,13 +128,6 @@ type keyGroup struct {
 	// entries encodes the writes passed to state.merge, when this block
 	// persists them as a delta record.
 	entries []byte
-	// err is a hard failure (corrupt persisted state, unserializable
-	// state), not a bad delta.
-	err error
-
-	// Output of the finish pass: the record to persist, if any.
-	metaKey string
-	metaRec []byte
 }
 
 // MergeBlock implements Algorithm 1 (ValidateMergeBlock). codes[i] must be
@@ -154,20 +142,75 @@ type keyGroup struct {
 // cleanly; a bad delta fails the transaction (CodeInvalidCRDT) while its
 // other writes still extend their keys' states, exactly as its earlier
 // writes already did — one transaction's failure never rolls back a key
-// group, in any interleaving.
+// group.
 //
 // The caller runs stock MVCC validation afterwards for the remaining
 // transactions (Algorithm 1 line 15) and commits both groups in one batch.
-//
-// MergeBlock merges the key-groups serially: it is the reference the
-// parallel MergeCandidates must match byte for byte.
 func (e *Engine) MergeBlock(block *ledger.Block, codes []ledger.ValidationCode) (Result, error) {
-	return e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 1)
+	candidates := crdtCandidates(block, codes)
+	groups, ops := classify(block, candidates)
+
+	// Merge pass: each group replays its key's writes in block order.
+	// Groups run in first-touch order, so a hard error is that of the
+	// earliest key in block order whose persisted state is corrupt.
+	for _, g := range groups {
+		if err := e.runGroup(g); err != nil {
+			return Result{}, err
+		}
+	}
+
+	// Validation codes: a candidate is merged iff all its writes merged.
+	res := Result{States: make(map[string][]byte)}
+	txFailed := make(map[int]bool)
+	for _, op := range ops {
+		if !op.ok {
+			txFailed[op.txIdx] = true
+		}
+	}
+	for _, txIdx := range candidates {
+		if txFailed[txIdx] {
+			codes[txIdx] = ledger.CodeInvalidCRDT
+			continue
+		}
+		codes[txIdx] = ledger.CodeCRDTMerged
+	}
+
+	// MergedKeys in first-successful-touch block order.
+	seen := make(map[string]struct{}, len(groups))
+	for _, op := range ops {
+		if !op.ok {
+			continue
+		}
+		if _, ok := seen[op.w.Key]; ok {
+			continue
+		}
+		seen[op.w.Key] = struct{}{}
+		res.MergedKeys = append(res.MergedKeys, op.w.Key)
+	}
+
+	// Finish pass (Algorithm 1 lines 16–22): rewrite every merged
+	// transaction's CRDT write values with the converged values, metadata
+	// stripped, and serialize the states to persist.
+	resident := make(map[string]residentState, len(groups))
+	for _, g := range groups {
+		metaKey, rec, err := e.finishGroup(g, codes)
+		if err != nil {
+			return Result{}, err
+		}
+		if metaKey != "" {
+			res.States[metaKey] = rec
+			resident[g.log.snapKey] = residentState{state: g.state, log: g.log, recKey: metaKey, rec: rec}
+		}
+	}
+	// Exactly this block's persisted states stay resident: a key every
+	// block touches stays decoded, any other leaves after one block.
+	e.resident = resident
+	return res, nil
 }
 
-// CRDTCandidates lists (ascending) the transactions eligible for the merge
+// crdtCandidates lists (ascending) the transactions eligible for the merge
 // path: still undecided and carrying at least one CRDT-flagged write.
-func CRDTCandidates(block *ledger.Block, codes []ledger.ValidationCode) []int {
+func crdtCandidates(block *ledger.Block, codes []ledger.ValidationCode) []int {
 	var candidates []int
 	for i, tx := range block.Transactions {
 		if codes[i] != ledger.CodeNotValidated {
@@ -181,89 +224,14 @@ func CRDTCandidates(block *ledger.Block, codes []ledger.ValidationCode) []int {
 	return candidates
 }
 
-// MergeCandidates is MergeBlock over an explicit candidate set (ascending
-// transaction indices, as from CRDTCandidates or a txgraph plan). The
-// engine reads and writes codes ONLY at candidate indices, so the parallel
-// finalize stage can run the merge concurrently with MVCC validation of the
-// remaining transactions over the same codes slice without a data race.
-// workers bounds how many independent key-groups merge concurrently (<= 1 =
-// serial); per-key write order is block order regardless, so results are
-// byte-identical at every count.
-func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationCode, candidates []int, workers int) (Result, error) {
-	groups, flat := classify(block, candidates)
-
-	// Merge pass: each group replays its key's writes in block order.
-	// Groups are independent, so the schedule cannot affect results.
-	parallel.ForEach(workers, groups, e.runGroup)
-	if err := firstMergeError(flat); err != nil {
-		return Result{}, err
-	}
-
-	// Validation codes: a candidate is merged iff all its writes merged.
-	res := Result{States: make(map[string][]byte)}
-	txFailed := make(map[int]bool)
-	for _, item := range flat {
-		if !item.op.ok {
-			txFailed[item.op.txIdx] = true
-		}
-	}
-	for _, txIdx := range candidates {
-		if txFailed[txIdx] {
-			codes[txIdx] = ledger.CodeInvalidCRDT
-			continue
-		}
-		codes[txIdx] = ledger.CodeCRDTMerged
-	}
-
-	// MergedKeys in first-successful-touch block order.
-	seen := make(map[string]struct{}, len(groups))
-	for _, item := range flat {
-		if !item.op.ok {
-			continue
-		}
-		if _, ok := seen[item.g.key]; ok {
-			continue
-		}
-		seen[item.g.key] = struct{}{}
-		res.MergedKeys = append(res.MergedKeys, item.g.key)
-	}
-
-	// Finish pass (Algorithm 1 lines 16–22): rewrite every merged
-	// transaction's CRDT write values with the converged values, metadata
-	// stripped, and serialize the states to persist.
-	parallel.ForEach(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
-	resident := make(map[string]residentState, len(groups))
-	for _, g := range groups {
-		if g.err != nil {
-			return Result{}, g.err
-		}
-		if g.metaKey != "" {
-			res.States[g.metaKey] = g.metaRec
-			resident[g.log.snapKey] = residentState{state: g.state, log: g.log, recKey: g.metaKey, rec: g.metaRec}
-		}
-	}
-	// Exactly this block's persisted states stay resident: a key every
-	// block touches stays decoded, any other leaves after one block.
-	e.mu.Lock()
-	e.resident = resident
-	e.mu.Unlock()
-	return res, nil
-}
-
-// flatOp is one scheduled write in block order, used to derive
-// deterministic, worker-count-independent orderings.
-type flatOp struct {
-	g  *keyGroup
-	op *mergeOp
-}
-
 // classify walks the candidate transactions in block order and groups
-// their CRDT writes by key. It is the serial stage of the pipeline: cheap
-// bookkeeping only, no parsing or merging.
-func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
+// their CRDT writes by key, returning the groups in first-touch order and
+// every write in block order: cheap bookkeeping only, no parsing or
+// merging.
+func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []*mergeOp) {
 	byKey := make(map[string]*keyGroup)
 	var groups []*keyGroup
-	var flat []flatOp
+	var ops []*mergeOp
 	for _, i := range candidates {
 		tx := block.Transactions[i]
 		for wi := range tx.RWSet.Writes {
@@ -279,16 +247,16 @@ func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
 			}
 			op := &mergeOp{txIdx: i, w: w}
 			g.ops = append(g.ops, op)
-			flat = append(flat, flatOp{g: g, op: op})
+			ops = append(ops, op)
 		}
 	}
-	return groups, flat
+	return groups, ops
 }
 
 // runGroup merges one key's writes in block order. Bad deltas mark the op
-// failed and the group continues; hard failures (corrupt persisted state)
-// stop the group.
-func (e *Engine) runGroup(g *keyGroup) {
+// failed and the group continues; a hard failure (corrupt persisted state)
+// is returned.
+func (e *Engine) runGroup(g *keyGroup) error {
 	for _, op := range g.ops {
 		err := e.mergeWrite(g, op.w)
 		switch {
@@ -298,10 +266,10 @@ func (e *Engine) runGroup(g *keyGroup) {
 			// Bad delta: the op (and so its transaction) fails, later
 			// writes to this key still merge.
 		default:
-			g.err = err // corrupt persisted state: peer-side, hard failure
-			return
+			return err // corrupt persisted state: peer-side, hard failure
 		}
 	}
+	return nil
 }
 
 // mergeWrite joins one write into its group's state, seeding the state
@@ -320,25 +288,13 @@ func (e *Engine) mergeWrite(g *keyGroup, w *rwset.Write) error {
 	return g.state.merge(w)
 }
 
-// firstMergeError returns the hard error of the earliest (block-order)
-// write whose group failed, so the surfaced error does not depend on the
-// worker schedule.
-func firstMergeError(flat []flatOp) error {
-	for _, item := range flat {
-		if item.g.err != nil {
-			return item.g.err
-		}
-	}
-	return nil
-}
-
 // finishGroup serializes one group's converged value into every merged
-// transaction's write set and builds the record to persist.
+// transaction's write set and returns the record to persist, if any.
 // Options.PaperLiteral re-serializes the value for every transaction, as
 // Algorithm 1 prints it; otherwise all of them share one serialization.
-func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
+func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) (metaKey string, rec []byte, err error) {
 	if g.state == nil {
-		return // no write seeded the key, so none merged
+		return "", nil, nil // no write seeded the key, so none merged
 	}
 	var converged []byte
 	for _, op := range g.ops {
@@ -348,22 +304,20 @@ func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
 		if converged == nil || e.opts.PaperLiteral {
 			v, err := g.state.value()
 			if err != nil {
-				g.err = fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
-				return
+				return "", nil, fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
 			}
 			converged = v
 		}
 		op.w.Value = converged
 	}
 	if g.log.snapKey == "" {
-		return // not persisted
+		return "", nil, nil // not persisted
 	}
-	metaKey, rec, err := g.log.appendRecord(g.key, g.state, g.entries)
+	metaKey, rec, err = g.log.appendRecord(g.key, g.state, g.entries)
 	if err != nil {
-		g.err = fmt.Errorf("core: persisting state for %q: %w", g.key, err)
-		return
+		return "", nil, fmt.Errorf("core: persisting state for %q: %w", g.key, err)
 	}
-	g.metaKey, g.metaRec = metaKey, rec
+	return metaKey, rec, nil
 }
 
 // errInvalidDelta marks merge failures attributable to the transaction's

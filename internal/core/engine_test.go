@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fabriccrdt/internal/ledger"
@@ -239,8 +240,7 @@ func TestDeterministicAcrossEngines(t *testing.T) {
 
 // TestConvergedValueMatchesPersistedState is the reference for the finish
 // pass: every merged write of a key carries exactly a fresh serialization
-// of the state persisted for it, at every worker count, for a JSON key and
-// a typed key alike. A paper-literal engine, which re-serializes per
+// of the state persisted for it, for a JSON key and a typed key alike. A paper-literal engine, which re-serializes per
 // transaction and persists no document, commits the same bytes on the
 // first block of an empty database.
 func TestConvergedValueMatchesPersistedState(t *testing.T) {
@@ -255,11 +255,11 @@ func TestConvergedValueMatchesPersistedState(t *testing.T) {
 		}
 		return blockOf(txs...)
 	}
-	run := func(opts Options, workers int) (*statedb.DB, [][]byte) {
+	run := func(opts Options) (*statedb.DB, [][]byte) {
 		db := statedb.New()
 		block := mkBlock()
 		codes := make([]ledger.ValidationCode, len(block.Transactions))
-		res, err := NewEngine(db, opts).MergeCandidates(block, codes, CRDTCandidates(block, codes), workers)
+		res, err := NewEngine(db, opts).MergeBlock(block, codes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,38 +275,36 @@ func TestConvergedValueMatchesPersistedState(t *testing.T) {
 		}
 		return db, values
 	}
-	for _, workers := range []int{1, 4} {
-		db, values := run(Options{}, workers)
-		doc, err := LoadDoc(db, "dev")
-		if err != nil || doc == nil {
-			t.Fatalf("LoadDoc = %v, %v", doc, err)
+	db, values := run(Options{})
+	doc, err := LoadDoc(db, "dev")
+	if err != nil || doc == nil {
+		t.Fatalf("LoadDoc = %v, %v", doc, err)
+	}
+	wantDoc, err := json.Marshal(doc.ToJSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := LoadTypedCRDT(db, "hits")
+	if err != nil || counter == nil {
+		t.Fatalf("LoadTypedCRDT = %v, %v", counter, err)
+	}
+	wantCounter, err := json.Marshal(counter.Value())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values {
+		want := wantDoc
+		if i%2 == 1 {
+			want = wantCounter
 		}
-		wantDoc, err := json.Marshal(doc.ToJSON())
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(v, want) {
+			t.Fatalf("write %d = %s, want %s", i, v, want)
 		}
-		counter, err := LoadTypedCRDT(db, "hits")
-		if err != nil || counter == nil {
-			t.Fatalf("LoadTypedCRDT = %v, %v", counter, err)
-		}
-		wantCounter, err := json.Marshal(counter.Value())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range values {
-			want := wantDoc
-			if i%2 == 1 {
-				want = wantCounter
-			}
-			if !bytes.Equal(v, want) {
-				t.Fatalf("workers=%d write %d = %s, want %s", workers, i, v, want)
-			}
-		}
+	}
 
-		_, literal := run(Options{PaperLiteral: true}, workers)
-		if !reflect.DeepEqual(literal, values) {
-			t.Fatalf("workers=%d: paper-literal engine committed different values on a fresh database", workers)
-		}
+	_, literal := run(Options{PaperLiteral: true})
+	if !reflect.DeepEqual(literal, values) {
+		t.Fatal("paper-literal engine committed different values on a fresh database")
 	}
 }
 
@@ -417,4 +415,27 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestMergeBlockHardErrorFirstInBlockOrder: with several corrupt persisted
+// documents, MergeBlock reports the error of the one the block touches
+// first, not the one that sorts or was stored first.
+func TestMergeBlockHardErrorFirstInBlockOrder(t *testing.T) {
+	db := statedb.New()
+	batch := statedb.NewUpdateBatch()
+	batch.PutMeta(MetaPrefix+"k1", []byte("corrupt-1"))
+	batch.PutMeta(MetaPrefix+"k2", []byte("corrupt-2"))
+	db.Apply(batch, rwset.Version{BlockNum: 1})
+	e := NewEngine(db, Options{})
+	block := blockOf(
+		crdtTx("t1", "k2", `{"a":["x"]}`),
+		crdtTx("t2", "k1", `{"a":["y"]}`),
+	)
+	_, err := e.MergeBlock(block, make([]ledger.ValidationCode, 2))
+	if err == nil {
+		t.Fatal("corrupt state must error")
+	}
+	if !strings.Contains(err.Error(), `"k2"`) || strings.Contains(err.Error(), `"k1"`) {
+		t.Fatalf("error = %q, want the first write's key k2", err)
+	}
 }

@@ -164,7 +164,7 @@ func mergeReplay(t *testing.T, db *statedb.DB, e *Engine, n uint64, txWrites [][
 		})
 	}
 	codes := make([]ledger.ValidationCode, len(block.Transactions))
-	res, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 1)
+	res, err := e.MergeBlock(block, codes)
 	if err != nil {
 		t.Fatalf("block %d: %v", n, err)
 	}
@@ -192,8 +192,6 @@ func mergeReplay(t *testing.T, db *statedb.DB, e *Engine, n uint64, txWrites [][
 // last record db holds — back from db and requires it to match.
 func requireReloadsResident(t *testing.T, db *statedb.DB, e *Engine) {
 	t.Helper()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for snapKey, r := range e.resident {
 		if !bytes.Equal(r.rec, db.GetMeta(r.recKey)) {
 			continue // merged, never applied

@@ -37,7 +37,7 @@ func hotBlock(gen *workload.IoTGenerator, key string, n uint64, writes int) *led
 func mergeAndApply(tb testing.TB, db *statedb.DB, e *Engine, block *ledger.Block) Result {
 	tb.Helper()
 	codes := make([]ledger.ValidationCode, len(block.Transactions))
-	res, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 1)
+	res, err := e.MergeBlock(block, codes)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPreSnapshotFormatRefused(t *testing.T) {
 }
 
 // BenchmarkHotKeyBlock prices one 25-write iot_hot block into a hot key
-// whose document already holds depth readings: MergeCandidates plus
+// whose document already holds depth readings: MergeBlock plus
 // StageDocStates, with the batch applied outside the timer. Each
 // iteration adds 25 readings, so the depth drifts up by 25 × b.N.
 func BenchmarkHotKeyBlock(b *testing.B) {
@@ -256,7 +256,7 @@ func BenchmarkHotKeyBlock(b *testing.B) {
 				block := hotBlock(gen, key, n, writes)
 				codes := make([]ledger.ValidationCode, writes)
 				b.StartTimer()
-				res, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 1)
+				res, err := e.MergeBlock(block, codes)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -254,7 +254,7 @@ type streamOutcome struct {
 
 // runStream merges the stream through one long-lived engine, or through a
 // fresh engine per block (which must decode every state it seeds).
-func runStream(t *testing.T, workers int, freshPerBlock bool) []streamOutcome {
+func runStream(t *testing.T, freshPerBlock bool) []streamOutcome {
 	t.Helper()
 	rng := rand.New(rand.NewSource(streamSeed))
 	db := statedb.New()
@@ -269,7 +269,7 @@ func runStream(t *testing.T, workers int, freshPerBlock bool) []streamOutcome {
 			e = NewEngine(db, Options{})
 		}
 		codes := make([]ledger.ValidationCode, len(block.Transactions))
-		res, err := e.MergeCandidates(block, codes, CRDTCandidates(block, codes), workers)
+		res, err := e.MergeBlock(block, codes)
 		if err != nil {
 			t.Fatalf("block %d: %v", n, err)
 		}
@@ -306,25 +306,23 @@ func runStream(t *testing.T, workers int, freshPerBlock bool) []streamOutcome {
 // block that merges but is never applied and a database reset, agree byte
 // for byte on codes, rewritten values and persisted states.
 func TestResidentStateIsInvisible(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		live := runStream(t, workers, false)
-		ref := runStream(t, workers, true)
-		for i := range ref {
-			if !reflect.DeepEqual(live[i], ref[i]) {
-				t.Fatalf("workers=%d block %d: long-lived engine diverged from the fresh-engine reference:\n got %v\nwant %v", workers, i+1, live[i], ref[i])
-			}
+	live := runStream(t, false)
+	ref := runStream(t, true)
+	for i := range ref {
+		if !reflect.DeepEqual(live[i], ref[i]) {
+			t.Fatalf("block %d: long-lived engine diverged from the fresh-engine reference:\n got %v\nwant %v", i+1, live[i], ref[i])
 		}
-		// Sanity: the stream exercised every outcome it was built for.
-		count := make(map[ledger.ValidationCode]int)
-		states := 0
-		for _, o := range ref {
-			for _, c := range o.codes {
-				count[c]++
-			}
-			states += len(o.states)
+	}
+	// Sanity: the stream exercised every outcome it was built for.
+	count := make(map[ledger.ValidationCode]int)
+	states := 0
+	for _, o := range ref {
+		for _, c := range o.codes {
+			count[c]++
 		}
-		if count[ledger.CodeCRDTMerged] == 0 || count[ledger.CodeInvalidCRDT] == 0 || states < streamBlocks {
-			t.Fatalf("workers=%d: stream degenerate: codes %v, %d persisted states", workers, count, states)
-		}
+		states += len(o.states)
+	}
+	if count[ledger.CodeCRDTMerged] == 0 || count[ledger.CodeInvalidCRDT] == 0 || states < streamBlocks {
+		t.Fatalf("stream degenerate: codes %v, %d persisted states", count, states)
 	}
 }

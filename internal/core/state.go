@@ -60,10 +60,8 @@ func (e *Engine) seed(w *rwset.Write) (keyState, keyLog, error) {
 // decoded from that history behaves exactly like the resident one
 // (FuzzDocStateRoundTrip, TestTypedStateRoundTrip, FuzzPersistedKeyReplay).
 func (e *Engine) resume(snapKey string) (keyState, keyLog) {
-	e.mu.Lock()
 	r, ok := e.resident[snapKey]
 	delete(e.resident, snapKey)
-	e.mu.Unlock()
 	if !ok || !bytes.Equal(r.rec, e.db.GetMeta(r.recKey)) {
 		return nil, keyLog{}
 	}

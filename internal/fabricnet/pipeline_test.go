@@ -192,9 +192,9 @@ func TestChannelFaultIsolationOnFailure(t *testing.T) {
 
 // TestPipelinedNetworkConverges runs the standard conflicting workload
 // through a network whose every (peer, channel) pair commits through the
-// async pipeline with two commit workers (the scheduled finalize):
-// everything commits, all peers converge, no errors — the end-to-end check
-// that pipelining changes scheduling, not outcomes.
+// async pipeline with two endorsement-validation workers: everything
+// commits, all peers converge, no errors — the end-to-end check that
+// pipelining changes scheduling, not outcomes.
 func TestPipelinedNetworkConverges(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })

@@ -6,10 +6,7 @@
 package mvcc
 
 import (
-	"time"
-
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
 )
@@ -72,67 +69,6 @@ func (v *Validator) ValidateBlock(blockNum uint64, txs []*ledger.Transaction, co
 			}
 			pendingWrites[w.Key] = newVersion
 			delete(pendingDeletes, w.Key)
-		}
-	}
-	return Result{Codes: codes}
-}
-
-// ValidateScheduled is ValidateBlock over a dependency-wavefront schedule
-// (internal/txgraph): waves list transaction indices such that no two
-// members of one wave conflict and every dependency sits in a strictly
-// earlier wave. Each wave's members validate concurrently over up to
-// workers goroutines — they write disjoint codes[i] slots and only read the
-// pending maps — then the wave's valid writes are applied to the pending
-// maps serially, in ascending index order, before the next wave starts.
-// Because writers of one key are totally ordered across waves and a wave
-// boundary separates every reader from every writer it conflicts with, each
-// transaction observes exactly the pending state the serial loop would have
-// shown it: validation codes are identical at every worker count
-// (DESIGN.md §9).
-//
-// Transactions not listed in any wave are untouched — the scheduler already
-// routed them elsewhere (pre-decided codes, CRDT merge path).
-//
-// onWave, when non-nil, observes each wave's size and wall time (the
-// committer's per-wavefront timings).
-func (v *Validator) ValidateScheduled(blockNum uint64, txs []*ledger.Transaction, codes []ledger.ValidationCode, waves [][]int, workers int, onWave func(txCount int, d time.Duration)) Result {
-	pendingWrites := make(map[string]rwset.Version)
-	pendingDeletes := make(map[string]struct{})
-	for _, wave := range waves {
-		//lint:ignore determinism per-wave timing only; durations feed metrics, never committed state
-		start := time.Now()
-		parallel.ForEach(workers, wave, func(i int) {
-			// Wave members share no written key, so the pending maps are
-			// read-only for the whole wave and each member writes only its
-			// own codes slot: race-free.
-			if v.conflicts(txs[i].RWSet.Reads, pendingWrites, pendingDeletes) {
-				codes[i] = ledger.CodeMVCCConflict
-			} else {
-				codes[i] = ledger.CodeValid
-			}
-		})
-		// Barrier: fold the wave's valid writes into the pending maps in
-		// index order — the same trajectory the serial loop walks.
-		for _, i := range wave {
-			if codes[i] != ledger.CodeValid {
-				continue
-			}
-			newVersion := rwset.Version{BlockNum: blockNum, TxNum: uint64(i)}
-			for _, w := range txs[i].RWSet.Writes {
-				if w.IsCRDT {
-					continue
-				}
-				if w.IsDelete {
-					pendingDeletes[w.Key] = struct{}{}
-					delete(pendingWrites, w.Key)
-					continue
-				}
-				pendingWrites[w.Key] = newVersion
-				delete(pendingDeletes, w.Key)
-			}
-		}
-		if onWave != nil {
-			onWave(len(wave), time.Since(start))
 		}
 	}
 	return Result{Codes: codes}

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"fabriccrdt/internal/channel"
 	"fabriccrdt/internal/cryptoid"
+	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
 )
 
@@ -419,11 +421,14 @@ func TestAdaptiveWorkerSizing(t *testing.T) {
 
 // TestSingleProcessorCommitsSerially: a process limited to one processor
 // (GOMAXPROCS=1 on a many-core host, a CPU-limited container) must not size
-// its pools from the host's core count — one commit worker, hence the
-// serial finalize: no schedule stage, scheduler counters untouched.
+// its pools from the host's core count — one commit worker, so endorsement
+// validation runs inline — and still commits.
 func TestSingleProcessorCommitsSerially(t *testing.T) {
 	setGOMAXPROCS(t, 1)
 	env := newEnv(t, false)
+	if env.peer.workers != 1 {
+		t.Fatalf("%d commit workers at GOMAXPROCS 1, want 1", env.peer.workers)
+	}
 	env.install(t, "plain", plainChaincode())
 	txs := []*ledger.Transaction{
 		env.endorseTx(t, "a", "plain", "put", "k1", "1"),
@@ -436,14 +441,65 @@ func TestSingleProcessorCommitsSerially(t *testing.T) {
 	if res.CommittedTx != 2 {
 		t.Fatalf("committed %d, want 2", res.CommittedTx)
 	}
-	for _, s := range env.peer.CommitTimings() {
-		if s.Stage == StageSchedule || s.Stage == StageMVCCWave {
-			t.Errorf("stage %q observed %d times on a one-processor peer", s.Stage, s.Count)
-		}
+}
+
+// TestCrossChannelInvokeRejected is the per-channel installation
+// regression test: a chaincode installed on one channel is unknown on the
+// peer's other channels, at endorsement and at commit.
+func TestCrossChannelInvokeRejected(t *testing.T) {
+	// The endorser peer has the chaincode everywhere and produces a valid
+	// ch1 transaction.
+	env := newEnvChannels(t, true, CommitterConfig{}, "ch1", "ch2")
+	env.install(t, "iot", iotChaincode())
+
+	// The committer peer installs it on ch2 ONLY.
+	signer, err := env.ca.Issue("Org1.peer1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range env.peer.SchedulerCounters() {
-		if c.Value != 0 {
-			t.Errorf("scheduler counter %s = %d on a one-processor peer, want 0", c.Name, c.Value)
-		}
+	committer, err := New(Config{
+		Name: "Org1.peer1", MSPID: "Org1", Channels: []string{"ch1", "ch2"},
+		EnableCRDT: true,
+	}, signer, env.msp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := committer.InstallChaincodeOn("ch2", "iot", iotChaincode(), endorse.MustParse("'Org1.member'")); err != nil {
+		t.Fatal(err)
+	}
+	if err := committer.InstallChaincodeOn("nope", "iot", iotChaincode(), endorse.MustParse("'Org1.member'")); !errors.Is(err, ErrUnknownChannel) {
+		t.Fatalf("install on unjoined channel: err = %v, want ErrUnknownChannel", err)
+	}
+
+	// Endorsement on the channel without the chaincode is refused.
+	creator, err := env.client.Identity.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := committer.Endorse(Proposal{
+		TxID: "p1", ChannelID: "ch1", Chaincode: "iot",
+		Args: [][]byte{[]byte("record"), []byte("dev1"), []byte("20")}, Creator: creator,
+	}); !errors.Is(err, ErrUnknownChaincode) {
+		t.Fatalf("endorse on ch1: err = %v, want ErrUnknownChaincode", err)
+	}
+
+	// A validly endorsed ch1 transaction fails endorsement validation on
+	// the committer, whose ch1 has no such chaincode...
+	tx1 := env.endorseTxOn(t, "ch1", "tx1", "iot", "record", "dev1", "20")
+	res, err := committer.CommitBlockOn("ch1", makeBlockOn(t, committer, "ch1", []*ledger.Transaction{tx1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Codes[0] != ledger.CodeEndorsementFailure {
+		t.Fatalf("ch1 commit code = %v, want CodeEndorsementFailure", res.Codes[0])
+	}
+	// ...while the same chaincode on ch2 — where it IS installed — merges.
+	tx2 := env.endorseTxOn(t, "ch2", "tx2", "iot", "record", "dev1", "20")
+	res, err = committer.CommitBlockOn("ch2", makeBlockOn(t, committer, "ch2", []*ledger.Transaction{tx2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Codes[0] != ledger.CodeCRDTMerged {
+		t.Fatalf("ch2 commit code = %v, want CodeCRDTMerged", res.Codes[0])
 	}
 }

@@ -22,9 +22,11 @@
 // of re-validating them (DESIGN.md §4, §6).
 //
 // How parallel the committer runs is derived, never configured: every
-// channel gets max(1, GOMAXPROCS / channels) commit workers
-// (commitWorkers), and deliver loops always run the async
-// prepare/finalize pipeline (CommitPipeline).
+// channel validates endorsements over max(1, GOMAXPROCS / channels)
+// workers (commitWorkers), and deliver loops always run the async
+// prepare/finalize pipeline (CommitPipeline). Finalize is one serial path
+// per channel, as in Algorithm 1: merge the CRDT transactions, then stock
+// MVCC over the rest in block order.
 //
 // Alongside the state store, a durable backend (disk, lsm) always keeps a
 // durable block store (internal/blockstore): every committed block body is
@@ -39,7 +41,7 @@
 // the finalize stage hands each committed transaction's CommitEvent to the
 // waiters registered for it — a send into a one-slot buffer, so a waiter
 // that never reads cannot stall a commit. AwaitHeightOn waits for whole
-// blocks instead (DESIGN.md §9).
+// blocks instead (DESIGN.md §5).
 package peer
 
 import (
@@ -166,13 +168,9 @@ type Peer struct {
 	// cm holds each channel's registered instruments; read-only after New,
 	// so the commit hot path observes without locks.
 	cm map[string]*channelMetrics
-	// sched holds the dependency scheduler's conflict-structure counters,
-	// aggregated across all channels, by SchedulerCounters name
-	// (pipeline.go); read-only after New.
-	sched map[string]*obs.Counter
 
-	// workers is every channel's commit parallelism — the endorse pool, the
-	// merge key-groups and the finalize scheduler alike (commitWorkers).
+	// workers sizes every channel's endorsement-validation pool
+	// (commitWorkers); the rest of the commit runs serially.
 	workers int
 
 	// waiters maps each channel ID to its waiter table (AwaitCommit,
@@ -240,7 +238,6 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 		channels:   make(map[string]*channel.Runtime, len(ids)),
 		reg:        obs.NewRegistry(),
 		cm:         make(map[string]*channelMetrics, len(ids)),
-		sched:      make(map[string]*obs.Counter, len(schedCounters)),
 		workers:    commitWorkers(len(ids)),
 		waiters:    make(map[string]*commitWaiters, len(ids)),
 	}
@@ -257,20 +254,19 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 	return p, nil
 }
 
-// commitWorkers derives one channel's commit parallelism: the processors
-// the Go scheduler will actually run on — GOMAXPROCS, not the host's core
-// count, so a CPU-limited process does not spin up a core's worth of
-// goroutines per stage on its one P — shared evenly across the peer's
-// channels, which commit in parallel (DESIGN.md §6); never below 1, where
-// every stage runs serially.
+// commitWorkers derives the size of one channel's endorsement-validation
+// pool: the processors the Go scheduler will actually run on — GOMAXPROCS,
+// not the host's core count, so a CPU-limited process does not spin up a
+// core's worth of goroutines on its one P — shared evenly across the
+// peer's channels, which commit in parallel (DESIGN.md §6); never below 1,
+// where the pool runs inline.
 func commitWorkers(channels int) int {
 	return max(1, runtime.GOMAXPROCS(0)/channels)
 }
 
 // registerMetrics builds the peer's registry: stage histograms and commit
 // counters per channel, scrape-time gauges over live state (heights, key
-// counts, store sizes), and the scheduler tallies.
-// Registration happens once here; afterwards the
+// counts, store sizes). Registration happens once here; afterwards the
 // registry is only read (scrapes) or updated through atomics.
 func (p *Peer) registerMetrics() {
 	name := p.cfg.Name
@@ -337,9 +333,6 @@ func (p *Peer) registerMetrics() {
 			p.reg.CounterFunc(obs.MetricBlockstoreFsyncs,
 				func() float64 { return float64(bs.Stats().Fsyncs) }, "peer", name, "channel", id)
 		}
-	}
-	for _, c := range schedCounters {
-		p.sched[c.name] = p.reg.Counter(c.metric, "peer", name)
 	}
 }
 

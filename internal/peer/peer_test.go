@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/cryptoid"
@@ -504,5 +505,51 @@ func TestAwaitCommitCancelLeavesNoWaiter(t *testing.T) {
 	cancelC()
 	if n := len(table.byTx); n != 0 {
 		t.Fatalf("%d waiters left behind", n)
+	}
+}
+
+// TestUnreadCommitWaiterNeverBlocksCommit: finalize hands each event to
+// a one-slot buffer — waiters that never read cannot stall it, however
+// many blocks commit, and a height waiter still sees every block.
+func TestUnreadCommitWaiterNeverBlocksCommit(t *testing.T) {
+	env := newEnv(t, true)
+	env.install(t, "iot", iotChaincode())
+	const n, perBlock = 200, 10
+	txs := make([]*ledger.Transaction, n)
+	for i := range txs {
+		id := fmt.Sprintf("t%d", i)
+		txs[i] = env.endorseTx(t, id, "iot", "record", "dev1", "1")
+		for range 2 { // two registrations per transaction, neither ever read
+			if _, _, err := env.peer.AwaitCommit("", id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	committed := make(chan error, 1)
+	go func() {
+		num, hash := env.peer.Chain().LastRef()
+		a := orderer.NewAssemblerAt(num, hash)
+		for i := 0; i < n; i += perBlock {
+			block, err := a.Assemble(orderer.Batch{Transactions: txs[i : i+perBlock], Reason: orderer.CutMaxMessages})
+			if err == nil {
+				_, err = env.peer.CommitBlock(block)
+			}
+			if err != nil {
+				committed <- err
+				return
+			}
+		}
+		committed <- nil
+	}()
+	if h, ok := env.peer.AwaitHeightOn("", n/perBlock, nil); !ok || h != n/perBlock {
+		t.Fatalf("AwaitHeightOn = %d, %v; want %d, true", h, ok, n/perBlock)
+	}
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("finalize blocked on an unread waiter")
 	}
 }

@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"fabriccrdt/internal/channel"
 	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/obs"
-	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
-	"fabriccrdt/internal/txgraph"
 )
 
 // State backend names for CommitterConfig.Backend (aliases of the channel
@@ -48,34 +47,30 @@ type CommitterConfig = channel.CommitterConfig
 // (CommitPipeline): it measures how much of a block's prepare work ran
 // hidden behind the previous block's finalize.
 //
-// Each work stage reports its own wall clock. Under the async pipeline and
-// the scheduled finalize (more than one commit worker) the stages overlap —
-// prepare of block N+1 runs behind finalize of N, and merge runs beside
-// mvcc — so
+// Each work stage reports its own wall clock. Under the async pipeline the
+// stages overlap — prepare of block N+1 runs behind finalize of N — so
 // summing stage totals OVERSTATES elapsed time (it approximates CPU time
 // instead). The prepare and finalize wrapper stages measure the two
 // pipeline halves' true wall clock, and CommitAggregate reports both views
 // without double counting.
 const (
-	StageDecode   = "decode"    // serialize + re-parse the delivered block
-	StageDedup    = "dedup"     // duplicate transaction-ID screening
-	StageEndorse  = "endorse"   // signature + endorsement-policy checks (parallel)
-	StageSchedule = "schedule"  // dependency-graph + wavefront construction (scheduled finalize only)
-	StageMerge    = "merge"     // CRDT merge engine (parallel per key-group)
-	StageMVCC     = "mvcc"      // MVCC validation (wavefront-parallel when scheduled)
-	StageMVCCWave = "mvcc_wave" // one MVCC wavefront (contained in mvcc; per-wave latencies)
-	StageApply    = "apply"     // batched world-state apply
-	StageAppend   = "append"    // ledger append + commit events
-	StagePrepare  = "prepare"   // wall clock of the whole stateless prepare half
-	StageFinalize = "finalize"  // wall clock of the whole serialized finalize half
-	StageOverlap  = "overlap"   // prepare time hidden behind the previous finalize
+	StageDecode   = "decode"   // serialize + re-parse the delivered block
+	StageDedup    = "dedup"    // duplicate transaction-ID screening
+	StageEndorse  = "endorse"  // signature + endorsement-policy checks (parallel)
+	StageMerge    = "merge"    // CRDT merge engine (Algorithm 1)
+	StageMVCC     = "mvcc"     // stock MVCC validation, in block order
+	StageApply    = "apply"    // batched world-state apply
+	StageAppend   = "append"   // ledger append + commit events
+	StagePrepare  = "prepare"  // wall clock of the whole stateless prepare half
+	StageFinalize = "finalize" // wall clock of the whole serialized finalize half
+	StageOverlap  = "overlap"  // prepare time hidden behind the previous finalize
 )
 
 // commitStages is the canonical stage order: every stage gets a registry
 // histogram per channel at New, and CommitTimings reports in this order.
 var commitStages = []string{
 	StageDecode, StageEndorse, StagePrepare,
-	StageDedup, StageSchedule, StageMerge, StageMVCC, StageMVCCWave,
+	StageDedup, StageMerge, StageMVCC,
 	StageApply, StageAppend, StageFinalize, StageOverlap,
 }
 
@@ -129,20 +124,20 @@ type CommitAggregate struct {
 	// summing stage totals counts overlapped prepare work twice.
 	Wall time.Duration
 	// CPU approximates total busy time: the sum of every work stage's own
-	// wall clock (decode, dedup, endorse, schedule, merge, mvcc, apply,
-	// append). With internal concurrency — merge beside mvcc, parallel
-	// wavefronts — CPU exceeds Wall; the ratio is the pipeline's effective
+	// wall clock (decode, dedup, endorse, merge, mvcc, apply, append).
+	// When the async pipeline prepares a block behind the previous one's
+	// finalize, CPU exceeds Wall; the ratio is the pipeline's effective
 	// parallelism.
 	CPU time.Duration
 }
 
 // aggregateCPUStages are the non-overlapping work stages whose totals sum
-// to the CPU aggregate. The wrapper stages (prepare, finalize), the overlap
-// pseudo-stage and the per-wave sub-timings (contained in mvcc) are
-// excluded — each would double-count work another stage already reports.
+// to the CPU aggregate. The wrapper stages (prepare, finalize) and the
+// overlap pseudo-stage are excluded — each would double-count work another
+// stage already reports.
 var aggregateCPUStages = map[string]bool{
 	StageDecode: true, StageDedup: true, StageEndorse: true,
-	StageSchedule: true, StageMerge: true, StageMVCC: true,
+	StageMerge: true, StageMVCC: true,
 	StageApply: true, StageAppend: true,
 }
 
@@ -167,58 +162,6 @@ func (p *Peer) CommitAggregate() CommitAggregate {
 	return agg
 }
 
-// Scheduler counter names, as reported by SchedulerCounters. One sample of
-// each per block that went through the dependency scheduler (more than one
-// commit worker).
-const (
-	// CounterSchedBlocks counts dependency-scheduled blocks.
-	CounterSchedBlocks = "sched_blocks"
-	// CounterSchedTxs counts transactions entering the scheduler (still
-	// undecided after dedup).
-	CounterSchedTxs = "sched_txs"
-	// CounterSchedGroups counts independent conflict groups (connected
-	// components) across scheduled blocks.
-	CounterSchedGroups = "sched_groups"
-	// CounterSchedConflicted counts scheduled transactions that conflicted
-	// with at least one other; divided by CounterSchedTxs it is the
-	// observed conflict rate.
-	CounterSchedConflicted = "sched_conflicted_txs"
-	// CounterSchedEdges counts dependency edges.
-	CounterSchedEdges = "sched_edges"
-	// CounterSchedWaves counts MVCC wavefronts executed.
-	CounterSchedWaves = "sched_mvcc_waves"
-)
-
-// schedCounters pairs every scheduler counter with the registry metric that
-// holds it, in SchedulerCounters report order.
-var schedCounters = []struct{ name, metric string }{
-	{CounterSchedBlocks, obs.MetricSchedBlocks},
-	{CounterSchedTxs, obs.MetricSchedTxs},
-	{CounterSchedGroups, obs.MetricSchedGroups},
-	{CounterSchedConflicted, obs.MetricSchedConflicted},
-	{CounterSchedEdges, obs.MetricSchedEdges},
-	{CounterSchedWaves, obs.MetricSchedWaves},
-}
-
-// SchedulerCounter is one named scheduler counter's value.
-type SchedulerCounter struct {
-	Name  string
-	Value int64
-}
-
-// SchedulerCounters returns the dependency scheduler's cumulative conflict
-// structure counters — group counts, conflict tallies, wavefront counts —
-// across every scheduled block on all channels, read from the registry
-// counters the -metrics-addr endpoint serves. All stay zero on a peer whose
-// finalize runs serially.
-func (p *Peer) SchedulerCounters() []SchedulerCounter {
-	out := make([]SchedulerCounter, len(schedCounters))
-	for i, c := range schedCounters {
-		out[i] = SchedulerCounter{Name: c.name, Value: p.sched[c.name].Value()}
-	}
-	return out
-}
-
 // CommitBlock runs the commit pipeline on the peer's default channel — the
 // single-channel convenience wrapper around CommitBlockOn.
 func (p *Peer) CommitBlock(block *ledger.Block) (CommitResult, error) {
@@ -228,10 +171,10 @@ func (p *Peer) CommitBlock(block *ledger.Block) (CommitResult, error) {
 // CommitBlockOn runs the validation + commit phase on a block delivered
 // for one channel as an explicit staged pipeline: decode, duplicate
 // screening, endorsement-policy validation (parallel per transaction), the
-// FabricCRDT merge for CRDT transactions (when enabled; parallel per
-// key-group), MVCC validation for the rest, then an atomic state update
-// and ledger append (paper §2.1 step 3, §5.1). Per-stage latencies are
-// recorded for CommitTimings.
+// FabricCRDT merge for CRDT transactions (when enabled), MVCC validation
+// for the rest in block order, then an atomic state update and ledger
+// append (paper §2.1 step 3, §5.1). Per-stage latencies are recorded for
+// CommitTimings.
 //
 // The pipeline is split in two (DESIGN.md §7): PrepareBlockOn is the
 // stateless half (decode + endorsement validation — it reads no world
@@ -386,20 +329,20 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 		}
 	})
 
-	// Validation: the CRDT merge path (Algorithm 1) and MVCC decide the
-	// block's remaining transactions — serially in delivery order, or, with
-	// more than one commit worker, dependency-scheduled over them
-	// (DESIGN.md §9). Both orderings produce byte-identical codes, write
-	// sets and documents.
+	// Validation (Algorithm 1): the CRDT merge decides every candidate
+	// first, then stock MVCC walks the rest in delivery order (line 15).
 	var mergeRes core.Result
-	if p.workers > 1 {
-		mergeRes, err = p.validateScheduled(rt, view, codes)
-	} else {
-		mergeRes, err = p.validateSerial(rt, view, codes)
+	if p.cfg.EnableCRDT {
+		cm.time(StageMerge, func() {
+			mergeRes, err = rt.Engine().MergeBlock(view, codes)
+		})
+		if err != nil {
+			return CommitResult{}, fmt.Errorf("peer %s: merging block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
+		}
 	}
-	if err != nil {
-		return CommitResult{}, fmt.Errorf("peer %s: merging block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
-	}
+	cm.time(StageMVCC, func() {
+		rt.Validator().ValidateBlock(view.Header.Number, view.Transactions, codes)
+	})
 
 	// Atomic commit: the pristine block body (now carrying its validation
 	// codes) goes to the chain — the channel's one block log — FIRST, then
@@ -455,80 +398,6 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 		MergedKeys:  mergeRes.MergedKeys,
 		CommittedTx: committed,
 	}, nil
-}
-
-// validateSerial is the finalize validation of a peer with one commit
-// worker: the CRDT merge decides every candidate first, then MVCC walks the
-// rest in delivery order — the committer's definition of correctness, which
-// the scheduled path must match byte for byte.
-func (p *Peer) validateSerial(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
-	cm := p.cm[rt.ID()]
-	var mergeRes core.Result
-	var err error
-	if p.cfg.EnableCRDT {
-		cm.time(StageMerge, func() {
-			mergeRes, err = rt.Engine().MergeBlock(view, codes)
-		})
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	cm.time(StageMVCC, func() {
-		rt.Validator().ValidateBlock(view.Header.Number, view.Transactions, codes)
-	})
-	return mergeRes, nil
-}
-
-// validateScheduled is the dependency-scheduled finalize validation (more
-// than one commit worker). The txgraph plan splits the undecided transactions
-// into the merge-path candidates and the MVCC wavefronts; the two families
-// are independent by construction — in the serial path the merge decides
-// every candidate BEFORE ValidateBlock runs, so no candidate's write ever
-// enters MVCC's pending-version accounting — which lets the merge engine
-// and the wavefront validator run concurrently over disjoint codes slots
-// and disjoint transaction footprints. Within every chain, block-delivery
-// order is preserved (per-key merge order in the engine, wave order in the
-// validator), so codes, rewritten write sets and document bytes are
-// byte-identical to validateSerial at any worker count (DESIGN.md §9).
-func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
-	cm := p.cm[rt.ID()]
-	var plan *txgraph.Plan
-	cm.time(StageSchedule, func() {
-		plan = txgraph.Build(view.Transactions, codes, p.cfg.EnableCRDT)
-	})
-	st := plan.Stats
-	p.sched[CounterSchedBlocks].Inc()
-	p.sched[CounterSchedTxs].Add(int64(st.Scheduled))
-	p.sched[CounterSchedGroups].Add(int64(st.Groups))
-	p.sched[CounterSchedConflicted].Add(int64(st.Conflicted))
-	p.sched[CounterSchedEdges].Add(int64(st.Edges))
-	p.sched[CounterSchedWaves].Add(int64(st.Waves))
-
-	// The merge branch runs beside the MVCC branch: MergeCandidates touches
-	// codes only at candidate indices, the wavefront validator only at
-	// plain indices, and neither reads the other's slots.
-	var mergeRes core.Result
-	var mergeErr error
-	mergeDone := make(chan struct{})
-	if len(plan.CRDTTxs) > 0 {
-		go func() {
-			defer close(mergeDone)
-			cm.time(StageMerge, func() {
-				mergeRes, mergeErr = rt.Engine().MergeCandidates(view, codes, plan.CRDTTxs, p.workers)
-			})
-		}()
-	} else {
-		close(mergeDone)
-	}
-	cm.time(StageMVCC, func() {
-		rt.Validator().ValidateScheduled(view.Header.Number, view.Transactions, codes, plan.MVCCWaves, p.workers,
-			func(_ int, d time.Duration) { cm.observe(StageMVCCWave, d) })
-	})
-	<-mergeDone
-	if mergeErr != nil {
-		return core.Result{}, mergeErr
-	}
-	return mergeRes, nil
 }
 
 // fastForward records an already-committed block (state height at or above
@@ -642,8 +511,37 @@ func (p *Peer) validateEndorsementsStage(rt *channel.Runtime, view *ledger.Block
 			pending = append(pending, i)
 		}
 	}
-	parallel.ForEach(p.workers, pending, func(i int) {
+	forEach(p.workers, pending, func(i int) {
 		// Distinct items write distinct codes[i]: race-free.
 		codes[i] = p.validateEndorsements(rt, view.Transactions[i])
 	})
+}
+
+// forEach runs fn over every item, spreading items across at most workers
+// goroutines, and returns when every item has been processed. workers <= 1
+// (or a single item) runs inline, in slice order, with no goroutines.
+func forEach(workers int, items []int, fn func(int)) {
+	workers = min(workers, len(items))
+	if workers <= 1 {
+		for _, item := range items {
+			fn(item)
+		}
+		return
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for item := range work {
+				fn(item)
+			}
+		}()
+	}
+	for _, item := range items {
+		work <- item
+	}
+	close(work)
+	wg.Wait()
 }

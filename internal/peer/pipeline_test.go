@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/core"
@@ -269,7 +272,9 @@ func assertSameWorldState(t *testing.T, a, b *Peer) {
 	}
 }
 
-// TestCommitTimingsRecorded checks every pipeline stage reports latencies.
+// TestCommitTimingsRecorded checks a synchronous commit reports exactly
+// its stages, once each: every work stage and both wrapper stages, and no
+// overlap (only the async pipeline hides prepare behind finalize).
 func TestCommitTimingsRecorded(t *testing.T) {
 	env := newEnv(t, true)
 	env.install(t, "iot", iotChaincode())
@@ -281,9 +286,110 @@ func TestCommitTimingsRecorded(t *testing.T) {
 	for _, s := range env.peer.CommitTimings() {
 		got[s.Stage] = s.Count
 	}
-	for _, stage := range []string{StageDecode, StageDedup, StageEndorse, StageMerge, StageMVCC, StageApply, StageAppend} {
-		if got[stage] != 1 {
-			t.Errorf("stage %q observed %d times, want 1 (all: %v)", stage, got[stage], got)
+	want := map[string]int{
+		StageDecode: 1, StageEndorse: 1, StagePrepare: 1,
+		StageDedup: 1, StageMerge: 1, StageMVCC: 1,
+		StageApply: 1, StageAppend: 1, StageFinalize: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stages = %v, want %v", got, want)
+	}
+}
+
+// TestCommitAggregate: the skew-free timing rollup is populated by a
+// commit.
+func TestCommitAggregate(t *testing.T) {
+	env := newEnv(t, true)
+	env.install(t, "plain", plainChaincode())
+	txs := []*ledger.Transaction{
+		env.endorseTx(t, "a", "plain", "put", "k1", "1"),
+		env.endorseTx(t, "b", "plain", "put", "k2", "2"),
+	}
+	if _, err := env.peer.CommitBlock(makeBlock(t, env.peer, txs)); err != nil {
+		t.Fatal(err)
+	}
+	agg := env.peer.CommitAggregate()
+	if agg.Wall <= 0 || agg.CPU <= 0 {
+		t.Fatalf("aggregate = %+v, want positive wall and cpu", agg)
+	}
+}
+
+// TestForEachProcessesEveryItem: every item is processed exactly once, at
+// any worker count.
+func TestForEachProcessesEveryItem(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 3, 8, 100} {
+		items := make([]int, 37)
+		for i := range items {
+			items[i] = i
+		}
+		var hits [37]atomic.Int32
+		forEach(workers, items, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if n := hits[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: item %d processed %d times", workers, i, n)
+			}
+		}
+	}
+	forEach(8, nil, func(int) { t.Fatal("called on empty input") })
+}
+
+// TestForEachBoundsConcurrency: at most workers items run at a time, and
+// forEach returns only once every item has finished, leaving no goroutine
+// behind.
+func TestForEachBoundsConcurrency(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{2, 3} {
+		var running, peak, done atomic.Int32
+		forEach(workers, make([]int, 24), func(int) {
+			n := running.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			done.Add(1)
+		})
+		if p := peak.Load(); p > int32(workers) {
+			t.Fatalf("workers=%d: %d items ran at once", workers, p)
+		}
+		if n := done.Load(); n != 24 {
+			t.Fatalf("workers=%d: returned after %d of 24 items", workers, n)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("goroutines grew %d -> %d", before, after)
+	}
+}
+
+// TestForEachSerialRunsInline: workers <= 1 runs every item on the calling
+// goroutine — the test function is on fn's stack — in slice order.
+func TestForEachSerialRunsInline(t *testing.T) {
+	onCallerStack := func() bool {
+		pcs := make([]uintptr, 32)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, ".TestForEachSerialRunsInline") {
+				return true
+			}
+			if !more {
+				return false
+			}
+		}
+	}
+	for _, workers := range []int{-1, 0, 1} {
+		var got []int
+		forEach(workers, []int{3, 1, 4, 1, 5}, func(v int) {
+			if !onCallerStack() {
+				t.Errorf("workers=%d: item %d ran off the calling goroutine", workers, v)
+			}
+			got = append(got, v)
+		})
+		if want := []int{3, 1, 4, 1, 5}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: order = %v, want %v", workers, got, want)
 		}
 	}
 }

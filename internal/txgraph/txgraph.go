@@ -1,22 +1,22 @@
-// Package txgraph computes the per-block transaction dependency schedule
-// behind the parallel finalize stage (DESIGN.md §9). Transactions touching
-// disjoint key sets cannot influence each other's MVCC outcome, so they may
-// validate concurrently; transactions sharing a key with at least one
-// writer form an ordered chain that must be decided in block-delivery
-// order. The package builds that conflict graph from the transactions'
-// read/write sets and derives a topological wavefront schedule: every wave
-// is a set of mutually independent transactions, and replaying the waves in
+// Package txgraph computes a per-block transaction dependency schedule: the
+// conflict graph of a block's transactions and a topological wavefront
+// schedule over it. No production package imports it: the peer's finalize
+// merges and then runs MVCC in block order (DESIGN.md §9). The package is
+// kept only because the benchmark still times txgraph.Build as a layer
+// row, and goes when the benchmark drops that row (ROADMAP 0A(g)).
+//
+// Transactions touching disjoint key sets cannot influence each other's
+// MVCC outcome; transactions sharing a key with at least one writer form an
+// ordered chain that must be decided in block-delivery order. Every wave is
+// a set of mutually independent transactions, and replaying the waves in
 // order — applying each wave's pending writes before the next starts —
-// reproduces the serial validation trajectory exactly, at any worker count.
+// reproduces the serial validation trajectory.
 //
 // CRDT-flagged transactions never take the MVCC path (the merge engine
 // decides them; paper §5.1), so they are excluded from the MVCC wavefronts
 // and surfaced separately as the merge-path candidates. They still
-// participate in the unified conflict statistics: CRDT writes to one
-// document are a dependency chain too — merges into one JSON CRDT document
-// must happen in delivery order for the operation IDs to be deterministic —
-// the engine just schedules those chains itself (one goroutine per
-// key-group, block order within the group).
+// participate in the conflict statistics: CRDT writes to one document are a
+// dependency chain too.
 package txgraph
 
 import (
