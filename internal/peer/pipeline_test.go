@@ -314,9 +314,9 @@ func TestCommitAggregate(t *testing.T) {
 	}
 }
 
-// TestForEachProcessesEveryItem: every item is processed exactly once, at
+// TestForEachRunsEveryItemOnce: every item is processed exactly once, at
 // any worker count.
-func TestForEachProcessesEveryItem(t *testing.T) {
+func TestForEachRunsEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 3, 8, 100} {
 		items := make([]int, 37)
 		for i := range items {
@@ -330,6 +330,10 @@ func TestForEachProcessesEveryItem(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForEachSkipsEmptyInput: an empty item slice never calls fn.
+func TestForEachSkipsEmptyInput(t *testing.T) {
 	forEach(8, nil, func(int) { t.Fatal("called on empty input") })
 }
 
