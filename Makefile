@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-compare bench-gate demo-persist test-wire smoke-multiproc fuzz-smoke
+.PHONY: ci fmt vet lint build test race bench bench-compare bench-gate demo-persist test-wire smoke-multiproc fuzz-smoke examples
 
 ci: fmt vet lint build race
 
@@ -119,3 +119,15 @@ demo-persist:
 	cat "$$dir/run2.log"; \
 	grep -q 'resumed .* persisted state at block height' "$$dir/run2.log" || \
 		{ echo "demo-persist: the second run did not resume from the persisted state"; exit 1; }
+
+# Run every program under examples/ to completion, not only compile it:
+# each exits non-zero when its scenario fails. Each is built first, so the
+# timeout bounds the program's run alone and stops the program itself.
+examples:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for ex in examples/*/; do \
+		name=$$(basename "$$ex"); \
+		echo "== $$name"; \
+		$(GO) build -o "$$dir/$$name" "./$$ex"; \
+		timeout 60 "$$dir/$$name"; \
+	done

@@ -6,7 +6,7 @@
 //
 //	crdt-merge '{"readings":[{"t":"15"}]}' '{"readings":[{"t":"20"}]}'
 //	cat deltas.jsonl | crdt-merge        # one JSON object per line
-//	crdt-merge -state '{"a":["x"]}'      # also print full CRDT metadata
+//	crdt-merge -state '{"a":["x"]}'      # also print the persisted CRDT state
 package main
 
 import (
@@ -20,13 +20,10 @@ import (
 )
 
 func main() {
-	var (
-		showState = flag.Bool("state", false, "also print the document's full CRDT state (metadata included)")
-		replica   = flag.String("replica", "cli", "replica identifier for operation stamps")
-	)
+	showState := flag.Bool("state", false, "also print the document's CRDT state, exactly as a peer persists it")
 	flag.Parse()
 
-	doc := fabriccrdt.NewJSONDoc(*replica)
+	doc := fabriccrdt.NewJSONDoc()
 	deltas := flag.Args()
 	if len(deltas) == 0 {
 		scanner := bufio.NewScanner(os.Stdin)

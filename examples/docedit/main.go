@@ -1,15 +1,10 @@
 // Collaborative document editing — the paper's §6 flagship use case for a
-// CRDT-enabled blockchain. Two layers are shown:
+// CRDT-enabled blockchain. Two authors publish concurrent edits to one
+// document as CRDT transactions, the way FabricCRDT clients edit: each edit
+// is a JSON object written with PutCRDT, and the peers merge the edits into
+// one blockchain-backed document in block order, losing none.
 //
-//  1. The JSON CRDT library directly: two replicas edit one document
-//     offline — including edits that conflict — exchange operations in
-//     opposite orders, and converge without losing either author's work.
-//
-//  2. FabricCRDT as the trust layer: both authors then publish their edit
-//     batches as CRDT transactions; the peers merge them into one
-//     blockchain-backed document.
-//
-//     go run ./examples/docedit
+//	go run ./examples/docedit
 package main
 
 import (
@@ -22,62 +17,6 @@ import (
 )
 
 func main() {
-	replicaConvergenceDemo()
-	blockchainDemo()
-}
-
-// replicaConvergenceDemo drives the op-based JSON CRDT API.
-func replicaConvergenceDemo() {
-	fmt.Println("— offline replicas —")
-	alice := fabriccrdt.NewJSONDoc("alice", fabriccrdt.WithOpLog())
-	bob := fabriccrdt.NewJSONDoc("bob", fabriccrdt.WithOpLog())
-
-	// Shared starting point: alice creates the outline and syncs to bob.
-	must(alice.Assign("Middleware Reading List", "title"))
-	mustOp(alice.Append("FabricCRDT", "papers"))
-	for _, op := range alice.TakeOps() {
-		if err := bob.ApplyOp(op); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Concurrent, conflicting edits while disconnected:
-	must(alice.Assign("Reading List (curated)", "title")) // alice renames...
-	must(bob.Assign("Reading List (draft)", "title"))     // ...and so does bob
-	mustOp(alice.Append("StreamChain", "papers"))         // both append
-	mustOp(bob.Append("FastFabric", "papers"))
-	mustOp(bob.Delete("papers", "0")) // bob deletes the first entry
-
-	// Exchange operation logs in OPPOSITE orders.
-	aliceOps, bobOps := alice.TakeOps(), bob.TakeOps()
-	for _, op := range bobOps {
-		if err := alice.ApplyOp(op); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for _, op := range aliceOps {
-		if err := bob.ApplyOp(op); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	aliceJSON, _ := json.Marshal(alice.ToJSON())
-	bobJSON, _ := json.Marshal(bob.ToJSON())
-	fmt.Printf("alice: %s\n", aliceJSON)
-	fmt.Printf("bob:   %s\n", bobJSON)
-	if string(aliceJSON) != string(bobJSON) {
-		log.Fatal("replicas diverged!")
-	}
-	fmt.Println("replicas converged; conflicting title renames kept deterministically:")
-	for _, c := range alice.ConflictsAt("title") {
-		fmt.Printf("  concurrent title %q (op %s)\n", c.Value, c.ID)
-	}
-	fmt.Println()
-}
-
-// blockchainDemo publishes concurrent edit batches through FabricCRDT.
-func blockchainDemo() {
-	fmt.Println("— FabricCRDT as the trust layer —")
 	cfg := fabriccrdt.PaperTopology(25, true)
 	cfg.Orderer.BatchTimeout = 200 * time.Millisecond
 	net, err := fabriccrdt.NewNetwork(cfg)
@@ -142,17 +81,5 @@ func blockchainDemo() {
 	for _, s := range sections {
 		sec := s.(map[string]any)
 		fmt.Printf("  %-14s by %s\n", sec["heading"], sec["author"])
-	}
-}
-
-func must(_ fabriccrdt.JSONOp, err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func mustOp(_ fabriccrdt.JSONOp, err error) {
-	if err != nil {
-		log.Fatal(err)
 	}
 }

@@ -101,6 +101,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if doc != nil {
-		fmt.Printf("CRDT document: %d operations applied\n", doc.AppliedCount())
+		fmt.Printf("CRDT document: %d operations merged\n", doc.Clock().Counter)
 	}
 }

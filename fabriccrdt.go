@@ -167,31 +167,17 @@ const (
 	CodeWrongChannel       = ledger.CodeWrongChannel
 )
 
-// JSON CRDT document API (Kleppmann & Beresford semantics).
-type (
-	// JSONDoc is a replicated JSON document; see NewJSONDoc.
-	JSONDoc = jsoncrdt.Doc
-	// JSONOp is one replicable document operation.
-	JSONOp = jsoncrdt.Operation
-	// JSONDocOption configures a JSONDoc.
-	JSONDocOption = jsoncrdt.Option
-)
+// JSONDoc is a JSON CRDT document (Kleppmann & Beresford semantics) as a
+// FabricCRDT peer keeps one per CRDT key: JSON values merge into it in
+// block order through MergeJSON; see NewJSONDoc.
+type JSONDoc = jsoncrdt.Doc
 
-// NewJSONDoc returns an empty replicated JSON document stamped with the
-// given replica identifier.
-func NewJSONDoc(replica string, opts ...JSONDocOption) *JSONDoc {
-	return jsoncrdt.NewDoc(replica, opts...)
+// NewJSONDoc returns an empty JSON CRDT document stamped with the replica
+// identifier every peer's merge engine uses, so merging a key's writes in
+// block order builds exactly the document a peer persists.
+func NewJSONDoc() *JSONDoc {
+	return jsoncrdt.NewDoc(core.MergeReplica)
 }
-
-// WithOpLog makes a JSONDoc retain locally generated operations for
-// replication via TakeOps/ApplyOp.
-func WithOpLog() JSONDocOption { return jsoncrdt.WithOpLog() }
-
-// Container sentinels for JSONDoc.Assign/InsertAt/Append.
-const (
-	EmptyMap  = jsoncrdt.EmptyMap
-	EmptyList = jsoncrdt.EmptyList
-)
 
 // LoadMergedDoc returns the persisted CRDT document (with merge metadata)
 // behind a ledger key on a FabricCRDT peer's default channel — its last

@@ -61,34 +61,47 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil || doc == nil {
 		t.Fatalf("LoadMergedDoc = %v, %v", doc, err)
 	}
-	if doc.AppliedCount() == 0 {
+	if doc.Clock().Counter == 0 {
 		t.Fatal("merged doc has no operations")
 	}
 }
 
+// TestPublicJSONDocAPI: a JSONDoc built through the facade merges JSON
+// values in order, and its state decodes into a fresh JSONDoc that renders
+// and keeps merging the same.
 func TestPublicJSONDocAPI(t *testing.T) {
-	doc := fabriccrdt.NewJSONDoc("app", fabriccrdt.WithOpLog())
-	if _, err := doc.Assign("hello", "greeting"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := doc.Append("x", "items"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := doc.Assign(fabriccrdt.EmptyMap, "nested"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := doc.Assign(1.5, "nested", "value"); err != nil {
-		t.Fatal(err)
-	}
-	ops := doc.TakeOps()
-	replica := fabriccrdt.NewJSONDoc("other")
-	for _, op := range ops {
-		if err := replica.ApplyOp(op); err != nil {
+	doc := fabriccrdt.NewJSONDoc()
+	for _, delta := range []string{
+		`{"greeting":"hello","items":["x"]}`,
+		`{"items":["y"],"nested":{"value":1.5}}`,
+	} {
+		var v any
+		if err := json.Unmarshal([]byte(delta), &v); err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.MergeJSON(v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(doc.ToJSON(), replica.ToJSON()) {
-		t.Fatalf("replica diverged: %v vs %v", doc.ToJSON(), replica.ToJSON())
+	want := map[string]any{"greeting": "hello", "items": []any{"x", "y"}, "nested": map[string]any{"value": 1.5}}
+	if !reflect.DeepEqual(doc.ToJSON(), want) {
+		t.Fatalf("doc = %v, want %v", doc.ToJSON(), want)
+	}
+	state, err := doc.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := fabriccrdt.NewJSONDoc()
+	if err := restored.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*fabriccrdt.JSONDoc{doc, restored} {
+		if err := d.MergeJSON(map[string]any{"items": []any{"z"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(doc.ToJSON(), restored.ToJSON()) {
+		t.Fatalf("restored doc diverged: %v vs %v", doc.ToJSON(), restored.ToJSON())
 	}
 }
 

@@ -233,6 +233,63 @@ func TestPreSnapshotFormatRefused(t *testing.T) {
 	}
 }
 
+// TestParentFormatSnapshotLoads: a snapshot written while the document
+// state still listed every operation ID in an "applied" set, beside its
+// "counter", loads with the delta record after it; merging one more block
+// commits the value a document built by MergeJSON alone renders, and the
+// snapshot that block writes holds no applied set.
+func TestParentFormatSnapshotLoads(t *testing.T) {
+	const key = "dev"
+	// The snapshot of {"r":["x"],"id":"dev"} in that format.
+	snap := append([]byte{snapshotTag, 0}, `{"replica":"fabriccrdt","counter":2,"applied":["1@fabriccrdt","2@fabriccrdt"],"root":{"entries":{"id":{"pres":["1@fabriccrdt"],"reg":[{"id":"1@fabriccrdt","value":{"kind":2,"str":"dev"}}]},"r":{"pres":["2@fabriccrdt"],"list":[{"id":"2@fabriccrdt","entry":{"pres":["2@fabriccrdt"],"reg":[{"id":"2@fabriccrdt","value":{"kind":2,"str":"x"}}]}}]}}}}`...)
+	// A delta record as long as the snapshot, so the next block's record
+	// is a new snapshot.
+	delta := fmt.Sprintf(`{"r":[%q]}`, strings.Repeat("y", len(snap)))
+	log := keyLog{snapKey: MetaPrefix + key, snapBytes: len(snap), snap: snap}
+	deltaSlot, deltaRec, err := log.appendRecord(key, nil, appendEntry(nil, &rwset.Write{Key: key, Value: []byte(delta), IsCRDT: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := statedb.New()
+	batch := statedb.NewUpdateBatch()
+	batch.PutMeta(MetaPrefix+key, snap)
+	batch.PutMeta(deltaSlot, deltaRec)
+	db.Apply(batch, rwset.Version{BlockNum: 1})
+
+	want := jsoncrdt.NewDoc(MergeReplica)
+	for _, v := range []string{`{"r":["x"],"id":"dev"}`, delta, `{"r":["z"]}`} {
+		if err := want.MergeJSON(decodeAny(t, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := blockOf(crdtTx("t3", key, `{"r":["z"]}`))
+	block.Header.Number = 2
+	res := mergeAndApply(t, db, NewEngine(db, Options{}), block)
+
+	wantValue, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vv, _ := db.Get(key); !bytes.Equal(vv.Value, wantValue) {
+		t.Fatalf("committed %s, want %s", vv.Value, wantValue)
+	}
+	rec, ok := res.States[MetaPrefix+key]
+	if !ok {
+		t.Fatalf("block 2 wrote no snapshot: %d record(s)", len(res.States))
+	}
+	_, body, err := parseSnapshot(MetaPrefix+key, key, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantState, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, wantState) || bytes.Contains(body, []byte(`"applied"`)) {
+		t.Fatalf("rewritten snapshot %s, want %s", body, wantState)
+	}
+}
+
 // BenchmarkHotKeyBlock prices one 25-write iot_hot block into a hot key
 // whose document already holds depth readings: MergeBlock plus
 // StageDocStates, with the batch applied outside the timer. Each

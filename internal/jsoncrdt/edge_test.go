@@ -4,39 +4,33 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"fabriccrdt/internal/lamport"
 )
 
+// TestTypeConflictPrecedence: when merges of different types reach one key,
+// every branch survives internally and presentation picks register over
+// map over list, whatever order the merges came in.
 func TestTypeConflictPrecedence(t *testing.T) {
-	// Concurrent writes of different TYPES to the same key: both survive
-	// internally; presentation precedence is register > map > list.
-	a := NewDoc("a", WithOpLog())
-	b := NewDoc("b", WithOpLog())
-	if _, err := a.Assign("scalar", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Append("item", "k"); err != nil {
-		t.Fatal(err)
-	}
-	opsA, opsB := a.TakeOps(), b.TakeOps()
-	for _, op := range opsB {
-		if err := a.ApplyOp(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, op := range opsA {
-		if err := b.ApplyOp(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	va, _ := a.Get("k")
-	vb, _ := b.Get("k")
-	if !reflect.DeepEqual(va, vb) {
-		t.Fatalf("type-conflicted key diverged: %v vs %v", va, vb)
-	}
-	if va != "scalar" {
-		t.Fatalf("precedence: got %v, want the register value", va)
+	for _, tc := range []struct {
+		name   string
+		deltas []string
+		want   string
+	}{
+		{"scalar then list", []string{`{"k":"s"}`, `{"k":["i"]}`}, `{"k":"s"}`},
+		{"map then list", []string{`{"k":{"a":1}}`, `{"k":["i"]}`}, `{"k":{"a":1}}`},
+		{"list then map", []string{`{"k":["i"]}`, `{"k":{"a":1}}`}, `{"k":{"a":1}}`},
+		{"scalar then map", []string{`{"k":"s"}`, `{"k":{"a":1}}`}, `{"k":"s"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := NewDoc("p")
+			for _, d := range tc.deltas {
+				if err := doc.MergeJSON(mustJSON(t, d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := doc.ToJSON(); !reflect.DeepEqual(got, mustJSON(t, tc.want)) {
+				t.Fatalf("rendered %v, want %s", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -94,130 +88,4 @@ func TestMarshalJSONMatchesToJSON(t *testing.T) {
 	if !reflect.DeepEqual(viaDoc, viaPlain) {
 		t.Fatalf("MarshalJSON != ToJSON: %v vs %v", viaDoc, viaPlain)
 	}
-}
-
-func TestPendingOpsSurviveStateRoundTrip(t *testing.T) {
-	src := NewDoc("src", WithOpLog())
-	if _, err := src.Append("a", "l"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Append("b", "l"); err != nil {
-		t.Fatal(err)
-	}
-	ops := src.TakeOps()
-
-	dst := NewDoc("dst")
-	// Deliver only the dependent op; it parks in the pending queue.
-	if err := dst.ApplyOp(ops[1]); err != nil {
-		t.Fatal(err)
-	}
-	if dst.PendingCount() != 1 {
-		t.Fatalf("pending = %d", dst.PendingCount())
-	}
-	data, err := dst.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewDoc("x")
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if restored.PendingCount() != 1 {
-		t.Fatalf("restored pending = %d", restored.PendingCount())
-	}
-	// The missing dependency arrives after restore; the parked op drains.
-	if err := restored.ApplyOp(ops[0]); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := restored.Get("l")
-	if !reflect.DeepEqual(got, []any{"a", "b"}) {
-		t.Fatalf("list after restore+drain = %v", got)
-	}
-	if restored.PendingCount() != 0 {
-		t.Fatal("pending not drained after restore")
-	}
-}
-
-func TestConflictsAtEdgeCases(t *testing.T) {
-	doc := NewDoc("p")
-	if doc.ConflictsAt("missing") != nil {
-		t.Fatal("missing path must have no conflicts")
-	}
-	if _, err := doc.Assign("v", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if doc.ConflictsAt("k") != nil {
-		t.Fatal("single-writer register must have no conflicts")
-	}
-}
-
-func TestGetAndLenEdgeCases(t *testing.T) {
-	doc := NewDoc("p")
-	if _, ok := doc.Get("nope"); ok {
-		t.Fatal("missing key Get ok")
-	}
-	if v, ok := doc.Get(); !ok || len(v.(map[string]any)) != 0 {
-		t.Fatal("empty-path Get must return the root object")
-	}
-	if doc.Len("nope") != -1 {
-		t.Fatal("Len of missing list must be -1")
-	}
-	if _, err := doc.Assign("scalar", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Len("k") != -1 {
-		t.Fatal("Len of scalar must be -1")
-	}
-}
-
-func TestPathCursorErrors(t *testing.T) {
-	doc := NewDoc("p")
-	if _, err := doc.Append("a", "l"); err != nil {
-		t.Fatal(err)
-	}
-	cases := [][]string{
-		{"missing"},
-		{"l", "notanumber"},
-		{"l", "5"},
-		{"l", "-1"},
-		{"l", "0", "deeper"}, // descends into a scalar
-	}
-	for _, path := range cases {
-		if _, err := doc.PathCursor(path...); err == nil {
-			t.Errorf("PathCursor(%v) succeeded", path)
-		}
-	}
-}
-
-func TestOperationValidateCases(t *testing.T) {
-	valid := Operation{
-		ID:     mustID(t, "1@p"),
-		Cursor: Cursor{MapKey("k")},
-		Mut:    Mutation{Kind: MutAssign, Value: StringValue("v")},
-	}
-	if err := valid.Validate(); err != nil {
-		t.Fatalf("valid op rejected: %v", err)
-	}
-	bad := []Operation{
-		{},
-		{ID: mustID(t, "1@p"), Mut: Mutation{Kind: MutAssign, Value: StringValue("v")}},                                         // empty cursor
-		{ID: mustID(t, "1@p"), Cursor: Cursor{MapKey("k")}, Mut: Mutation{Kind: MutAssign, Value: Value{Kind: ValueKind(99)}}},  // bad value kind
-		{ID: mustID(t, "1@p"), Cursor: Cursor{MapKey("k")}, Mut: Mutation{Kind: MutationKind(42)}},                              // bad mutation
-		{ID: mustID(t, "1@p"), Cursor: Cursor{{Kind: CursorListElem}}, Mut: Mutation{Kind: MutAssign, Value: StringValue("v")}}, // zero list elem
-		{ID: mustID(t, "1@p"), Cursor: Cursor{{Kind: CursorKind(9), Key: "k"}}, Mut: Mutation{Kind: MutDelete}},                 // bad cursor kind
-	}
-	for i, op := range bad {
-		if err := op.Validate(); err == nil {
-			t.Errorf("bad op %d accepted", i)
-		}
-	}
-}
-
-func mustID(t *testing.T, s string) lamport.ID {
-	t.Helper()
-	id, err := lamport.Parse(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
 }

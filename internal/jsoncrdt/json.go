@@ -2,8 +2,6 @@ package jsoncrdt
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
 
 	"fabriccrdt/internal/lamport"
 )
@@ -15,9 +13,9 @@ import (
 // Determinism rules, identical on every replica:
 //
 //   - an entry is present iff its presence set is non-empty;
-//   - a multi-value register renders the value written by the greatest
-//     operation ID (ConflictsAt exposes all concurrent values);
-//   - when concurrent type-conflicting updates leave several branches
+//   - a register renders the value written by the greatest operation ID
+//     (an assign clears the register, so a merged document holds one);
+//   - when updates of different types to one key leave several branches
 //     populated, registers win over maps, maps over lists;
 //   - list elements appear in list order, skipping tombstones.
 func (d *Doc) ToJSON() map[string]any {
@@ -44,8 +42,8 @@ func mapToJSON(m *mapNode) map[string]any {
 }
 
 func listToJSON(l *listNode) []any {
-	out := make([]any, 0, len(l.index))
-	for el := l.head.next; el != nil; el = el.next {
+	out := make([]any, 0, len(l.elems))
+	for _, el := range l.elems {
 		if !el.ent.visible() {
 			continue
 		}
@@ -60,7 +58,7 @@ func listToJSON(l *listNode) []any {
 // entry carries no renderable content (e.g. fully cleared register).
 func entryToJSON(e *entry) (any, bool) {
 	if len(e.reg) > 0 {
-		return resolveRegister(e.reg).Interface(), true
+		return resolveRegister(e.reg).plain(), true
 	}
 	if e.mapN != nil {
 		return mapToJSON(e.mapN), true
@@ -73,10 +71,10 @@ func entryToJSON(e *entry) (any, bool) {
 
 // resolveRegister picks the register value written by the greatest operation
 // ID — the deterministic "last writer in Lamport order wins" presentation.
-func resolveRegister(reg map[lamport.ID]Value) Value {
+func resolveRegister(reg map[lamport.ID]scalar) scalar {
 	var (
 		best   lamport.ID
-		bestV  Value
+		bestV  scalar
 		picked bool
 	)
 	//lint:sorted running max over totally-ordered Lamport IDs; order-independent
@@ -86,92 +84,4 @@ func resolveRegister(reg map[lamport.ID]Value) Value {
 		}
 	}
 	return bestV
-}
-
-// Conflict is one concurrently written register value.
-type Conflict struct {
-	// ID identifies the operation that wrote the value.
-	ID lamport.ID
-	// Value is the scalar that was written.
-	Value any
-}
-
-// ConflictsAt returns every concurrently-live scalar value registered at the
-// given path (see PathCursor for path syntax), ordered by operation ID with
-// the winning (rendered) value last. It returns nil when the path holds no
-// register or at most one value.
-func (d *Doc) ConflictsAt(path ...string) []Conflict {
-	cursor, err := d.PathCursor(path...)
-	if err != nil {
-		return nil
-	}
-	e := d.lookup(cursor)
-	if e == nil || len(e.reg) < 2 {
-		return nil
-	}
-	out := make([]Conflict, 0, len(e.reg))
-	//lint:sorted collected conflicts are sorted by ID below
-	for id, v := range e.reg {
-		out = append(out, Conflict{ID: id, Value: v.Interface()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
-}
-
-// PathCursor resolves a path of map keys and decimal list indexes (e.g.
-// "readings", "0", "temperature") against the current document state,
-// returning the cursor addressing it. List indexes count visible elements.
-func (d *Doc) PathCursor(path ...string) (Cursor, error) {
-	cursor := Cursor{}
-	var (
-		curMap  = d.root
-		curList *listNode
-		e       *entry
-	)
-	for i, seg := range path {
-		switch {
-		case curMap != nil:
-			e = curMap.child(seg, false)
-			if e == nil {
-				return nil, fmt.Errorf("jsoncrdt: path %v: no key %q", path[:i+1], seg)
-			}
-			cursor = cursor.Extend(MapKey(seg))
-		case curList != nil:
-			idx := 0
-			if _, err := fmt.Sscanf(seg, "%d", &idx); err != nil {
-				return nil, fmt.Errorf("jsoncrdt: path %v: %q is not a list index", path[:i+1], seg)
-			}
-			el, err := visibleElem(curList, idx)
-			if err != nil {
-				return nil, fmt.Errorf("jsoncrdt: path %v: %w", path[:i+1], err)
-			}
-			e = el.ent
-			cursor = cursor.Extend(ListElem(el.id))
-		default:
-			return nil, fmt.Errorf("jsoncrdt: path %v: %q descends into a scalar", path[:i+1], seg)
-		}
-		curMap, curList = nil, nil
-		if i+1 < len(path) {
-			curMap, curList = e.mapN, e.list
-		}
-	}
-	return cursor, nil
-}
-
-// visibleElem returns the idx-th visible element of l.
-func visibleElem(l *listNode, idx int) (*listElem, error) {
-	if idx < 0 {
-		return nil, fmt.Errorf("negative index %d", idx)
-	}
-	n := 0
-	for el := l.head.next; el != nil; el = el.next {
-		if !el.ent.visible() {
-			continue
-		}
-		if n == idx {
-			return el, nil
-		}
-		n++
-	}
-	return nil, fmt.Errorf("index %d out of range (%d visible)", idx, n)
 }

@@ -8,69 +8,65 @@ import (
 )
 
 // MergeJSON implements the paper's Algorithm 2 ("Merge a JSON object with
-// JSON CRDT"): it converts a plain JSON value — as produced by
+// JSON CRDT"): it merges a plain JSON value — as produced by
 // encoding/json.Unmarshal: map[string]any, []any, string, float64, bool,
-// nil — into JSON CRDT operations against this document and applies them.
+// nil — into the document as a sequence of operations.
 //
 // Semantics follow the paper exactly:
 //
-//   - a scalar value becomes an assign (insert mutation in the paper's
-//     wording) at the cursor extended by its key;
+//   - a scalar value is assigned at its key, replacing everything visible
+//     there — the later of two same-key writes wins;
 //   - a list value appends each item, recursing for nested containers —
 //     lists accumulate, which is what merges the two temperature readings of
 //     Listings 1–2 into one two-element list;
-//   - a map value recurses per key, extending the cursor with the map key.
+//   - a map value recurses per key.
 //
-// Every generated operation ticks the document's Lamport clock and carries
-// the dependency list accumulated so far for its top-level key (Algorithm 2
-// lines 3–4 reset cursor and dependencies per key), plus the operation IDs
-// visible at the assign target so that a later scalar write deterministically
-// replaces an earlier one.
-//
-// The value must be a JSON object (the document root is a map). Map keys are
-// processed in sorted order so that every replica generates identical
-// operation identifiers for identical inputs.
+// Every assign and every appended item is one operation: it ticks the
+// document's Lamport clock, and its identifier joins the presence set of
+// every entry on the path from the root to its target. The value must be a
+// JSON object (the document root is a map). Map keys are merged in sorted
+// order so that every peer stamps identical identifiers for identical
+// inputs.
 func (d *Doc) MergeJSON(v any) error {
 	obj, ok := v.(map[string]any)
 	if !ok {
-		return fmt.Errorf("%w: got %T", ErrRootNotObject, v)
+		return fmt.Errorf("%w: got %T", errRootNotObject, v)
 	}
 	for _, key := range sortedKeys(obj) {
-		// Algorithm 2 lines 3-4: fresh cursor and dependency set per key.
-		deps := make(idSet)
-		if err := d.mergeValue(Cursor{}, key, obj[key], deps); err != nil {
+		if err := d.mergeValue(nil, key, obj[key]); err != nil {
 			return fmt.Errorf("jsoncrdt: merging key %q: %w", key, err)
 		}
 	}
 	return nil
 }
 
-// mergeValue merges one key/value pair located under parent into the
-// document, accumulating the generated operation IDs into deps.
-func (d *Doc) mergeValue(parent Cursor, key string, val any, deps idSet) error {
-	cursor := parent.Extend(MapKey(key))
+// step is one step of the path from the root to the container a value
+// merges into: a map key, or a list element this merge appended.
+type step struct {
+	key  string
+	elem *entry
+}
+
+// mergeValue merges one key/value pair into the map that path leads to.
+func (d *Doc) mergeValue(path []step, key string, val any) error {
+	path = append(path, step{key: key})
 	switch tv := val.(type) {
 	case string, float64, bool, nil, int, int64, float32:
-		// Algorithm 2 lines 6-11: assign the scalar. Clearing the
-		// currently visible content makes the later of two same-key scalar
-		// writes win deterministically (peers share block order).
-		clear := d.liveIDsAt(cursor)
-		//lint:sorted id-set union is order-independent
-		for id := range deps {
-			clear.add(id)
-		}
-		op, err := d.newLocalOp(cursor, Mutation{Kind: MutAssign, Value: scalarValue(tv)}, clear)
-		if err != nil {
-			return err
-		}
-		deps.add(op.ID)
+		// Algorithm 2 lines 6-11: assign the scalar. Clearing what is
+		// visible at the key makes the later of two same-key scalar writes
+		// win deterministically (peers share block order).
+		id := d.clock.Tick()
+		e := d.stamp(path, id)
+		e.clear()
+		e.pres.add(id)
+		e.reg = map[lamport.ID]scalar{id: scalarValue(tv)}
 		return nil
 	case []any:
 		// Algorithm 2 lines 13-16: append every item to the list,
 		// recursing for nested containers. Existing elements are never
 		// cleared: concurrent transactions' items accumulate.
 		for _, item := range tv {
-			if err := d.mergeListItem(cursor, item, deps); err != nil {
+			if err := d.mergeItem(path, item); err != nil {
 				return err
 			}
 		}
@@ -78,67 +74,70 @@ func (d *Doc) mergeValue(parent Cursor, key string, val any, deps idSet) error {
 	case map[string]any:
 		// Algorithm 2 lines 18-21: recurse per map key.
 		for _, k := range sortedKeys(tv) {
-			if err := d.mergeValue(cursor, k, tv[k], deps); err != nil {
+			if err := d.mergeValue(path, k, tv[k]); err != nil {
 				return err
 			}
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedType, val)
+		return fmt.Errorf("%w: %T", errUnsupportedType, val)
 	}
 }
 
-// mergeListItem appends one item to the list held by the entry at cursor.
-func (d *Doc) mergeListItem(cursor Cursor, item any, deps idSet) error {
-	after := d.listTailID(cursor)
+// mergeItem appends one item to the list held by the entry path leads to.
+// Containers are appended empty and then filled item by item or key by key.
+func (d *Doc) mergeItem(path []step, item any) error {
+	switch item.(type) {
+	case string, float64, bool, nil, int, int64, float32, map[string]any, []any:
+	default:
+		return fmt.Errorf("%w: %T", errUnsupportedType, item)
+	}
+	id := d.clock.Tick()
+	l := d.stamp(path, id).ensureList()
+	el := newEntry()
+	el.pres.add(id)
+	l.elems = append(l.elems, listElem{id: id, ent: el})
+	path = append(path, step{elem: el})
 	switch tv := item.(type) {
-	case string, float64, bool, nil, int, int64, float32:
-		op, err := d.newLocalOp(cursor, Mutation{Kind: MutInsert, Value: scalarValue(tv), After: after}, deps)
-		if err != nil {
-			return err
-		}
-		deps.add(op.ID)
-		return nil
 	case map[string]any:
-		op, err := d.newLocalOp(cursor, Mutation{Kind: MutInsert, Value: Value{Kind: ValEmptyMap}, After: after}, deps)
-		if err != nil {
-			return err
-		}
-		deps.add(op.ID)
-		elemCursor := cursor.Extend(ListElem(op.ID))
+		el.ensureMap()
 		for _, k := range sortedKeys(tv) {
-			if err := d.mergeValue(elemCursor, k, tv[k], deps); err != nil {
+			if err := d.mergeValue(path, k, tv[k]); err != nil {
 				return err
 			}
 		}
-		return nil
 	case []any:
-		op, err := d.newLocalOp(cursor, Mutation{Kind: MutInsert, Value: Value{Kind: ValEmptyList}, After: after}, deps)
-		if err != nil {
-			return err
-		}
-		deps.add(op.ID)
-		elemCursor := cursor.Extend(ListElem(op.ID))
+		el.ensureList()
 		for _, nested := range tv {
-			if err := d.mergeListItem(elemCursor, nested, deps); err != nil {
+			if err := d.mergeItem(path, nested); err != nil {
 				return err
 			}
 		}
-		return nil
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedType, item)
+		el.reg = map[lamport.ID]scalar{id: scalarValue(tv)}
 	}
+	return nil
 }
 
-// listTailID returns the insertion ID of the final element (tombstoned or
-// live) of the list at cursor, or the zero ID if the list is empty or does
-// not exist yet. Appending after the absolute tail keeps block order.
-func (d *Doc) listTailID(cursor Cursor) lamport.ID {
-	e := d.lookup(cursor)
-	if e == nil || e.list == nil || e.list.tail == nil {
-		return lamport.ID{}
+// stamp walks path from the root, creating the map entries and branches it
+// passes through, and adds id to the presence set of every entry on it, so
+// that the operation keeps its whole path visible. It returns the entry
+// the path ends at, the operation's target.
+func (d *Doc) stamp(path []step, id lamport.ID) *entry {
+	m := d.root
+	var e *entry
+	for i, s := range path {
+		if s.elem != nil {
+			e = s.elem
+		} else {
+			e = m.child(s.key)
+		}
+		e.pres.add(id)
+		if i+1 < len(path) && path[i+1].elem == nil {
+			m = e.ensureMap()
+		}
 	}
-	return e.list.tail.id
+	return e
 }
 
 func sortedKeys(m map[string]any) []string {
@@ -149,27 +148,4 @@ func sortedKeys(m map[string]any) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// scalarValue converts a Go scalar into a mutation Value.
-func scalarValue(v any) Value {
-	switch tv := v.(type) {
-	case string:
-		return StringValue(tv)
-	case float64:
-		return NumberValue(tv)
-	case float32:
-		return NumberValue(float64(tv))
-	case int:
-		return NumberValue(float64(tv))
-	case int64:
-		return NumberValue(float64(tv))
-	case bool:
-		return BoolValue(tv)
-	case nil:
-		return NullValue()
-	default:
-		// Callers switch on the same type set before calling.
-		return NullValue()
-	}
 }

@@ -148,8 +148,8 @@ func TestMergeEmptyObjectIsNoop(t *testing.T) {
 	if got := doc.ToJSON(); len(got) != 0 {
 		t.Fatalf("empty merge produced %v", got)
 	}
-	if doc.AppliedCount() != 0 {
-		t.Fatalf("empty merge applied %d ops", doc.AppliedCount())
+	if n := doc.Clock().Counter; n != 0 {
+		t.Fatalf("empty merge applied %d ops", n)
 	}
 }
 

@@ -16,12 +16,14 @@ import (
 // same (FuzzDocStateRoundTrip) — which is what lets the merge engine keep a
 // document resident instead of decoding it every block.
 
+// docState is the persisted document. The clock's counter is the number of
+// operations merged, which is all a peer needs of its history: states
+// written with an "applied" list of every operation ID, the format before
+// it, still decode, the list ignored.
 type docState struct {
-	Replica string      `json:"replica"`
-	Counter uint64      `json:"counter"`
-	Applied []string    `json:"applied,omitempty"`
-	Pending []Operation `json:"pending,omitempty"`
-	Root    *mapState   `json:"root"`
+	Replica string    `json:"replica"`
+	Counter uint64    `json:"counter"`
+	Root    *mapState `json:"root"`
 }
 
 type mapState struct {
@@ -40,7 +42,7 @@ type entryState struct {
 
 type regState struct {
 	ID    string `json:"id"`
-	Value Value  `json:"value"`
+	Value scalar `json:"value"`
 }
 
 type elemState struct {
@@ -48,45 +50,35 @@ type elemState struct {
 	Entry *entryState `json:"entry"`
 }
 
-// MarshalBinary serializes the full document state — tree, clock, applied
-// set and pending queue — deterministically.
+// MarshalBinary serializes the full document state — tree and clock —
+// deterministically.
 func (d *Doc) MarshalBinary() ([]byte, error) {
 	st := docState{
 		Replica: d.clock.Replica(),
 		Counter: d.clock.Counter(),
-		Applied: sortedIDStrings(d.applied),
-		Pending: append([]Operation(nil), d.pending...),
 		Root:    marshalMap(d.root),
 	}
 	return json.Marshal(st)
 }
 
 // UnmarshalBinary restores a document serialized by MarshalBinary,
-// replacing the receiver's entire state.
+// replacing the receiver's entire state. The bytes may come from outside
+// the program: a state that is not a tree, that holds one list element ID
+// twice, an ID ahead of its clock or a register value of no scalar kind is
+// an error.
 func (d *Doc) UnmarshalBinary(data []byte) error {
 	var st docState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("jsoncrdt: decoding document state: %w", err)
 	}
-	clock := lamport.NewClock(st.Replica)
-	clock.Restore(st.Counter)
-	applied := make(idSet, len(st.Applied))
-	for _, s := range st.Applied {
-		id, err := lamport.Parse(s)
-		if err != nil {
-			return fmt.Errorf("jsoncrdt: decoding applied set: %w", err)
-		}
-		applied.add(id)
-	}
-	root, err := unmarshalMap(st.Root)
+	dec := decoder{counter: st.Counter, elemIDs: make(idSet)}
+	root, err := dec.mapNode(st.Root)
 	if err != nil {
 		return err
 	}
-	d.clock = clock
-	d.applied = applied
-	d.pending = st.Pending
+	d.clock = lamport.NewClock(st.Replica)
+	d.clock.Restore(st.Counter)
 	d.root = root
-	d.log = nil
 	return nil
 }
 
@@ -96,11 +88,10 @@ func (d *Doc) Clone() (*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewDoc(d.Replica())
+	out := NewDoc(d.clock.Replica())
 	if err := out.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
-	out.retainLog = d.retainLog
 	return out, nil
 }
 
@@ -130,22 +121,43 @@ func marshalEntry(e *entry) *entryState {
 		sort.Slice(st.Reg, func(i, j int) bool { return st.Reg[i].ID < st.Reg[j].ID })
 	}
 	if e.list != nil {
-		st.List = make([]elemState, 0, len(e.list.index))
-		for el := e.list.head.next; el != nil; el = el.next {
+		st.List = make([]elemState, 0, len(e.list.elems))
+		for _, el := range e.list.elems {
 			st.List = append(st.List, elemState{ID: el.id.String(), Entry: marshalEntry(el.ent)})
 		}
 	}
 	return st
 }
 
-func unmarshalMap(st *mapState) (*mapNode, error) {
+// decoder rebuilds a document tree, checking what MergeJSON relies on:
+// every ID was stamped by the clock, so none is ahead of its counter, and
+// every list element carries the ID of the operation that appended it, so
+// no two elements share one.
+type decoder struct {
+	counter uint64
+	elemIDs idSet
+}
+
+// id parses one ID of the tree; what names its place for errors.
+func (dec *decoder) id(s, what string) (lamport.ID, error) {
+	id, err := lamport.Parse(s)
+	if err != nil {
+		return id, fmt.Errorf("jsoncrdt: decoding %s: %w", what, err)
+	}
+	if id.Counter > dec.counter {
+		return id, fmt.Errorf("jsoncrdt: decoding %s: ID %s is ahead of the clock's counter %d", what, id, dec.counter)
+	}
+	return id, nil
+}
+
+func (dec *decoder) mapNode(st *mapState) (*mapNode, error) {
 	m := newMapNode()
 	if st == nil {
 		return m, nil
 	}
 	//lint:sorted rebuilding a map from a map; insertion order is invisible
 	for k, es := range st.Entries {
-		e, err := unmarshalEntry(es)
+		e, err := dec.entry(es)
 		if err != nil {
 			return nil, err
 		}
@@ -154,44 +166,54 @@ func unmarshalMap(st *mapState) (*mapNode, error) {
 	return m, nil
 }
 
-func unmarshalEntry(st *entryState) (*entry, error) {
+func (dec *decoder) entry(st *entryState) (*entry, error) {
+	if st == nil {
+		return nil, fmt.Errorf("jsoncrdt: decoding document state: null entry")
+	}
 	e := newEntry()
 	for _, s := range st.Pres {
-		id, err := lamport.Parse(s)
+		id, err := dec.id(s, "presence set")
 		if err != nil {
-			return nil, fmt.Errorf("jsoncrdt: decoding presence set: %w", err)
+			return nil, err
 		}
 		e.pres.add(id)
 	}
 	if len(st.Reg) > 0 {
-		e.reg = make(map[lamport.ID]Value, len(st.Reg))
+		e.reg = make(map[lamport.ID]scalar, len(st.Reg))
 		for _, r := range st.Reg {
-			id, err := lamport.Parse(r.ID)
+			id, err := dec.id(r.ID, "register")
 			if err != nil {
-				return nil, fmt.Errorf("jsoncrdt: decoding register: %w", err)
+				return nil, err
+			}
+			if r.Value.Kind < kindNull || r.Value.Kind > kindBool {
+				return nil, fmt.Errorf("jsoncrdt: decoding register: value kind %d is no JSON scalar", r.Value.Kind)
 			}
 			e.reg[id] = r.Value
 		}
 	}
 	if st.Map != nil {
-		m, err := unmarshalMap(st.Map)
+		m, err := dec.mapNode(st.Map)
 		if err != nil {
 			return nil, err
 		}
 		e.mapN = m
 	}
 	if st.List != nil {
-		l := newListNode()
+		l := &listNode{elems: make([]listElem, 0, len(st.List))}
 		for _, es := range st.List {
-			id, err := lamport.Parse(es.ID)
-			if err != nil {
-				return nil, fmt.Errorf("jsoncrdt: decoding list element: %w", err)
-			}
-			child, err := unmarshalEntry(es.Entry)
+			id, err := dec.id(es.ID, "list element")
 			if err != nil {
 				return nil, err
 			}
-			l.push(&listElem{id: id, ent: child})
+			if dec.elemIDs.has(id) {
+				return nil, fmt.Errorf("jsoncrdt: decoding list element: ID %s appears twice", id)
+			}
+			dec.elemIDs.add(id)
+			child, err := dec.entry(es.Entry)
+			if err != nil {
+				return nil, err
+			}
+			l.elems = append(l.elems, listElem{id: id, ent: child})
 		}
 		e.list = l
 	}

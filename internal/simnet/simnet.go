@@ -178,11 +178,20 @@ type runner struct {
 
 // Run executes one simulation.
 func Run(cfg Config) (Result, error) {
-	cfg, err := cfg.normalized()
+	r, err := newRunner(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	start := time.Now()
+	return r.run()
+}
+
+// newRunner builds a simulation over a fresh state database holding the
+// populated hot keys.
+func newRunner(cfg Config) (*runner, error) {
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
 	db := statedb.New()
 	gen := workload.NewIoT(cfg.Workload)
 	r := &runner{
@@ -201,12 +210,18 @@ func Run(cfg Config) (Result, error) {
 	}
 	r.asm = orderer.NewAssembler(ledger.Genesis("sim"))
 	r.populate()
+	return r, nil
+}
 
+// run submits the workload, runs the simulation to its end and summarizes
+// it.
+func (r *runner) run() (Result, error) {
+	start := time.Now()
 	// Schedule all submissions: TotalTx transactions at the aggregate
 	// rate, evenly spaced (the paper's Caliper clients submit at a fixed
 	// send rate).
-	interTx := time.Duration(float64(time.Second) / cfg.Rate)
-	for i := 0; i < cfg.TotalTx; i++ {
+	interTx := time.Duration(float64(time.Second) / r.cfg.Rate)
+	for i := 0; i < r.cfg.TotalTx; i++ {
 		idx := i
 		r.sim.ScheduleAt(time.Duration(idx)*interTx, func() { r.submit(idx) })
 	}
