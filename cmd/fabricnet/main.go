@@ -86,6 +86,9 @@ func main() {
 	if err := checkRoleFlags(*role, *backend, *datadir, *fsync, *stateCache); err != nil {
 		fatal(err)
 	}
+	if err := checkLoadFlags(*role, *clients, *rate, *conflict); err != nil {
+		fatal(err)
+	}
 	committer := fabriccrdt.CommitterConfig{
 		Backend:         *backend,
 		DataDir:         *datadir,
@@ -365,6 +368,25 @@ func checkRoleFlags(role, backend, datadir string, fsync bool, stateCache int) e
 	}
 	if stateCache > 0 && backend != fabriccrdt.BackendLSM {
 		return fmt.Errorf("-state-cache is only used with -backend lsm; the other backends have no block cache")
+	}
+	return nil
+}
+
+// checkLoadFlags refuses load-generator values the run would not honour:
+// -conflict is a percentage in every mode, and the in-process network
+// divides its submissions among -clients and paces them at -rate.
+func checkLoadFlags(role string, clients int, rate float64, conflict int) error {
+	if conflict < 0 || conflict > 100 {
+		return fmt.Errorf("-conflict must be a percentage from 0 to 100 (got %d)", conflict)
+	}
+	if role != "" {
+		return nil
+	}
+	if clients < 1 {
+		return fmt.Errorf("-clients must be >= 1 (got %d)", clients)
+	}
+	if rate <= 0 {
+		return fmt.Errorf("-rate must be > 0 tx/s (got %g)", rate)
 	}
 	return nil
 }

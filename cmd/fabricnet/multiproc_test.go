@@ -533,8 +533,9 @@ func TestMultiProcessOrdererRestart(t *testing.T) {
 	}
 }
 
-// TestRoleFlagValidation: a flag a role would silently ignore is refused —
-// the process exits non-zero, names the reason, and creates nothing.
+// TestRoleFlagValidation: a flag a role would silently ignore, and a load
+// value the run would misreport or divide by, is refused — the process
+// exits non-zero, names the reason, and creates nothing.
 func TestRoleFlagValidation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	orderer := []string{"-role", "orderer", "-listen", "127.0.0.1:0"}
@@ -548,6 +549,9 @@ func TestRoleFlagValidation(t *testing.T) {
 		{append(orderer, "-fsync"), "-fsync on -role orderer requires -datadir"},
 		{append(client, "-backend", "disk", "-datadir", dir), "-backend is not used by -role client"},
 		{append(client, "-state-cache", "4"), "-state-cache is not used by -role client"},
+		{append(client, "-conflict", "150"), "-conflict must be a percentage from 0 to 100 (got 150)"},
+		{[]string{"-clients", "0"}, "-clients must be >= 1 (got 0)"},
+		{[]string{"-rate", "0"}, "-rate must be > 0 tx/s (got 0)"},
 	} {
 		out, err := exec.Command(binPath, tc.args...).CombinedOutput()
 		if err == nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // newLiveNet builds a small started network with the IoT chaincode
-// installed; used by public-API tests and the live benchmark.
+// installed, for the public-API tests.
 func newLiveNet(tb testing.TB, enableCRDT bool) (*fabriccrdt.Network, func()) {
 	tb.Helper()
 	cfg := fabriccrdt.PaperTopology(10, enableCRDT)

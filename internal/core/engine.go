@@ -17,12 +17,12 @@
 // Cross-block continuity: each key's full state (with operation metadata)
 // is persisted in the state database's metadata space and seeds the merge
 // of later blocks, so deltas merge against the key's complete history
-// (DESIGN.md §3 records this clarification of the paper's delta semantics;
-// Options.PaperLiteral restores the algorithm as printed). The state
-// persists as a snapshot plus one delta record per later block — the raw
-// writes the block merged into the key — and a new snapshot only once the
-// deltas add up to the last one's size (persist.go), so a block's persist
-// cost is O(its deltas), not O(the document), amortized. The engine keeps
+// (DESIGN.md §3 records this clarification of the paper's delta
+// semantics). The state persists as a snapshot plus one delta record per
+// later block — the raw writes the block merged into the key — and a new
+// snapshot only once the deltas add up to the last one's size (persist.go),
+// so a block's persist cost is O(its deltas), not O(the document),
+// amortized. The engine keeps
 // the states of the last merged block resident and resumes one instead of
 // loading it whenever the database still holds exactly the record it last
 // persisted, so a key every block touches is loaded once per process
@@ -50,27 +50,15 @@ import (
 // the transactions in a block in the same order; we exploit this property").
 const MergeReplica = "fabriccrdt"
 
-// Options tune the engine.
-type Options struct {
-	// PaperLiteral runs Algorithm 1 as printed: every block starts each
-	// JSON key from InitEmptyCRDT, so only the block's own deltas merge and
-	// no document is persisted, and the converged document is re-serialized
-	// into every merged transaction's write set (lines 16–22, O(txs × doc
-	// size) per block). The committed world state then holds only the LAST
-	// block's converged readings; earlier blocks survive solely in the
-	// chain. Only the paper-figure simulator sets it: Figure 3's
-	// block-size-dependent merge cost comes from exactly this (DESIGN.md §3,
-	// A1). Off — every peer — seeds each key from its persisted state, so
-	// "no update loss" holds across blocks too, and serializes each key's
-	// converged value once per block.
-	PaperLiteral bool
-}
+// Options is the engine's configuration. It has no fields: NewEngine keeps
+// the argument only while the benchmark module still passes it
+// (bench/layers.go; ROADMAP 0A(i)).
+type Options struct{}
 
 // Engine merges the CRDT transactions of blocks for one peer, one block at
 // a time: its callers serialize MergeBlock (the channel's commit mutex).
 type Engine struct {
-	db   *statedb.DB
-	opts Options
+	db *statedb.DB
 
 	// resident holds, by snapshot key, each state the last successful
 	// merge persisted, so the next block resumes it instead of decoding it
@@ -89,8 +77,8 @@ type residentState struct {
 
 // NewEngine returns a merge engine reading and persisting CRDT state
 // through db.
-func NewEngine(db *statedb.DB, opts Options) *Engine {
-	return &Engine{db: db, opts: opts}
+func NewEngine(db *statedb.DB, _ Options) *Engine {
+	return &Engine{db: db}
 }
 
 // Result summarizes one block's merge.
@@ -282,16 +270,15 @@ func (e *Engine) mergeWrite(g *keyGroup, w *rwset.Write) error {
 		}
 		g.state, g.log = st, log
 	}
-	if g.log.snapKey != "" && !g.log.snapshotDue() {
+	if !g.log.snapshotDue() {
 		g.entries = appendEntry(g.entries, w)
 	}
 	return g.state.merge(w)
 }
 
-// finishGroup serializes one group's converged value into every merged
-// transaction's write set and returns the record to persist, if any.
-// Options.PaperLiteral re-serializes the value for every transaction, as
-// Algorithm 1 prints it; otherwise all of them share one serialization.
+// finishGroup serializes one group's converged value once, writes it into
+// every merged transaction's write set and returns the record to persist,
+// if any.
 func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) (metaKey string, rec []byte, err error) {
 	if g.state == nil {
 		return "", nil, nil // no write seeded the key, so none merged
@@ -301,17 +288,12 @@ func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) (metaKe
 		if codes[op.txIdx] != ledger.CodeCRDTMerged {
 			continue
 		}
-		if converged == nil || e.opts.PaperLiteral {
-			v, err := g.state.value()
-			if err != nil {
+		if converged == nil {
+			if converged, err = g.state.value(); err != nil {
 				return "", nil, fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
 			}
-			converged = v
 		}
 		op.w.Value = converged
-	}
-	if g.log.snapKey == "" {
-		return "", nil, nil // not persisted
 	}
 	metaKey, rec, err = g.log.appendRecord(g.key, g.state, g.entries)
 	if err != nil {

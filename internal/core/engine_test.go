@@ -240,9 +240,7 @@ func TestDeterministicAcrossEngines(t *testing.T) {
 
 // TestConvergedValueMatchesPersistedState is the reference for the finish
 // pass: every merged write of a key carries exactly a fresh serialization
-// of the state persisted for it, for a JSON key and a typed key alike. A paper-literal engine, which re-serializes per
-// transaction and persists no document, commits the same bytes on the
-// first block of an empty database.
+// of the state persisted for it, for a JSON key and a typed key alike.
 func TestConvergedValueMatchesPersistedState(t *testing.T) {
 	const n = 30
 	mkBlock := func() *ledger.Block {
@@ -255,11 +253,11 @@ func TestConvergedValueMatchesPersistedState(t *testing.T) {
 		}
 		return blockOf(txs...)
 	}
-	run := func(opts Options) (*statedb.DB, [][]byte) {
+	run := func() (*statedb.DB, [][]byte) {
 		db := statedb.New()
 		block := mkBlock()
 		codes := make([]ledger.ValidationCode, len(block.Transactions))
-		res, err := NewEngine(db, opts).MergeBlock(block, codes)
+		res, err := NewEngine(db, Options{}).MergeBlock(block, codes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +273,7 @@ func TestConvergedValueMatchesPersistedState(t *testing.T) {
 		}
 		return db, values
 	}
-	db, values := run(Options{})
+	db, values := run()
 	doc, err := LoadDoc(db, "dev")
 	if err != nil || doc == nil {
 		t.Fatalf("LoadDoc = %v, %v", doc, err)
@@ -300,11 +298,6 @@ func TestConvergedValueMatchesPersistedState(t *testing.T) {
 		if !bytes.Equal(v, want) {
 			t.Fatalf("write %d = %s, want %s", i, v, want)
 		}
-	}
-
-	_, literal := run(Options{PaperLiteral: true})
-	if !reflect.DeepEqual(literal, values) {
-		t.Fatal("paper-literal engine committed different values on a fresh database")
 	}
 }
 

@@ -54,8 +54,7 @@ func deltaKey(key string, slot uint64) string {
 
 // keyLog is where one key's persisted record log stands.
 type keyLog struct {
-	// snapKey is the snapshot's metadata key; empty when the state is not
-	// persisted (a PaperLiteral JSON document).
+	// snapKey is the snapshot's metadata key.
 	snapKey string
 	gen     uint64
 	// snapBytes is the snapshot record's size, 0 while the key has none.

@@ -86,20 +86,15 @@ type docState struct {
 	doc *jsoncrdt.Doc
 }
 
-// seedDoc seeds a JSON key. Under Options.PaperLiteral the document starts
-// empty every block and is not persisted: its log has no snapshot key.
+// seedDoc seeds a JSON key.
 func (e *Engine) seedDoc(key string) (keyState, keyLog, error) {
 	snapKey := MetaPrefix + key
-	if e.opts.PaperLiteral {
-		snapKey = ""
-	} else {
-		if st, log := e.resume(snapKey); st != nil {
-			return st, log, nil
-		}
-		st, log, err := loadState(e.db, snapKey, key, docFromSnapshot)
-		if err != nil || st != nil {
-			return st, log, err // an error is corrupt persisted state: hard failure
-		}
+	if st, log := e.resume(snapKey); st != nil {
+		return st, log, nil
+	}
+	st, log, err := loadState(e.db, snapKey, key, docFromSnapshot)
+	if err != nil || st != nil {
+		return st, log, err // an error is corrupt persisted state: hard failure
 	}
 	if err := refuseOtherKind(e.db, TypedMetaPrefix, key); err != nil {
 		return nil, keyLog{}, err
@@ -133,9 +128,7 @@ func (s *docState) value() ([]byte, error) { return json.Marshal(s.doc.ToJSON())
 
 func (s *docState) snapshot() ([]byte, error) { return s.doc.MarshalBinary() }
 
-// typedState is a key merged as a classic CRDT. Typed states are seeded and
-// persisted even under Options.PaperLiteral: a state-based join is cheap,
-// and counters and sets are meaningless without continuity.
+// typedState is a key merged as a classic CRDT.
 type typedState struct {
 	key string
 	acc crdt.CRDT

@@ -85,8 +85,7 @@ func TestTypedCounterMergesConflictingIncrements(t *testing.T) {
 
 func TestTypedCounterAccumulatesAcrossBlocks(t *testing.T) {
 	db := statedb.New()
-	// Even in the paper-literal mode, typed state persists.
-	e := NewEngine(db, Options{PaperLiteral: true})
+	e := NewEngine(db, Options{})
 	commitMerge(t, db, e, 1, typedTx(t, "t1", "votes", counterDelta("t1", 10)))
 	commitMerge(t, db, e, 2, typedTx(t, "t2", "votes", counterDelta("t2", 5)))
 	vv, _ := db.Get("votes")
@@ -271,35 +270,25 @@ func TestLoadTypedCRDTMissing(t *testing.T) {
 	}
 }
 
-// TestFreshModeShadowsEarlierBlocks pins the paper-literal anomaly that
-// DESIGN.md §3 documents: with InitEmptyCRDT per block (PaperLiteral),
-// a later block's converged document OVERWRITES the world-state value, so
-// earlier blocks' JSON CRDT updates survive only in the chain history. The
-// library's default mode preserves them.
-func TestFreshModeShadowsEarlierBlocks(t *testing.T) {
-	readings := func(db *statedb.DB) int {
-		vv, ok := db.Get("dev")
-		if !ok {
-			t.Fatal("dev missing")
-		}
-		var doc map[string]any
-		if err := json.Unmarshal(vv.Value, &doc); err != nil {
-			t.Fatal(err)
-		}
-		list, _ := doc["r"].([]any)
-		return len(list)
+// TestSeededDocKeepsEarlierBlocks pins the clarification of Algorithm 1
+// that DESIGN.md §3 records: a JSON key's merge is seeded from its
+// persisted state, so a later block's converged document extends the
+// earlier blocks' readings instead of replacing them (no update loss
+// across blocks).
+func TestSeededDocKeepsEarlierBlocks(t *testing.T) {
+	db := statedb.New()
+	e := NewEngine(db, Options{})
+	commitMerge(t, db, e, 1, crdtTx("t1", "dev", `{"r":["a"]}`))
+	commitMerge(t, db, e, 2, crdtTx("t2", "dev", `{"r":["b"]}`))
+	vv, ok := db.Get("dev")
+	if !ok {
+		t.Fatal("dev missing")
 	}
-	run := func(literal bool) int {
-		db := statedb.New()
-		e := NewEngine(db, Options{PaperLiteral: literal})
-		commitMerge(t, db, e, 1, crdtTx("t1", "dev", `{"r":["a"]}`))
-		commitMerge(t, db, e, 2, crdtTx("t2", "dev", `{"r":["b"]}`))
-		return readings(db)
+	var doc map[string]any
+	if err := json.Unmarshal(vv.Value, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if got := run(true); got != 1 {
-		t.Fatalf("fresh mode readings = %d, want 1 (block 2 shadows block 1)", got)
-	}
-	if got := run(false); got != 2 {
-		t.Fatalf("seeded mode readings = %d, want 2 (no update loss)", got)
+	if list, _ := doc["r"].([]any); len(list) != 2 {
+		t.Fatalf("readings = %v, want 2 (block 2 extends block 1)", doc["r"])
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/orderer"
+	"fabriccrdt/internal/workload"
 )
 
 // iotCC is the paper's evaluation chaincode: read the device document,
@@ -194,6 +195,107 @@ func TestStockFabricFailsConflicting(t *testing.T) {
 		t.Fatalf("valid %d + conflicted %d != %d", valid, conflicted, total)
 	}
 	t.Logf("stock fabric: %d valid, %d MVCC conflicts", valid, conflicted)
+}
+
+// TestIoTWorkloadOnNetwork drives the paper's workload generator
+// (internal/workload) through the live network at 0% and 100% conflicting
+// transactions, with FabricCRDT and with stock Fabric: FabricCRDT merges
+// every transaction at both settings; stock Fabric commits every one when
+// none conflict, and fails some with MVCC conflicts when all do (the end
+// points of the paper's Figure 7).
+func TestIoTWorkloadOnNetwork(t *testing.T) {
+	const total = 40
+	for _, tc := range []struct {
+		name       string
+		enableCRDT bool
+		conflict   int
+		// want lists the codes the run must end in: every transaction gets
+		// one of them, and each of them occurs.
+		want []ledger.ValidationCode
+	}{
+		{"FabricCRDT/conflict0", true, 0, []ledger.ValidationCode{ledger.CodeCRDTMerged}},
+		{"FabricCRDT/conflict100", true, 100, []ledger.ValidationCode{ledger.CodeCRDTMerged}},
+		{"Fabric/conflict0", false, 0, []ledger.ValidationCode{ledger.CodeValid}},
+		{"Fabric/conflict100", false, 100, []ledger.ValidationCode{ledger.CodeValid, ledger.CodeMVCCConflict}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := workload.NewIoT(workload.IoTParams{ConflictPct: tc.conflict})
+			cfg := PaperConfig(10, tc.enableCRDT)
+			cfg.Orderer.BatchTimeout = 100 * time.Millisecond
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.InstallChaincode("iot", gen.Chaincode(), testPolicy); err != nil {
+				t.Fatal(err)
+			}
+			n.Start()
+			defer n.Stop()
+			c, err := n.NewClient("Org1", "client0", []string{"Org1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			codes := make([]ledger.ValidationCode, total)
+			for i := range codes {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i], _ = c.SubmitAndWait(10*time.Second, "iot", workload.SpecArgs(i)...)
+				}(i)
+			}
+			wg.Wait()
+			n.Stop()
+			if err := n.Err(); err != nil {
+				t.Fatal(err)
+			}
+			count := make(map[ledger.ValidationCode]int)
+			for _, code := range codes {
+				count[code]++
+			}
+			matched := 0
+			for _, code := range tc.want {
+				if count[code] == 0 {
+					t.Fatalf("codes = %v: no %v", count, code)
+				}
+				matched += count[code]
+			}
+			if matched != total {
+				t.Fatalf("codes = %v, want only %v over %d transactions", count, tc.want, total)
+			}
+			if tc.enableCRDT && tc.conflict == 100 {
+				checkHotReadings(t, n, gen.HotKeys()[0], total)
+			}
+		})
+	}
+}
+
+// checkHotReadings asserts that every peer holds the same hot-key document
+// and that it carries want readings: the blocks of the run (at most 10
+// transactions each) extend one document, none replaces it.
+func checkHotReadings(t *testing.T, n *Network, key string, want int) {
+	t.Helper()
+	var first []byte
+	for _, p := range n.Peers() {
+		vv, ok := p.DB().Get(key)
+		if !ok {
+			t.Fatalf("peer %s misses %s", p.Name(), key)
+		}
+		if first == nil {
+			first = vv.Value
+			var doc struct {
+				Readings []any `json:"temperatureReadings1"`
+			}
+			if err := json.Unmarshal(vv.Value, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Readings) != want {
+				t.Fatalf("%s holds %d readings, want %d", key, len(doc.Readings), want)
+			}
+		} else if string(vv.Value) != string(first) {
+			t.Fatalf("peer %s diverged on %s", p.Name(), key)
+		}
+	}
 }
 
 // TestMixedCRDTAndPlainTransactions commits CRDT and non-CRDT transactions

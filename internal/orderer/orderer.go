@@ -87,7 +87,7 @@ type Batch struct {
 var ErrOversized = errors.New("orderer: transaction exceeds AbsoluteMaxBytes")
 
 // Cutter is the pure block-cutting state machine, shared by the live
-// ordering service and the discrete-event simulation. It is not safe for
+// ordering service and the benchmark's orderer-cut row. It is not safe for
 // concurrent use; callers serialize (that serialization IS the total order).
 type Cutter struct {
 	cfg          Config

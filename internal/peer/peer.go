@@ -398,7 +398,7 @@ func (p *Peer) Channels() []string { return append([]string(nil), p.channelIDs..
 func (p *Peer) DefaultChannel() string { return p.channelIDs[0] }
 
 // DB exposes the default channel's world state (read-side: examples,
-// experiments).
+// tests).
 func (p *Peer) DB() *statedb.DB { return p.channels[p.channelIDs[0]].DB() }
 
 // DBOn exposes one channel's world state.

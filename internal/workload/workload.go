@@ -100,9 +100,8 @@ func hotKey(j int) string { return fmt.Sprintf("device-hot-%d", j) }
 // coldKey returns the j-th key unique to transaction i.
 func coldKey(i, j int) string { return fmt.Sprintf("device-%d-%d", i, j) }
 
-// HotKeys returns the shared key set (pre-populated before an experiment,
-// paper §7.2: "we start with an empty ledger and populate the ledger with
-// keys that are read during the experiment").
+// HotKeys returns the shared key set every conflicting transaction reads
+// and writes.
 func (g *IoTGenerator) HotKeys() []string {
 	n := g.params.ReadKeys
 	if g.params.WriteKeys > n {
@@ -118,7 +117,7 @@ func (g *IoTGenerator) HotKeys() []string {
 // ChannelFor returns the channel transaction i submits on: round-robin
 // over the configured channel mix, or "" when none is configured. The
 // assignment is a pure function of (params, i) like the rest of the spec,
-// so simulation runs stay reproducible.
+// so runs stay reproducible.
 func (g *IoTGenerator) ChannelFor(i int) string {
 	if len(g.params.Channels) == 0 {
 		return ""
@@ -139,7 +138,7 @@ func (g *IoTGenerator) Conflicting(i int) bool {
 }
 
 // Spec derives transaction i's plan. The same (params, i) always yields the
-// same spec, which is what makes simulation runs reproducible.
+// same spec, which is what makes runs reproducible.
 func (g *IoTGenerator) Spec(i int) TxSpec {
 	spec := TxSpec{Seq: i, Conflicting: g.Conflicting(i), Channel: g.ChannelFor(i)}
 	key := func(j int) string {
@@ -229,10 +228,4 @@ func (g *IoTGenerator) Chaincode() chaincode.Chaincode {
 		}
 		return nil
 	})
-}
-
-// InitialValue is the JSON document hot keys are populated with before an
-// experiment begins.
-func InitialValue() []byte {
-	return []byte(`{"deviceID":"seed","temperatureReadings1":[]}`)
 }

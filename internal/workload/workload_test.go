@@ -175,13 +175,6 @@ func TestChaincodeBadArgs(t *testing.T) {
 	}
 }
 
-func TestInitialValueIsValidJSON(t *testing.T) {
-	var obj map[string]any
-	if err := json.Unmarshal(InitialValue(), &obj); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChannelMix(t *testing.T) {
 	// No mix configured: the channel stays empty (caller's bound channel).
 	g := NewIoT(IoTParams{})
