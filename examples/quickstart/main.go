@@ -101,6 +101,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if doc != nil {
-		fmt.Printf("CRDT document: %d operations merged\n", doc.Clock().Counter)
+		readings, _ := doc.ToJSON()["tempReadings"].([]any)
+		fmt.Printf("CRDT document: %d readings merged\n", len(readings))
 	}
 }

@@ -172,11 +172,10 @@ const (
 // block order through MergeJSON; see NewJSONDoc.
 type JSONDoc = jsoncrdt.Doc
 
-// NewJSONDoc returns an empty JSON CRDT document stamped with the replica
-// identifier every peer's merge engine uses, so merging a key's writes in
-// block order builds exactly the document a peer persists.
+// NewJSONDoc returns an empty JSON CRDT document. Merging a key's writes
+// into it in block order builds exactly the document a peer persists.
 func NewJSONDoc() *JSONDoc {
-	return jsoncrdt.NewDoc(core.MergeReplica)
+	return jsoncrdt.NewDoc("")
 }
 
 // LoadMergedDoc returns the persisted CRDT document (with merge metadata)

@@ -61,8 +61,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil || doc == nil {
 		t.Fatalf("LoadMergedDoc = %v, %v", doc, err)
 	}
-	if doc.Clock().Counter == 0 {
-		t.Fatal("merged doc has no operations")
+	want := map[string]any{"tempReadings": []any{map[string]any{"temperature": "21"}}}
+	if got := doc.ToJSON(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged doc = %v, want %v", got, want)
 	}
 }
 

@@ -43,11 +43,9 @@ import (
 	"fabriccrdt/internal/statedb"
 )
 
-// MergeReplica is the replica identifier every peer's merge engine stamps
-// operations with. It must be identical on all peers: peers observe blocks
-// in the same order, so equal inputs + equal replica = equal operation IDs
-// = byte-identical converged documents (paper §5.2: "every peer observes
-// the transactions in a block in the same order; we exploit this property").
+// MergeReplica is what the benchmark module passes to jsoncrdt.NewDoc,
+// which ignores it; it stays only until that call drops the argument
+// (ROADMAP 0A(i)).
 const MergeReplica = "fabriccrdt"
 
 // Options is the engine's configuration. It has no fields: NewEngine keeps

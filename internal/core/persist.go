@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
@@ -14,9 +15,11 @@ import (
 // A key's CRDT state persists as a log of records in the state database's
 // metadata space (DESIGN.md §3, docs/PERSISTENCE.md):
 //
-//   - a snapshot record, the full state, under the key's kind prefix
-//     (MetaPrefix or TypedMetaPrefix + ledger key):
-//     'S' | uvarint generation | jsoncrdt.MarshalBinary or crdt.Marshal bytes
+//   - a snapshot record, the full state, under the key's kind prefix:
+//     'J' | uvarint generation | jsoncrdt.MarshalBinary bytes under
+//     MetaPrefix + ledger key, or
+//     'S' | uvarint generation | crdt.Marshal bytes under TypedMetaPrefix +
+//     ledger key
 //   - the delta records merged after it, one per block, in numbered slots
 //     (deltaKey): 'D' | uvarint generation | uvarint slot | running hash |
 //     entries, where the entries are the writes the block passed to
@@ -40,11 +43,25 @@ import (
 // in the state database's metadata space.
 const DeltaPrefix = "crdtd/"
 
-// Record tags. Neither can open the pre-snapshot format, a bare JSON state.
+// Record tags. None can open the pre-snapshot format, a bare JSON state.
+// JSON documents have their own snapshot tag so that a build that wrote
+// them as 'S' records, with operation IDs in the body, refuses these by
+// their header; this build refuses 'S' under MetaPrefix in turn
+// (parseSnapshot).
 const (
-	snapshotTag byte = 'S'
-	deltaTag    byte = 'D'
+	typedSnapshotTag byte = 'S'
+	docSnapshotTag   byte = 'J'
+	deltaTag         byte = 'D'
 )
+
+// snapshotTagOf returns the snapshot tag of the kind whose prefix snapKey
+// carries.
+func snapshotTagOf(snapKey string) byte {
+	if strings.HasPrefix(snapKey, MetaPrefix) {
+		return docSnapshotTag
+	}
+	return typedSnapshotTag
+}
 
 // deltaKey is the metadata key of a ledger key's delta slot. The slot
 // number ends at the first '/', so no two (key, slot) pairs share a key.
@@ -87,7 +104,7 @@ func (l *keyLog) appendRecord(key string, st keyState, entries []byte) (metaKey 
 		if l.snapBytes > 0 {
 			gen = l.gen + 1
 		}
-		rec = append(make([]byte, 0, 1+binary.MaxVarintLen64+len(body)), snapshotTag)
+		rec = append(make([]byte, 0, 1+binary.MaxVarintLen64+len(body)), snapshotTagOf(l.snapKey))
 		rec = binary.AppendUvarint(rec, gen)
 		rec = append(rec, body...)
 		*l = keyLog{snapKey: l.snapKey, gen: gen, snapBytes: len(rec), snap: rec}
@@ -174,13 +191,15 @@ func loadState(db *statedb.DB, snapKey, key string, decode func(key string, body
 }
 
 // parseSnapshot splits a snapshot record into its generation and state
-// bytes. A bare state — the format before snapshots and deltas — is
-// refused by name: such a datadir is not migrated.
+// bytes. The formats a datadir is not migrated from are refused by name: a
+// bare state — the format before snapshots and deltas — and, under
+// MetaPrefix, an 'S' record, a JSON document that carries operation IDs.
 func parseSnapshot(snapKey, key string, rec []byte) (gen uint64, body []byte, err error) {
-	if len(rec) > 0 && rec[0] == '{' {
-		return 0, nil, fmt.Errorf("core: %s holds the CRDT state of key %q in the pre-snapshot format (a bare state, no record header); this datadir predates snapshot-plus-delta persistence and is not migrated: re-sync the peer into an empty datadir", snapKey, key)
+	tag := snapshotTagOf(snapKey)
+	if len(rec) > 0 && (rec[0] == '{' || tag == docSnapshotTag && rec[0] == typedSnapshotTag) {
+		return 0, nil, fmt.Errorf("core: %s holds the CRDT state of key %q in a format this build does not migrate, a bare state (the pre-snapshot format) or, under %s, a JSON document with operation IDs (record tag 'S'): re-sync the peer into an empty datadir", snapKey, key, MetaPrefix)
 	}
-	if len(rec) == 0 || rec[0] != snapshotTag {
+	if len(rec) == 0 || rec[0] != tag {
 		return 0, nil, fmt.Errorf("core: %s, the persisted state of %q, is not a snapshot record", snapKey, key)
 	}
 	gen, n := binary.Uvarint(rec[1:])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -123,7 +124,7 @@ func TestDeltaSlotsKeepKeysApart(t *testing.T) {
 	e := NewEngine(db, Options{})
 	want := make(map[string]*jsoncrdt.Doc)
 	for _, k := range keys {
-		want[k] = jsoncrdt.NewDoc(MergeReplica)
+		want[k] = jsoncrdt.NewDoc("")
 	}
 	staged := make(map[string]bool) // every metadata key a block wrote
 	snapshotsOfA := 0
@@ -185,7 +186,7 @@ func decodeAny(t *testing.T, v string) any {
 // Merging into such a key — as either kind — or loading it fails with an
 // error that names the key and the format; nothing is re-seeded.
 func TestPreSnapshotFormatRefused(t *testing.T) {
-	doc := jsoncrdt.NewDoc(MergeReplica)
+	doc := jsoncrdt.NewDoc("")
 	if err := doc.MergeJSON(decodeAny(t, `{"r":["x"]}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -233,60 +234,39 @@ func TestPreSnapshotFormatRefused(t *testing.T) {
 	}
 }
 
-// TestParentFormatSnapshotLoads: a snapshot written while the document
-// state still listed every operation ID in an "applied" set, beside its
-// "counter", loads with the delta record after it; merging one more block
-// commits the value a document built by MergeJSON alone renders, and the
-// snapshot that block writes holds no applied set.
-func TestParentFormatSnapshotLoads(t *testing.T) {
+// TestParentFormatSnapshotRefused: a JSON document snapshot written while
+// documents carried operation IDs — an 'S' record under crdt/ — is refused
+// by name like a bare pre-snapshot state: loading it fails, and so does a
+// block that merges into its key, which leaves the record as it was.
+func TestParentFormatSnapshotRefused(t *testing.T) {
 	const key = "dev"
 	// The snapshot of {"r":["x"],"id":"dev"} in that format.
-	snap := append([]byte{snapshotTag, 0}, `{"replica":"fabriccrdt","counter":2,"applied":["1@fabriccrdt","2@fabriccrdt"],"root":{"entries":{"id":{"pres":["1@fabriccrdt"],"reg":[{"id":"1@fabriccrdt","value":{"kind":2,"str":"dev"}}]},"r":{"pres":["2@fabriccrdt"],"list":[{"id":"2@fabriccrdt","entry":{"pres":["2@fabriccrdt"],"reg":[{"id":"2@fabriccrdt","value":{"kind":2,"str":"x"}}]}}]}}}}`...)
-	// A delta record as long as the snapshot, so the next block's record
-	// is a new snapshot.
-	delta := fmt.Sprintf(`{"r":[%q]}`, strings.Repeat("y", len(snap)))
-	log := keyLog{snapKey: MetaPrefix + key, snapBytes: len(snap), snap: snap}
-	deltaSlot, deltaRec, err := log.appendRecord(key, nil, appendEntry(nil, &rwset.Write{Key: key, Value: []byte(delta), IsCRDT: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := statedb.New()
-	batch := statedb.NewUpdateBatch()
-	batch.PutMeta(MetaPrefix+key, snap)
-	batch.PutMeta(deltaSlot, deltaRec)
-	db.Apply(batch, rwset.Version{BlockNum: 1})
-
-	want := jsoncrdt.NewDoc(MergeReplica)
-	for _, v := range []string{`{"r":["x"],"id":"dev"}`, delta, `{"r":["z"]}`} {
-		if err := want.MergeJSON(decodeAny(t, v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	block := blockOf(crdtTx("t3", key, `{"r":["z"]}`))
-	block.Header.Number = 2
-	res := mergeAndApply(t, db, NewEngine(db, Options{}), block)
-
-	wantValue, err := want.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vv, _ := db.Get(key); !bytes.Equal(vv.Value, wantValue) {
-		t.Fatalf("committed %s, want %s", vv.Value, wantValue)
-	}
-	rec, ok := res.States[MetaPrefix+key]
-	if !ok {
-		t.Fatalf("block 2 wrote no snapshot: %d record(s)", len(res.States))
-	}
-	_, body, err := parseSnapshot(MetaPrefix+key, key, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantState, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, wantState) || bytes.Contains(body, []byte(`"applied"`)) {
-		t.Fatalf("rewritten snapshot %s, want %s", body, wantState)
+	idSnap := append([]byte{'S', 0}, `{"replica":"fabriccrdt","counter":2,"root":{"entries":{"id":{"pres":["1@fabriccrdt"],"reg":[{"id":"1@fabriccrdt","value":{"kind":2,"str":"dev"}}]},"r":{"pres":["2@fabriccrdt"],"list":[{"id":"2@fabriccrdt","entry":{"pres":["2@fabriccrdt"],"reg":[{"id":"2@fabriccrdt","value":{"kind":2,"str":"x"}}]}}]}}}}`...)
+	bare := []byte(`{"replica":"fabriccrdt","counter":1,"root":{"entries":{}}}`)
+	for name, old := range map[string][]byte{"operation-ID snapshot": idSnap, "bare state": bare} {
+		t.Run(name, func(t *testing.T) {
+			db := statedb.New()
+			batch := statedb.NewUpdateBatch()
+			batch.PutMeta(MetaPrefix+key, old)
+			db.Apply(batch, rwset.Version{BlockNum: 1})
+			byName := func(err error) bool {
+				return err != nil && !errors.Is(err, errInvalidDelta) &&
+					strings.Contains(err.Error(), MetaPrefix+key) &&
+					strings.Contains(err.Error(), `"`+key+`"`) &&
+					strings.Contains(err.Error(), "re-sync the peer into an empty datadir")
+			}
+			if _, err := LoadDoc(db, key); !byName(err) {
+				t.Fatalf("LoadDoc: err = %v", err)
+			}
+			block := blockOf(crdtTx("t2", key, `{"r":["z"]}`))
+			block.Header.Number = 2
+			if _, err := NewEngine(db, Options{}).MergeBlock(block, make([]ledger.ValidationCode, 1)); !byName(err) {
+				t.Fatalf("MergeBlock: err = %v", err)
+			}
+			if !bytes.Equal(db.GetMeta(MetaPrefix+key), old) {
+				t.Fatal("the old record was overwritten")
+			}
+		})
 	}
 }
 

@@ -99,11 +99,11 @@ func (e *Engine) seedDoc(key string) (keyState, keyLog, error) {
 	if err := refuseOtherKind(e.db, TypedMetaPrefix, key); err != nil {
 		return nil, keyLog{}, err
 	}
-	return &docState{key: key, doc: jsoncrdt.NewDoc(MergeReplica)}, keyLog{snapKey: snapKey}, nil
+	return &docState{key: key, doc: jsoncrdt.NewDoc("")}, keyLog{snapKey: snapKey}, nil
 }
 
 func docFromSnapshot(key string, body []byte) (keyState, error) {
-	doc := jsoncrdt.NewDoc(MergeReplica)
+	doc := jsoncrdt.NewDoc("")
 	if err := doc.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}

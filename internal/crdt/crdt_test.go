@@ -340,6 +340,72 @@ func TestStateRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestStampedStateGolden pins the state bytes of the Lamport-stamped types:
+// a peer persists them in its snapshot records, so a change to how IDs or
+// clocks encode must show here. Each state also loads back to itself.
+func TestStampedStateGolden(t *testing.T) {
+	r := NewLWWRegister()
+	r.Bind("p0")
+	r.Set("first")
+	or := NewLWWRegister()
+	or.Bind("p1")
+	or.Set("x")
+	or.Set("second")
+	m := NewLWWMap()
+	m.Bind("p0")
+	m.Set("a", "1")
+	m.Set("b", "2")
+	m.Delete("a")
+	om := NewLWWMap()
+	om.Bind("p1")
+	om.Set("c", "<&>")
+	s := NewORSet()
+	s.Bind("p0")
+	s.Add("x")
+	s.Add("y")
+	s.Remove("x")
+	os := NewORSet()
+	os.Bind("p1")
+	os.Add("x")
+	os.Add("z")
+	for _, err := range []error{r.Merge(or), m.Merge(om), s.Merge(os)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Set("d", "4")
+	s.Add("w")
+
+	cases := []struct {
+		c    CRDT
+		want string
+	}{
+		{r, `{"counter":2,"replica":"p0","stamp":"2@p1","value":"second"}`},
+		{m, `{"counter":4,"replica":"p0","entries":{"a":{"stamp":"3@p0","value":"","deleted":true},"b":{"stamp":"2@p0","value":"2"},"c":{"stamp":"1@p1","value":"\u003c\u0026\u003e"},"d":{"stamp":"4@p0","value":"4"}}}`},
+		{s, `{"counter":3,"replica":"p0","adds":{"w":["3@p0"],"x":["1@p0","1@p1"],"y":["2@p0"],"z":["2@p1"]},"tombs":["1@p0"]}`},
+	}
+	reg := NewRegistry()
+	for _, tc := range cases {
+		got, err := tc.c.StateJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s state = %s, want %s", tc.c.TypeName(), got, tc.want)
+		}
+		back, err := reg.New(tc.c.TypeName())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.LoadStateJSON([]byte(tc.want)); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := back.StateJSON(); string(again) != tc.want {
+			t.Errorf("%s state reloads as %s", tc.c.TypeName(), again)
+		}
+	}
+}
+
 func TestSplitEdgeKey(t *testing.T) {
 	src, dst, ok := splitEdgeKey(edgeKey("a", "b"))
 	if !ok || src != "a" || dst != "b" {

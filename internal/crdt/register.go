@@ -3,8 +3,6 @@ package crdt
 import (
 	"encoding/json"
 	"sort"
-
-	"fabriccrdt/internal/lamport"
 )
 
 // Type names of the register datatypes.
@@ -15,8 +13,8 @@ const (
 
 // LWWRegister is a last-writer-wins register ordered by Lamport timestamp.
 type LWWRegister struct {
-	clock *lamport.Clock
-	stamp lamport.ID
+	clock *lamportClock
+	stamp lamportID
 	value string
 }
 
@@ -24,14 +22,12 @@ var _ CRDT = (*LWWRegister)(nil)
 
 // NewLWWRegister returns an empty register.
 func NewLWWRegister() *LWWRegister {
-	return &LWWRegister{clock: lamport.NewClock("unbound")}
+	return &LWWRegister{clock: newLamportClock("unbound", 0)}
 }
 
 // Bind sets the replica identity used to stamp local writes.
 func (r *LWWRegister) Bind(replica string) {
-	c := lamport.NewClock(replica)
-	c.Restore(r.clock.Counter())
-	r.clock = c
+	r.clock = newLamportClock(replica, r.clock.counter)
 }
 
 // TypeName implements CRDT.
@@ -39,12 +35,12 @@ func (r *LWWRegister) TypeName() string { return TypeLWWRegister }
 
 // Set writes v with a fresh timestamp.
 func (r *LWWRegister) Set(v string) {
-	r.stamp = r.clock.Tick()
+	r.stamp = r.clock.tick()
 	r.value = v
 }
 
 // Get returns the current value and whether the register was ever written.
-func (r *LWWRegister) Get() (string, bool) { return r.value, !r.stamp.IsZero() }
+func (r *LWWRegister) Get() (string, bool) { return r.value, !r.stamp.isZero() }
 
 // Value implements CRDT.
 func (r *LWWRegister) Value() any { return r.value }
@@ -55,25 +51,25 @@ func (r *LWWRegister) Merge(other CRDT) error {
 	if err != nil {
 		return err
 	}
-	if r.stamp.Less(o.stamp) {
+	if r.stamp.less(o.stamp) {
 		r.stamp, r.value = o.stamp, o.value
 	}
-	r.clock.Witness(o.stamp)
+	r.clock.witness(o.stamp)
 	return nil
 }
 
 type lwwRegState struct {
-	Counter uint64     `json:"counter"`
-	Replica string     `json:"replica"`
-	Stamp   lamport.ID `json:"stamp"`
-	Value   string     `json:"value"`
+	Counter uint64    `json:"counter"`
+	Replica string    `json:"replica"`
+	Stamp   lamportID `json:"stamp"`
+	Value   string    `json:"value"`
 }
 
 // StateJSON implements CRDT.
 func (r *LWWRegister) StateJSON() ([]byte, error) {
 	return json.Marshal(lwwRegState{
-		Counter: r.clock.Counter(),
-		Replica: r.clock.Replica(),
+		Counter: r.clock.counter,
+		Replica: r.clock.replica,
 		Stamp:   r.stamp,
 		Value:   r.value,
 	})
@@ -85,9 +81,7 @@ func (r *LWWRegister) LoadStateJSON(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	clock := lamport.NewClock(st.Replica)
-	clock.Restore(st.Counter)
-	r.clock = clock
+	r.clock = newLamportClock(st.Replica, st.Counter)
 	r.stamp = st.Stamp
 	r.value = st.Value
 	return nil
@@ -96,14 +90,14 @@ func (r *LWWRegister) LoadStateJSON(data []byte) error {
 // LWWMap is a map of string keys to last-writer-wins values with
 // last-writer-wins deletion.
 type LWWMap struct {
-	clock   *lamport.Clock
+	clock   *lamportClock
 	entries map[string]lwwEntry
 }
 
 type lwwEntry struct {
-	Stamp   lamport.ID `json:"stamp"`
-	Value   string     `json:"value"`
-	Deleted bool       `json:"deleted,omitempty"`
+	Stamp   lamportID `json:"stamp"`
+	Value   string    `json:"value"`
+	Deleted bool      `json:"deleted,omitempty"`
 }
 
 var _ CRDT = (*LWWMap)(nil)
@@ -111,16 +105,14 @@ var _ CRDT = (*LWWMap)(nil)
 // NewLWWMap returns an empty map.
 func NewLWWMap() *LWWMap {
 	return &LWWMap{
-		clock:   lamport.NewClock("unbound"),
+		clock:   newLamportClock("unbound", 0),
 		entries: make(map[string]lwwEntry),
 	}
 }
 
 // Bind sets the replica identity used to stamp local writes.
 func (m *LWWMap) Bind(replica string) {
-	c := lamport.NewClock(replica)
-	c.Restore(m.clock.Counter())
-	m.clock = c
+	m.clock = newLamportClock(replica, m.clock.counter)
 }
 
 // TypeName implements CRDT.
@@ -128,12 +120,12 @@ func (m *LWWMap) TypeName() string { return TypeLWWMap }
 
 // Set writes key=value with a fresh timestamp.
 func (m *LWWMap) Set(key, value string) {
-	m.entries[key] = lwwEntry{Stamp: m.clock.Tick(), Value: value}
+	m.entries[key] = lwwEntry{Stamp: m.clock.tick(), Value: value}
 }
 
 // Delete tombstones key with a fresh timestamp.
 func (m *LWWMap) Delete(key string) {
-	m.entries[key] = lwwEntry{Stamp: m.clock.Tick(), Deleted: true}
+	m.entries[key] = lwwEntry{Stamp: m.clock.tick(), Deleted: true}
 }
 
 // Get returns the live value of key.
@@ -176,13 +168,13 @@ func (m *LWWMap) Merge(other CRDT) error {
 	if err != nil {
 		return err
 	}
-	//lint:sorted per-key LWW merge is commutative; Witness takes a running max
+	//lint:sorted per-key LWW merge is commutative; witness takes a running max
 	for k, oe := range o.entries {
 		cur, ok := m.entries[k]
-		if !ok || cur.Stamp.Less(oe.Stamp) {
+		if !ok || cur.Stamp.less(oe.Stamp) {
 			m.entries[k] = oe
 		}
-		m.clock.Witness(oe.Stamp)
+		m.clock.witness(oe.Stamp)
 	}
 	return nil
 }
@@ -196,8 +188,8 @@ type lwwMapState struct {
 // StateJSON implements CRDT.
 func (m *LWWMap) StateJSON() ([]byte, error) {
 	return json.Marshal(lwwMapState{
-		Counter: m.clock.Counter(),
-		Replica: m.clock.Replica(),
+		Counter: m.clock.counter,
+		Replica: m.clock.replica,
 		Entries: m.entries,
 	})
 }
@@ -208,9 +200,7 @@ func (m *LWWMap) LoadStateJSON(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	clock := lamport.NewClock(st.Replica)
-	clock.Restore(st.Counter)
-	m.clock = clock
+	m.clock = newLamportClock(st.Replica, st.Counter)
 	m.entries = st.Entries
 	if m.entries == nil {
 		m.entries = make(map[string]lwwEntry)

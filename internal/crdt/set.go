@@ -3,8 +3,6 @@ package crdt
 import (
 	"encoding/json"
 	"sort"
-
-	"fabriccrdt/internal/lamport"
 )
 
 // Type names of the set datatypes.
@@ -84,7 +82,7 @@ func (s *GSet) LoadStateJSON(data []byte) error {
 // removes delete exactly the tags observed, so a concurrent add wins over a
 // remove (add-wins).
 type ORSet struct {
-	clock *lamport.Clock
+	clock *lamportClock
 	// adds maps element -> live tags; tombs holds removed tags.
 	adds  map[string]map[string]struct{}
 	tombs map[string]struct{}
@@ -96,7 +94,7 @@ var _ CRDT = (*ORSet)(nil)
 // mutation to attach the replica identity used for tagging.
 func NewORSet() *ORSet {
 	return &ORSet{
-		clock: lamport.NewClock("unbound"),
+		clock: newLamportClock("unbound", 0),
 		adds:  make(map[string]map[string]struct{}),
 		tombs: make(map[string]struct{}),
 	}
@@ -104,9 +102,7 @@ func NewORSet() *ORSet {
 
 // Bind sets the replica identity used to tag local adds.
 func (s *ORSet) Bind(replica string) {
-	c := lamport.NewClock(replica)
-	c.Restore(s.clock.Counter())
-	s.clock = c
+	s.clock = newLamportClock(replica, s.clock.counter)
 }
 
 // TypeName implements CRDT.
@@ -114,7 +110,7 @@ func (s *ORSet) TypeName() string { return TypeORSet }
 
 // Add inserts v with a fresh tag.
 func (s *ORSet) Add(v string) {
-	tag := s.clock.Tick().String()
+	tag := s.clock.tick().String()
 	if s.adds[v] == nil {
 		s.adds[v] = make(map[string]struct{})
 	}
@@ -183,12 +179,12 @@ func (s *ORSet) Merge(other CRDT) error {
 
 // witnessTags advances the local clock beyond every known tag.
 func (s *ORSet) witnessTags() {
-	//lint:sorted Clock.Witness takes a running max; order-independent
+	//lint:sorted lamportClock.witness takes a running max; order-independent
 	for _, tags := range s.adds {
-		//lint:sorted Clock.Witness takes a running max; order-independent
+		//lint:sorted lamportClock.witness takes a running max; order-independent
 		for tag := range tags {
-			if id, err := lamport.Parse(tag); err == nil {
-				s.clock.Witness(id)
+			if id, err := parseLamportID(tag); err == nil {
+				s.clock.witness(id)
 			}
 		}
 	}
@@ -204,8 +200,8 @@ type orsetState struct {
 // StateJSON implements CRDT.
 func (s *ORSet) StateJSON() ([]byte, error) {
 	st := orsetState{
-		Counter: s.clock.Counter(),
-		Replica: s.clock.Replica(),
+		Counter: s.clock.counter,
+		Replica: s.clock.replica,
 		Adds:    make(map[string][]string, len(s.adds)),
 	}
 	//lint:sorted encoding/json emits map keys sorted; per-element tag lists sorted below
@@ -232,9 +228,7 @@ func (s *ORSet) LoadStateJSON(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	clock := lamport.NewClock(st.Replica)
-	clock.Restore(st.Counter)
-	s.clock = clock
+	s.clock = newLamportClock(st.Replica, st.Counter)
 	s.adds = make(map[string]map[string]struct{}, len(st.Adds))
 	//lint:sorted rebuilding a map from a map; insertion order is invisible
 	for v, tags := range st.Adds {

@@ -4,17 +4,17 @@
 // with the JSON values of a block's CRDT transactions in block order.
 //
 // The ordering service gives every peer the same transactions in the same
-// order, so every peer stamps the same Lamport identifiers and builds the
-// same document; no operation is ever shipped between replicas, buffered
-// for a missing dependency or applied twice. ToJSON strips all CRDT
-// metadata and returns the plain value.
+// order, so every peer applies the same operations in the same order and
+// builds the same document; no operation is ever shipped between replicas,
+// buffered for a missing dependency or applied twice. That total order is
+// what lets the document keep no operation identifiers: an entry records
+// only whether an operation keeps it alive, a register holds the one value
+// the last assign wrote, and a list holds its elements in append order.
+// ToJSON strips the remaining CRDT metadata — tombstones and the branches
+// a type change left behind — and returns the plain value.
 package jsoncrdt
 
-import (
-	"errors"
-
-	"fabriccrdt/internal/lamport"
-)
+import "errors"
 
 // Errors returned by MergeJSON.
 var (
@@ -27,16 +27,11 @@ var (
 // drives each document from a single goroutine, mirroring Fabric's
 // sequential block validation.
 type Doc struct {
-	clock *lamport.Clock
-	root  *mapNode
+	root *mapNode
 }
 
-// NewDoc returns an empty document whose operations are stamped with the
-// given replica identifier.
-func NewDoc(replica string) *Doc {
-	return &Doc{clock: lamport.NewClock(replica), root: newMapNode()}
+// NewDoc returns an empty document. Its argument is ignored; it stays only
+// while the benchmark module still passes one (ROADMAP 0A(i)).
+func NewDoc(string) *Doc {
+	return &Doc{root: newMapNode()}
 }
-
-// Clock returns the identifier of the most recent operation. Its counter
-// is the number of operations merged into the document.
-func (d *Doc) Clock() lamport.ID { return d.clock.Now() }

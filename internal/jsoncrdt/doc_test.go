@@ -114,10 +114,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(doc.ToJSON(), back.ToJSON()) {
 		t.Fatalf("state round trip diverged:\n%v\n%v", doc.ToJSON(), back.ToJSON())
 	}
-	if back.Clock() != doc.Clock() {
-		t.Fatalf("restored clock = %v, want %v", back.Clock(), doc.Clock())
-	}
-	// The restored clock must continue past the persisted counter.
+	// The restored document must keep merging.
 	if err := back.MergeJSON(mustJSON(t, `{"x": "y"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +149,58 @@ func TestStateRoundTripDeterministic(t *testing.T) {
 	}
 }
 
+// TestStateGolden pins the state bytes of two documents, so that a drift
+// of the persisted format shows: the paper's Listings 1–2 (two readings
+// merged into one list), and a list assigned over by a scalar and then
+// appended to again, which leaves a tombstone beside a live element that
+// the register hides.
+func TestStateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		deltas []string
+		want   string
+	}{
+		{
+			[]string{`{"tempReadings":[{"temperature":"15"}]}`, `{"tempReadings":[{"temperature":"20"}]}`},
+			`{"tempReadings":{"list":[{"map":{"temperature":{"reg":{"kind":2,"str":"15"}}}},{"map":{"temperature":{"reg":{"kind":2,"str":"20"}}}}]}}`,
+		},
+		{
+			[]string{`{"a":[1]}`, `{"a":"s"}`, `{"a":[2]}`},
+			`{"a":{"reg":{"kind":2,"str":"s"},"list":[{"dead":true},{"reg":{"kind":3,"num":2}}]}}`,
+		},
+	} {
+		doc := NewDoc("")
+		for _, d := range tc.deltas {
+			if err := doc.MergeJSON(mustJSON(t, d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state, err := doc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(state) != tc.want {
+			t.Errorf("state of %v =\n%s\nwant\n%s", tc.deltas, state, tc.want)
+		}
+	}
+}
+
 func TestUnmarshalBinaryErrors(t *testing.T) {
 	doc := NewDoc("p0")
 	for _, bad := range []string{
 		"",
 		"{",
-		`{"counter":1,"root":{"entries":{"a":{"pres":["notanid"]}}}}`,
-		`{"replica":"x","counter":0,"root":{"entries":{"a":null}}}`,
-		`{"replica":"x","counter":0,"root":{"entries":{"a":{"list":[{"id":"1@x","entry":null}]}}}}`,
-		`{"replica":"x","counter":2,"root":{"entries":{"a":{"list":[{"id":"1@x","entry":{}},{"id":"1@x","entry":{}}]}}}}`,
-		`{"replica":"x","counter":1,"root":{"entries":{"a":{"pres":["2@x"]}}}}`,
-		`{"replica":"x","counter":1,"root":{"entries":{"a":{"pres":["1@x"],"reg":[{"id":"1@x","value":{"kind":99}}]}}}}`,
+		"null",
+		"[]",
+		`{"a":null}`,
+		`{"a":{"dead":"yes"}}`,
+		`{"a":{"map":{"b":null}}}`,
+		`{"a":{"list":[null]}}`,
+		`{"a":{"list":[{},null]}}`,
+		`{"a":{"reg":{"kind":0}}}`,
+		`{"a":{"reg":{"kind":99}}}`,
+		`{"a":{"list":[{"reg":{"kind":5,"str":"x"}}]}}`,
+		// The body of the format with operation IDs.
+		`{"replica":"x","counter":1,"root":{"entries":{"a":{"pres":["1@x"]}}}}`,
 	} {
 		if err := doc.UnmarshalBinary([]byte(bad)); err == nil {
 			t.Errorf("UnmarshalBinary(%q) succeeded, want error", bad)

@@ -3,8 +3,6 @@ package jsoncrdt
 import (
 	"fmt"
 	"sort"
-
-	"fabriccrdt/internal/lamport"
 )
 
 // MergeJSON implements the paper's Algorithm 2 ("Merge a JSON object with
@@ -21,12 +19,11 @@ import (
 //     Listings 1–2 into one two-element list;
 //   - a map value recurses per key.
 //
-// Every assign and every appended item is one operation: it ticks the
-// document's Lamport clock, and its identifier joins the presence set of
+// Every assign and every appended item is one operation: it keeps alive
 // every entry on the path from the root to its target. The value must be a
 // JSON object (the document root is a map). Map keys are merged in sorted
-// order so that every peer stamps identical identifiers for identical
-// inputs.
+// order so that every peer applies identical operations in an identical
+// order for identical inputs.
 func (d *Doc) MergeJSON(v any) error {
 	obj, ok := v.(map[string]any)
 	if !ok {
@@ -55,11 +52,10 @@ func (d *Doc) mergeValue(path []step, key string, val any) error {
 		// Algorithm 2 lines 6-11: assign the scalar. Clearing what is
 		// visible at the key makes the later of two same-key scalar writes
 		// win deterministically (peers share block order).
-		id := d.clock.Tick()
-		e := d.stamp(path, id)
+		e := d.stamp(path)
 		e.clear()
-		e.pres.add(id)
-		e.reg = map[lamport.ID]scalar{id: scalarValue(tv)}
+		v := scalarValue(tv)
+		e.live, e.reg = true, &v
 		return nil
 	case []any:
 		// Algorithm 2 lines 13-16: append every item to the list,
@@ -92,11 +88,9 @@ func (d *Doc) mergeItem(path []step, item any) error {
 	default:
 		return fmt.Errorf("%w: %T", errUnsupportedType, item)
 	}
-	id := d.clock.Tick()
-	l := d.stamp(path, id).ensureList()
-	el := newEntry()
-	el.pres.add(id)
-	l.elems = append(l.elems, listElem{id: id, ent: el})
+	l := d.stamp(path).ensureList()
+	el := &entry{live: true}
+	l.elems = append(l.elems, el)
 	path = append(path, step{elem: el})
 	switch tv := item.(type) {
 	case map[string]any:
@@ -114,16 +108,17 @@ func (d *Doc) mergeItem(path []step, item any) error {
 			}
 		}
 	default:
-		el.reg = map[lamport.ID]scalar{id: scalarValue(tv)}
+		v := scalarValue(tv)
+		el.reg = &v
 	}
 	return nil
 }
 
 // stamp walks path from the root, creating the map entries and branches it
-// passes through, and adds id to the presence set of every entry on it, so
-// that the operation keeps its whole path visible. It returns the entry
-// the path ends at, the operation's target.
-func (d *Doc) stamp(path []step, id lamport.ID) *entry {
+// passes through, and marks every entry on it live, so that the operation
+// keeps its whole path visible. It returns the entry the path ends at, the
+// operation's target.
+func (d *Doc) stamp(path []step) *entry {
 	m := d.root
 	var e *entry
 	for i, s := range path {
@@ -132,7 +127,7 @@ func (d *Doc) stamp(path []step, id lamport.ID) *entry {
 		} else {
 			e = m.child(s.key)
 		}
-		e.pres.add(id)
+		e.live = true
 		if i+1 < len(path) && path[i+1].elem == nil {
 			m = e.ensureMap()
 		}

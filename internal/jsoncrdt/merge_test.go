@@ -148,8 +148,8 @@ func TestMergeEmptyObjectIsNoop(t *testing.T) {
 	if got := doc.ToJSON(); len(got) != 0 {
 		t.Fatalf("empty merge produced %v", got)
 	}
-	if n := doc.Clock().Counter; n != 0 {
-		t.Fatalf("empty merge applied %d ops", n)
+	if state, err := doc.MarshalBinary(); err != nil || string(state) != "{}" {
+		t.Fatalf("empty merge left state %s (err %v)", state, err)
 	}
 }
 

@@ -1,33 +1,22 @@
 package jsoncrdt
 
-import (
-	"fabriccrdt/internal/lamport"
-)
-
-// idSet is a set of operation identifiers.
-type idSet map[lamport.ID]struct{}
-
-func (s idSet) add(id lamport.ID)      { s[id] = struct{}{} }
-func (s idSet) has(id lamport.ID) bool { _, ok := s[id]; return ok }
-
-// entry holds the CRDT state of one map key or one list element: its
-// presence set (the operations keeping it alive), a multi-value register for
-// scalar content, and optional map/list branches. Kleppmann & Beresford let
-// the three branches coexist so that updates of different types to one key
-// all survive; presentation resolves deterministically (see json.go).
+// entry holds the CRDT state of one map key or one list element: whether
+// an operation keeps it alive, a register for scalar content, and optional
+// map/list branches. Kleppmann & Beresford let the three branches coexist
+// so that updates of different types to one key all survive; presentation
+// resolves deterministically (see json.go).
+//
+// Their presence set of operation IDs reduces to live here: an entry's set
+// only ever grows by the operations stamped through it and is only ever
+// emptied whole by an assign over it or an ancestor, and rendering asks
+// only whether it is empty. Their multi-value register reduces to one
+// value, because an assign clears the register before writing it.
 type entry struct {
-	pres idSet
-	reg  map[lamport.ID]scalar
+	live bool
+	reg  *scalar
 	mapN *mapNode
 	list *listNode
 }
-
-func newEntry() *entry {
-	return &entry{pres: make(idSet)}
-}
-
-// visible reports whether any live operation keeps the entry alive.
-func (e *entry) visible() bool { return len(e.pres) > 0 }
 
 // ensureMap returns the entry's map branch, creating it if absent.
 func (e *entry) ensureMap() *mapNode {
@@ -45,12 +34,11 @@ func (e *entry) ensureList() *listNode {
 	return e.list
 }
 
-// clear empties the presence set and register of the entry and of every
-// entry below it. The branches, their keys and list elements stay, as
+// clear kills the entry and every entry below it and empties their
+// registers. The branches, their keys and list elements stay, as
 // tombstones.
 func (e *entry) clear() {
-	clear(e.pres)
-	clear(e.reg)
+	e.live, e.reg = false, nil
 	if e.mapN != nil {
 		//lint:sorted clear recursion is per-child-independent; order is invisible
 		for _, child := range e.mapN.entries {
@@ -59,7 +47,7 @@ func (e *entry) clear() {
 	}
 	if e.list != nil {
 		for _, el := range e.list.elems {
-			el.ent.clear()
+			el.clear()
 		}
 	}
 }
@@ -77,22 +65,15 @@ func newMapNode() *mapNode {
 func (m *mapNode) child(key string) *entry {
 	e, ok := m.entries[key]
 	if !ok {
-		e = newEntry()
+		e = &entry{}
 		m.entries[key] = e
 	}
 	return e
 }
 
-// listElem is one element of a list node, identified by the operation that
-// appended it. Elements are never removed (an assign over the list leaves
-// them as tombstones); visibility is governed by the entry's presence set.
-type listElem struct {
-	id  lamport.ID
-	ent *entry
-}
-
 // listNode is a JSON array node. MergeJSON only appends, so its elements
-// are in operation order.
+// are in operation order. Elements are never removed: an assign over the
+// list leaves them as tombstones.
 type listNode struct {
-	elems []listElem
+	elems []*entry
 }

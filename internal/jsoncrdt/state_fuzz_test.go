@@ -27,6 +27,11 @@ func FuzzDocStateRoundTrip(f *testing.F) {
 		`{"a":1}` + "\n" + `{"a":[1]}` + "\n" + `{"a":{"b":[true,null]}}` + "\n" + `{"a":"s"}`,
 		`{"":"","\u003c":["\u00e9",1e21,-1.5]}`,
 		`not json` + "\n" + `[1,2]` + "\n" + `{"ok":{}}`,
+		// Revived tombstones: an assign clears a branch that later
+		// merges stamp live again.
+		`{"a":[1]}` + "\n" + `{"a":"s"}` + "\n" + `{"a":[2]}`,
+		`{"a":{"b":1}}` + "\n" + `{"a":2}` + "\n" + `{"a":{"c":3}}`,
+		`{"a":{"l":[1,[2]]}}` + "\n" + `{"a":"s"}` + "\n" + `{"a":{"l":[3]}}`,
 	} {
 		f.Add(stream)
 	}
