@@ -42,12 +42,23 @@ func TestLessTotalOrder(t *testing.T) {
 		{lamportID{1, "a"}, lamportID{1, "b"}, true},
 		{lamportID{1, "b"}, lamportID{1, "a"}, false},
 		{lamportID{1, "a"}, lamportID{1, "a"}, false},
-		{lamportID{1, "z"}, lamportID{2, "a"}, true},
 	}
 	for _, tc := range cases {
 		if got := tc.a.less(tc.b); got != tc.want {
 			t.Errorf("%v.less(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestLessCounterBeforeReplica: the counter decides before the replica, so
+// a later counter wins even against a smaller replica name, in either order.
+func TestLessCounterBeforeReplica(t *testing.T) {
+	a, b := lamportID{1, "z"}, lamportID{2, "a"}
+	if !a.less(b) {
+		t.Fatalf("%v.less(%v) = false, want true", a, b)
+	}
+	if b.less(a) {
+		t.Fatalf("%v.less(%v) = true, want false", b, a)
 	}
 }
 
